@@ -8,16 +8,17 @@
 //!
 //! The gtypo set of the Alexa top-10,000 contains millions of candidates
 //! (§4.2.1). The engine is byte-level and allocation-free per candidate:
-//! variants are built in one reusable scratch buffer, deduplication is
-//! analytic (a variant is emitted only at the canonical run-start
-//! position of its operation, which provably reproduces the legacy
-//! `HashSet<String>` first-wins order), fat-finger membership is decided
-//! per operation from the `const` keyboard table instead of running a
-//! DP per candidate, and results land in a struct-of-arrays
-//! [`TypoTable`]. [`generate_dl1`] remains as a thin wrapper that
-//! materializes the table into the classic `Vec<TypoCandidate>`;
-//! [`generate_dl1_legacy`] keeps the original string-based generator for
-//! equivalence tests and benchmarks.
+//! [`for_each_dl1`] builds variants in one reusable scratch buffer,
+//! deduplicates analytically (a variant is emitted only at the canonical
+//! run-start position of its operation, which provably reproduces the
+//! legacy `HashSet<String>` first-wins order), decides fat-finger
+//! membership per operation from the `const` keyboard table instead of
+//! running a DP per candidate, and runs the visual-distance DP only for
+//! the variants the caller asks about. [`TypoTable`] scores every variant
+//! into a struct-of-arrays table; [`generate_dl1`] remains as a thin
+//! wrapper that materializes the table into the classic
+//! `Vec<TypoCandidate>`; [`generate_dl1_legacy`] keeps the original
+//! string-based generator for equivalence tests and benchmarks.
 
 use crate::distance;
 use crate::domain::{DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
@@ -106,16 +107,11 @@ pub struct TypoTable {
 
 impl TypoTable {
     /// Generates all distinct DL-1 variants of `target`'s second-level
-    /// label. Candidate order, attribution, and scores are identical to
-    /// [`generate_dl1_legacy`]: deletions, then transpositions, then
-    /// substitutions, then additions, each position-ascending with the
-    /// alphabet in `a..z 0..9 -` order, keeping only the canonical
-    /// (smallest-position) representative of each distinct string.
+    /// label, in [`for_each_dl1`]'s canonical order, scoring every one.
+    /// Candidate order, attribution, and scores are identical to
+    /// [`generate_dl1_legacy`].
     pub fn generate(target: &DomainName) -> TypoTable {
-        let sld = target.sld().to_owned(); // detach from `target` borrow
-        let s = sld.as_bytes();
-        let n = s.len();
-        let tld_len = target.tld().len();
+        let n = target.sld().len();
         let cap = dl1_upper_bound(n, keyboard::ALPHABET.len());
         let mut table = TypoTable {
             target: target.clone(),
@@ -126,105 +122,15 @@ impl TypoTable {
             fat_finger: Vec::with_capacity(cap),
             visual: Vec::with_capacity(cap),
         };
-        let mut scratch = distance::VisualScratch::default();
-        let mut buf: Vec<u8> = Vec::with_capacity(n + 1);
-
-        // Deletions. Deleting any character of a run yields the same
-        // string, so only the run start is emitted (the first-wins
-        // winner); a single-character label would leave an empty label.
-        if n >= 2 {
-            for i in 0..n {
-                if i > 0 && s[i] == s[i - 1] {
-                    continue;
-                }
-                let first = if i == 0 { s[1] } else { s[0] };
-                let last = if i == n - 1 { s[n - 2] } else { s[n - 1] };
-                if first == b'-' || last == b'-' {
-                    continue;
-                }
-                buf.clear();
-                buf.extend_from_slice(&s[..i]);
-                buf.extend_from_slice(&s[i + 1..]);
-                table.push(s, &buf, MistakeKind::Deletion, i, true, &mut scratch);
-            }
-        }
-        // Transpositions of distinct neighbors. Distinct transpositions
-        // never collide with each other or any other kind (they differ
-        // from the label in exactly two positions).
-        for i in 0..n.saturating_sub(1) {
-            if s[i] == s[i + 1] {
-                continue;
-            }
-            if (i == 0 && s[1] == b'-') || (i + 2 == n && s[i] == b'-') {
-                continue;
-            }
-            buf.clear();
-            buf.extend_from_slice(s);
-            buf.swap(i, i + 1);
-            table.push(s, &buf, MistakeKind::Transposition, i, true, &mut scratch);
-        }
-        // Substitutions: all (position, char ≠ current) pairs are
-        // distinct strings; fat-finger iff the keys are adjacent.
-        for i in 0..n {
-            for &c in &keyboard::ALPHABET {
-                if c == s[i] {
-                    continue;
-                }
-                if c == b'-' && (i == 0 || i == n - 1) {
-                    continue;
-                }
-                buf.clear();
-                buf.extend_from_slice(s);
-                buf[i] = c;
-                let ff = keyboard::adjacent_bytes(s[i], c);
-                table.push(s, &buf, MistakeKind::Substitution, i, ff, &mut scratch);
-            }
-        }
-        // Additions (insert before position i, 0..=n). Inserting `c`
-        // anywhere along a run of `c` yields the same string; the run
-        // start is canonical. The legacy parser rejected variants whose
-        // label or full name exceeded the RFC limits, so gate on those.
-        if n < MAX_LABEL_LEN && (n + 1) + 1 + tld_len <= MAX_NAME_LEN {
-            for i in 0..=n {
-                for &c in &keyboard::ALPHABET {
-                    if i > 0 && s[i - 1] == c {
-                        continue;
-                    }
-                    if c == b'-' && (i == 0 || i == n) {
-                        continue;
-                    }
-                    // Fat-finger: the stray key equals or neighbors an
-                    // intended character beside the insertion point.
-                    let near = |x: u8| c == x || keyboard::adjacent_bytes(c, x);
-                    let ff = (i > 0 && near(s[i - 1])) || (i < n && near(s[i]));
-                    buf.clear();
-                    buf.extend_from_slice(&s[..i]);
-                    buf.push(c);
-                    buf.extend_from_slice(&s[i..]);
-                    table.push(s, &buf, MistakeKind::Addition, i, ff, &mut scratch);
-                }
-            }
-        }
+        for_each_dl1(target, |mut v| {
+            table.visual.push(v.visual());
+            table.slds.push_str(v.sld());
+            table.ends.push(table.slds.len() as u32);
+            table.kinds.push(v.kind);
+            table.positions.push(v.position as u32);
+            table.fat_finger.push(v.fat_finger);
+        });
         table
-    }
-
-    fn push(
-        &mut self,
-        target_sld: &[u8],
-        variant: &[u8],
-        kind: MistakeKind,
-        position: usize,
-        fat_finger: bool,
-        scratch: &mut distance::VisualScratch,
-    ) {
-        let visual = distance::visual_bytes(target_sld, variant, scratch);
-        self.slds
-            .push_str(std::str::from_utf8(variant).expect("domain labels are ASCII"));
-        self.ends.push(self.slds.len() as u32);
-        self.kinds.push(kind);
-        self.positions.push(position as u32);
-        self.fat_finger.push(fat_finger);
-        self.visual.push(visual);
     }
 
     /// Number of candidates.
@@ -278,21 +184,14 @@ impl TypoTable {
     /// Materializes candidate `i` as an owned [`TypoCandidate`]
     /// (one name allocation, no re-parse).
     pub fn candidate(&self, i: usize) -> TypoCandidate {
-        let sld = self.sld(i);
-        let tld = self.target.tld();
-        let mut name = String::with_capacity(sld.len() + 1 + tld.len());
-        name.push_str(sld);
-        name.push('.');
-        name.push_str(tld);
-        let sld_end = sld.len();
-        TypoCandidate {
-            domain: DomainName::from_validated_parts(name, sld_end),
-            target: self.target.clone(),
-            kind: self.kinds[i],
-            position: self.positions[i] as usize,
-            fat_finger: self.fat_finger[i],
-            visual: self.visual[i],
-        }
+        materialize(
+            &self.target,
+            self.sld(i),
+            self.kinds[i],
+            self.positions[i] as usize,
+            self.fat_finger[i],
+            self.visual[i],
+        )
     }
 
     /// Materializes every candidate in order.
@@ -303,6 +202,215 @@ impl TypoTable {
     /// Iterates materialized candidates in order.
     pub fn iter(&self) -> impl Iterator<Item = TypoCandidate> + '_ {
         (0..self.len()).map(|i| self.candidate(i))
+    }
+}
+
+/// Builds the owned [`TypoCandidate`] for variant label `sld` of `target`
+/// (one name allocation, no re-parse).
+fn materialize(
+    target: &DomainName,
+    sld: &str,
+    kind: MistakeKind,
+    position: usize,
+    fat_finger: bool,
+    visual: f64,
+) -> TypoCandidate {
+    let tld = target.tld();
+    let mut name = String::with_capacity(sld.len() + 1 + tld.len());
+    name.push_str(sld);
+    name.push('.');
+    name.push_str(tld);
+    TypoCandidate {
+        domain: DomainName::from_validated_parts(name, sld.len()),
+        target: target.clone(),
+        kind,
+        position,
+        fat_finger,
+        visual,
+    }
+}
+
+/// One DL-1 variant of a target, as [`for_each_dl1`] yields it. The
+/// label, kind, position and fat-finger flag come free with the
+/// enumeration; the visual distance is the one O(n·m) step, so it runs
+/// only when [`Dl1Variant::visual`] is first called. The label borrows
+/// the enumeration's scratch buffer and lives only for the callback.
+pub struct Dl1Variant<'a> {
+    target: &'a DomainName,
+    target_sld: &'a [u8],
+    sld: &'a [u8],
+    kind: MistakeKind,
+    position: usize,
+    fat_finger: bool,
+    visual: Option<f64>,
+    scratch: &'a mut distance::VisualScratch,
+}
+
+impl Dl1Variant<'_> {
+    /// The variant second-level label.
+    pub fn sld(&self) -> &str {
+        std::str::from_utf8(self.sld).expect("domain labels are ASCII")
+    }
+
+    /// Which of the four DL-1 mistakes produced the variant.
+    pub fn kind(&self) -> MistakeKind {
+        self.kind
+    }
+
+    /// Zero-based (canonical) position of the mistake within the label.
+    pub fn position(&self) -> usize {
+        self.position
+    }
+
+    /// Whether the variant is also at fat-finger distance one.
+    pub fn fat_finger(&self) -> bool {
+        self.fat_finger
+    }
+
+    /// Unnormalized visual distance from the target. The first call runs
+    /// the visual DP in the enumeration's shared scratch; later calls
+    /// return the memoized score.
+    pub fn visual(&mut self) -> f64 {
+        if let Some(v) = self.visual {
+            return v;
+        }
+        let v = distance::visual_bytes(self.target_sld, self.sld, self.scratch);
+        self.visual = Some(v);
+        v
+    }
+
+    /// Visual distance normalized by target SLD length (the Section-6
+    /// regression feature).
+    pub fn visual_normalized(&mut self) -> f64 {
+        self.visual() / self.target_sld.len() as f64
+    }
+
+    /// Materializes the variant as an owned [`TypoCandidate`], scoring it
+    /// if it has not been scored yet.
+    pub fn candidate(&mut self) -> TypoCandidate {
+        let visual = self.visual();
+        materialize(
+            self.target,
+            self.sld(),
+            self.kind,
+            self.position,
+            self.fat_finger,
+            visual,
+        )
+    }
+}
+
+/// Calls `f` once for every distinct DL-1 variant of `target`'s
+/// second-level label, keeping the TLD fixed: deletions, then
+/// transpositions, then substitutions, then additions, each
+/// position-ascending with the alphabet in `a..z 0..9 -` order, keeping
+/// only the canonical (smallest-position) representative of each
+/// distinct string. This is the one enumeration of the crate:
+/// [`TypoTable::generate`] scores and stores every variant, while a
+/// caller that discards most variants reads the free columns first and
+/// asks for [`Dl1Variant::visual`] only on the ones it keeps.
+///
+/// ```
+/// use ets_core::typogen::for_each_dl1;
+/// let mut labels = Vec::new();
+/// for_each_dl1(&"gmail.com".parse().unwrap(), |v| labels.push(v.sld().to_owned()));
+/// assert!(labels.iter().any(|l| l == "gmial"));
+/// assert!(labels.iter().all(|l| l != "gmail"));
+/// ```
+pub fn for_each_dl1(target: &DomainName, mut f: impl FnMut(Dl1Variant<'_>)) {
+    let s = target.sld().as_bytes();
+    let n = s.len();
+    let tld_len = target.tld().len();
+    let mut scratch = distance::VisualScratch::default();
+    let mut buf: Vec<u8> = Vec::with_capacity(n + 1);
+    let mut emit = |sld: &[u8], kind: MistakeKind, position: usize, fat_finger: bool| {
+        f(Dl1Variant {
+            target,
+            target_sld: s,
+            sld,
+            kind,
+            position,
+            fat_finger,
+            visual: None,
+            scratch: &mut scratch,
+        })
+    };
+
+    // Deletions. Deleting any character of a run yields the same
+    // string, so only the run start is emitted (the first-wins
+    // winner); a single-character label would leave an empty label.
+    if n >= 2 {
+        for i in 0..n {
+            if i > 0 && s[i] == s[i - 1] {
+                continue;
+            }
+            let first = if i == 0 { s[1] } else { s[0] };
+            let last = if i == n - 1 { s[n - 2] } else { s[n - 1] };
+            if first == b'-' || last == b'-' {
+                continue;
+            }
+            buf.clear();
+            buf.extend_from_slice(&s[..i]);
+            buf.extend_from_slice(&s[i + 1..]);
+            emit(&buf, MistakeKind::Deletion, i, true);
+        }
+    }
+    // Transpositions of distinct neighbors. Distinct transpositions
+    // never collide with each other or any other kind (they differ
+    // from the label in exactly two positions).
+    for i in 0..n.saturating_sub(1) {
+        if s[i] == s[i + 1] {
+            continue;
+        }
+        if (i == 0 && s[1] == b'-') || (i + 2 == n && s[i] == b'-') {
+            continue;
+        }
+        buf.clear();
+        buf.extend_from_slice(s);
+        buf.swap(i, i + 1);
+        emit(&buf, MistakeKind::Transposition, i, true);
+    }
+    // Substitutions: all (position, char ≠ current) pairs are
+    // distinct strings; fat-finger iff the keys are adjacent.
+    for i in 0..n {
+        for &c in &keyboard::ALPHABET {
+            if c == s[i] {
+                continue;
+            }
+            if c == b'-' && (i == 0 || i == n - 1) {
+                continue;
+            }
+            buf.clear();
+            buf.extend_from_slice(s);
+            buf[i] = c;
+            let ff = keyboard::adjacent_bytes(s[i], c);
+            emit(&buf, MistakeKind::Substitution, i, ff);
+        }
+    }
+    // Additions (insert before position i, 0..=n). Inserting `c`
+    // anywhere along a run of `c` yields the same string; the run
+    // start is canonical. The legacy parser rejected variants whose
+    // label or full name exceeded the RFC limits, so gate on those.
+    if n < MAX_LABEL_LEN && (n + 1) + 1 + tld_len <= MAX_NAME_LEN {
+        for i in 0..=n {
+            for &c in &keyboard::ALPHABET {
+                if i > 0 && s[i - 1] == c {
+                    continue;
+                }
+                if c == b'-' && (i == 0 || i == n) {
+                    continue;
+                }
+                // Fat-finger: the stray key equals or neighbors an
+                // intended character beside the insertion point.
+                let near = |x: u8| c == x || keyboard::adjacent_bytes(c, x);
+                let ff = (i > 0 && near(s[i - 1])) || (i < n && near(s[i]));
+                buf.clear();
+                buf.extend_from_slice(&s[..i]);
+                buf.push(c);
+                buf.extend_from_slice(&s[i..]);
+                emit(&buf, MistakeKind::Addition, i, ff);
+            }
+        }
     }
 }
 
@@ -753,6 +861,26 @@ mod tests {
             assert_eq!(table.candidate(i), *c);
         }
         assert_eq!(table.iter().collect::<Vec<_>>(), cands);
+    }
+
+    #[test]
+    fn visitor_scores_on_demand() {
+        let t = d("outlook.com");
+        let table = TypoTable::generate(&t);
+        let mut i = 0;
+        for_each_dl1(&t, |mut v| {
+            assert_eq!(v.sld(), table.sld(i));
+            assert_eq!(v.kind(), table.kind(i));
+            assert_eq!(v.position(), table.position(i));
+            assert_eq!(v.fat_finger(), table.fat_finger(i));
+            // Only every third variant is scored; the rest never run the DP.
+            if i % 3 == 0 {
+                assert_eq!(v.visual().to_bits(), table.visual(i).to_bits());
+                assert_eq!(v.candidate(), table.candidate(i));
+            }
+            i += 1;
+        });
+        assert_eq!(i, table.len());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use ets_core::alexa::{self, PopularityList};
 use ets_core::taxonomy::DomainClass;
 use ets_core::typogen::{self, TypoCandidate};
-use ets_core::{DomainInterner, DomainName, ReverseDl1Index};
+use ets_core::{DomainInterner, DomainName, MistakeKind, ReverseDl1Index};
 use ets_dns::registry::{Registration, Registry};
 use ets_dns::resolver::Resolver;
 use ets_dns::whois::WhoisRecord;
@@ -325,7 +325,14 @@ impl World {
         let appetite: Vec<f64> = (0..config.n_registrants)
             .map(|i| 1.0 / ((i + 1) as f64).powf(0.7))
             .collect();
-        let appetite_total: f64 = appetite.iter().sum();
+        let roll = GtypoRoll {
+            config: &config,
+            appetite_total: appetite.iter().sum(),
+            appetite: &appetite,
+            registrants: &registrants,
+            ns_providers: &ns_providers,
+            mx_hosts: &mx_hosts,
+        };
 
         // The registration probability decays monotonically with rank, so
         // every target past the cutoff would return an empty band without
@@ -348,71 +355,7 @@ impl World {
         while start < active_targets {
             let end = (start + band).min(active_targets);
             let pending: Vec<Vec<PendingCtypo>> = par_map(&targets[start..end], |i, target| {
-                let rank0 = start + i;
-                let mut rng = derive_rng(config.seed, stream::POPULATION_TARGET, rank0 as u64);
-                let p_target = target_registration_p(&config, rank0);
-                let mut out = Vec::new();
-                // Column access into the typo table; candidate domain
-                // names are only materialized for the few variants that
-                // pass the registration roll.
-                let table = typogen::TypoTable::generate(target);
-                for ci in 0..table.len() {
-                    // Low visual distance and fat-finger adjacency make a
-                    // typo attractive; deletions/transpositions too
-                    // (Figure 9).
-                    let attractiveness = {
-                        let v = table.visual_normalized(ci);
-                        let base = (1.0 - v).clamp(0.05, 1.0);
-                        let ff = if table.fat_finger(ci) { 1.5 } else { 1.0 };
-                        let kind = match table.kind(ci) {
-                            ets_core::MistakeKind::Deletion => 1.4,
-                            ets_core::MistakeKind::Transposition => 1.3,
-                            ets_core::MistakeKind::Substitution => 1.0,
-                            ets_core::MistakeKind::Addition => 0.8,
-                        };
-                        (base * ff * kind).min(2.0)
-                    };
-                    let p = (p_target * attractiveness * 0.35).min(0.95);
-                    if !rng.gen_bool(p) {
-                        continue;
-                    }
-                    // Who takes it?
-                    let class_roll: f64 = rng.gen();
-                    let (class, owner) = if class_roll < config.defensive_share {
-                        (DomainClass::Defensive, usize::MAX)
-                    } else if class_roll < config.defensive_share + config.benign_share {
-                        (DomainClass::BenignCollision, usize::MAX - 1)
-                    } else {
-                        let mut pick = rng.gen::<f64>() * appetite_total;
-                        let mut owner = config.n_registrants - 1;
-                        for (i, a) in appetite.iter().enumerate() {
-                            if pick < *a {
-                                owner = i;
-                                break;
-                            }
-                            pick -= *a;
-                        }
-                        (DomainClass::Typosquatting, owner)
-                    };
-                    let prepared =
-                        draw_ctypo(&registrants, config.n_ns_providers, class, owner, &mut rng)
-                            .and_then(|draw| {
-                                materialize_ctypo(
-                                    table.candidate(ci),
-                                    class,
-                                    owner,
-                                    &draw,
-                                    rank0 as u32,
-                                    &registrants,
-                                    &ns_providers,
-                                    &mx_hosts,
-                                )
-                            });
-                    if let Some(p) = prepared {
-                        out.push(p);
-                    }
-                }
-                out
+                roll.target(start + i, target)
             });
             // Account the band's transient payload before committing it:
             // the budget histogram is a pure function of (seed, scale,
@@ -748,6 +691,90 @@ pub(crate) struct CtypoRecord {
     pub(crate) draw: CtypoDraw,
 }
 
+/// What the registration roll over one target's gtypos reads besides the
+/// target's own RNG stream.
+struct GtypoRoll<'a> {
+    config: &'a PopulationConfig,
+    /// Zipf portfolio appetite per registrant, and its sum.
+    appetite: &'a [f64],
+    appetite_total: f64,
+    registrants: &'a [Registrant],
+    ns_providers: &'a [Fqdn],
+    mx_hosts: &'a [Fqdn],
+}
+
+impl GtypoRoll<'_> {
+    /// Rolls every gtypo of the target at zero-based `rank0` from the
+    /// target's own stream and prepares the winners' registrations.
+    ///
+    /// Roll first, score later: each variant rolls against its
+    /// visual-free bound, and only a variant that passes runs the visual
+    /// DP for the exact roll on the same draw (see [`roll_bounded`]).
+    /// Domain names are materialized only for the winners.
+    fn target(&self, rank0: usize, target: &DomainName) -> Vec<PendingCtypo> {
+        let config = self.config;
+        let mut rng = derive_rng(config.seed, stream::POPULATION_TARGET, rank0 as u64);
+        let p_target = target_registration_p(config, rank0);
+        let mut out = Vec::new();
+        let (mut gtypos, mut scored) = (0u64, 0u64);
+        typogen::for_each_dl1(target, |mut v| {
+            gtypos += 1;
+            let (ff, kind) = (v.fat_finger(), v.kind());
+            let bound = registration_bound(p_target, ff, kind);
+            let won = roll_bounded(&mut rng, bound, || {
+                scored += 1;
+                registration_p(p_target, visual_base(v.visual_normalized()), ff, kind)
+            });
+            if !won {
+                return;
+            }
+            // Who takes it?
+            let class_roll: f64 = rng.gen();
+            let (class, owner) = if class_roll < config.defensive_share {
+                (DomainClass::Defensive, usize::MAX)
+            } else if class_roll < config.defensive_share + config.benign_share {
+                (DomainClass::BenignCollision, usize::MAX - 1)
+            } else {
+                let mut pick = rng.gen::<f64>() * self.appetite_total;
+                let mut owner = config.n_registrants - 1;
+                for (i, a) in self.appetite.iter().enumerate() {
+                    if pick < *a {
+                        owner = i;
+                        break;
+                    }
+                    pick -= *a;
+                }
+                (DomainClass::Typosquatting, owner)
+            };
+            let prepared = draw_ctypo(
+                self.registrants,
+                config.n_ns_providers,
+                class,
+                owner,
+                &mut rng,
+            )
+            .and_then(|draw| {
+                materialize_ctypo(
+                    v.candidate(),
+                    class,
+                    owner,
+                    &draw,
+                    rank0 as u32,
+                    self.registrants,
+                    self.ns_providers,
+                    self.mx_hosts,
+                )
+            });
+            if let Some(p) = prepared {
+                out.push(p);
+            }
+        });
+        ets_obs::metrics::counter_add("world.gtypos", gtypos);
+        ets_obs::metrics::counter_add("world.gtypos_scored", scored);
+        out
+    }
+}
+
 /// A ctypo registration prepared off-registry during the parallel compute
 /// phase; committed (or dropped on name collision) sequentially.
 struct PendingCtypo {
@@ -777,6 +804,51 @@ impl PendingCtypo {
 /// cutoff bounds the active target set.
 fn target_registration_p(config: &PopulationConfig, rank0: usize) -> f64 {
     config.base_registration_rate / ((rank0 + 1) as f64).powf(config.rank_decay)
+}
+
+/// Registration probability of one gtypo of a target registered at
+/// `p_target`. Low visual distance (`base`, see [`visual_base`]) and
+/// fat-finger adjacency make a typo attractive; deletions and
+/// transpositions too (Figure 9).
+fn registration_p(p_target: f64, base: f64, fat_finger: bool, kind: MistakeKind) -> f64 {
+    let ff = if fat_finger { 1.5 } else { 1.0 };
+    let kind = match kind {
+        MistakeKind::Deletion => 1.4,
+        MistakeKind::Transposition => 1.3,
+        MistakeKind::Substitution => 1.0,
+        MistakeKind::Addition => 0.8,
+    };
+    let attractiveness = (base * ff * kind).min(2.0);
+    (p_target * attractiveness * 0.35).min(0.95)
+}
+
+/// The visual term of [`registration_p`] for a normalized visual
+/// distance; never above 1.
+fn visual_base(visual_normalized: f64) -> f64 {
+    (1.0 - visual_normalized).clamp(0.05, 1.0)
+}
+
+/// [`registration_p`] with the visual term at its maximum of 1: an upper
+/// bound that needs no visual DP. It holds bit for bit, because IEEE
+/// multiplication by a non-negative factor and `min` are monotone, so
+/// `base <= 1` gives `registration_p(.., base, ..) <= bound`.
+fn registration_bound(p_target: f64, fat_finger: bool, kind: MistakeKind) -> f64 {
+    registration_p(p_target, 1.0, fat_finger, kind)
+}
+
+/// `rng.gen_bool(exact())`, with `exact` evaluated only when a roll
+/// against `bound` passes; `bound` must be at least `exact()`. The stream
+/// and the outcome are those of the exact roll: `gen_bool` draws one
+/// `next_u64` whatever its probability and returns `unit < p`, so a draw
+/// that fails `bound` fails `exact()` too, and a draw that passes is
+/// rewound and rolled again against `exact()`.
+fn roll_bounded(rng: &mut ChaCha8Rng, bound: f64, exact: impl FnOnce() -> f64) -> bool {
+    let before = rng.clone();
+    if !rng.gen_bool(bound) {
+        return false;
+    }
+    *rng = before;
+    rng.gen_bool(exact())
 }
 
 /// Name-server provider host names (first `n_cesspool_ns` are dirty).
@@ -1271,6 +1343,7 @@ fn ip_for(seed: u64, salt: u64) -> Ipv4Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn tiny_world() -> World {
@@ -1465,6 +1538,64 @@ mod tests {
                 reference,
                 "band schedule (budget {budget}, initial {initial}) changed the world"
             );
+        }
+    }
+
+    /// Every other world test compares a build with itself, so a change
+    /// that shifts the draw order in every build alike passes them all.
+    /// This pins the tiny world to the FNV-1a hash of its fingerprint as
+    /// the score-every-candidate build produced it.
+    #[test]
+    fn tiny_world_is_pinned() {
+        let fingerprint = world_fingerprint(&tiny_world());
+        assert_eq!(owner_hash(&fingerprint), 0xf7bc_16b2_5f30_e39f);
+    }
+
+    /// Valid labels over the generator's alphabet: no hyphen at either edge.
+    fn label() -> impl Strategy<Value = String> {
+        "[a-z0-9-]{1,20}".prop_filter("no hyphen edges", |s| {
+            !s.starts_with('-') && !s.ends_with('-')
+        })
+    }
+
+    proptest! {
+        /// The visual-free bound the build rolls first is never below the
+        /// exact registration probability of any candidate, bit for bit
+        /// (the values are non-negative, so bit order is value order).
+        #[test]
+        fn registration_bound_dominates_exact_p(
+            sld in label(),
+            top in 0usize..40,
+            rank in 0usize..2_000_000,
+        ) {
+            let config = PopulationConfig::default();
+            let target: DomainName = format!("{sld}.com").parse().expect("valid label");
+            for rank0 in [top, rank] {
+                let p_target = target_registration_p(&config, rank0);
+                let mut worst = None;
+                typogen::for_each_dl1(&target, |mut v| {
+                    let (ff, kind) = (v.fat_finger(), v.kind());
+                    let p = registration_p(p_target, visual_base(v.visual_normalized()), ff, kind);
+                    let bound = registration_bound(p_target, ff, kind);
+                    if !(p >= 0.0 && p.to_bits() <= bound.to_bits()) && worst.is_none() {
+                        worst = Some((v.sld().to_owned(), p, bound));
+                    }
+                });
+                prop_assert!(worst.is_none(), "rank {rank0}: {worst:?}");
+            }
+        }
+
+        /// Rolling the bound first leaves both the outcome and the stream
+        /// exactly where a plain `gen_bool(p)` would.
+        #[test]
+        fn bounded_roll_is_the_exact_roll(seed: u64, a in 0.0f64..0.95, b in 0.0f64..0.95) {
+            let (p, bound) = (a.min(b), a.max(b));
+            let mut bounded = ChaCha8Rng::seed_from_u64(seed);
+            let mut exact = bounded.clone();
+            for _ in 0..64 {
+                prop_assert_eq!(roll_bounded(&mut bounded, bound, || p), exact.gen_bool(p));
+            }
+            prop_assert_eq!(bounded.next_u64(), exact.next_u64());
         }
     }
 

@@ -5,9 +5,11 @@
 //! and records with fewer than four populated fields are excluded — proxy
 //! boilerplate would falsely merge every proxy customer.
 //!
-//! The pairwise rule is made near-linear by bucketing: since a 4-of-6
-//! match requires at least one *specific* field pair to agree, records are
-//! indexed by each populated field value and only bucket-mates are
+//! The pairwise rule is made near-linear by bucketing: each record is
+//! normalized once into a signature of per-field value ids, identical
+//! signatures collapse to one representative, and since a 4-of-6 match
+//! requires at least one *specific* field pair to agree, representatives
+//! are indexed by each populated field value and only bucket-mates are
 //! compared. Union-find merges matches into clusters.
 
 use ets_dns::whois::WhoisRecord;
@@ -100,73 +102,74 @@ impl UnionFind {
 /// Clusters rows by the 4-of-6 rule, excluding proxies and sparse records.
 /// Returns clusters sorted by size, largest first.
 ///
-/// Bucket comparisons are *exact*: within each bucket, records with an
-/// identical normalized signature collapse to one representative (they
-/// necessarily match — eligibility guarantees ≥ 4 populated fields) and
-/// the distinct representatives are compared all-pairs. Any matching pair
-/// shares at least one field value, hence some bucket, so the global
-/// clustering equals full pairwise comparison. This replaces an earlier
-/// anchor-plus-adjacent-windows pass that missed unions (two members that
-/// match each other but not the bucket anchor and are not adjacent).
+/// Each eligible row is normalized once (trimmed, ASCII-lowercased),
+/// and every field value becomes a dense per-field id, so a row's
+/// signature is six integers. Rows with an identical signature
+/// necessarily match — eligibility guarantees ≥ 4 populated fields — so
+/// they are unioned into the first row carrying that signature before
+/// any comparison. The distinct signatures are then bucketed by each
+/// populated field value and compared all-pairs within each bucket. Any
+/// matching pair shares at least one field value, hence some bucket, so
+/// the clustering equals full pairwise comparison.
 ///
-/// Pair evaluation runs data-parallel per bucket; it reads only the input
-/// rows, so the matching-pair set — and the final partition — is
-/// identical for any thread count. Buckets are walked in sorted key order
-/// because `HashMap` iteration order is unspecified.
+/// Pair evaluation runs data-parallel per bucket; it reads only the
+/// signatures, so the matching-pair set — and the final partition — is
+/// identical for any thread count. Ids, representatives and buckets are
+/// all assigned in row order, never in `HashMap` order.
 pub fn cluster_registrants(rows: &[WhoisRow]) -> Vec<Cluster> {
     let mut cluster_span = ets_obs::span!("whois.cluster");
     cluster_span.arg("rows", rows.len() as u64);
     ets_obs::metrics::counter_add("whois.rows", rows.len() as u64);
     // Eligible rows only.
-    let eligible: Vec<(usize, &WhoisRow)> = rows
+    let eligible: Vec<&WhoisRow> = rows
         .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.private && r.whois.populated_fields() >= MATCH_THRESHOLD)
+        .filter(|r| !r.private && r.whois.populated_fields() >= MATCH_THRESHOLD)
         .collect();
     ets_obs::metrics::counter_add("whois.eligible", eligible.len() as u64);
     let mut uf = UnionFind::new(eligible.len());
 
-    // Bucket by normalized field values; compare within buckets.
-    let mut buckets: HashMap<(u8, String), Vec<usize>> = HashMap::new();
-    for (local, (_, row)) in eligible.iter().enumerate() {
-        for (fi, field) in fields(&row.whois).into_iter().enumerate() {
-            if let Some(v) = field {
-                buckets
-                    .entry((fi as u8, normalize(v)))
-                    .or_default()
-                    .push(local);
+    // Normalize once; collapse identical signatures into their first row.
+    let mut ids = FieldIds::default();
+    let signatures: Vec<Signature> = eligible.iter().map(|r| ids.signature(&r.whois)).collect();
+    let mut first: HashMap<Signature, usize> = HashMap::new();
+    let mut reps: Vec<usize> = Vec::new();
+    for (i, sig) in signatures.iter().enumerate() {
+        match first.entry(*sig) {
+            Entry::Occupied(e) => {
+                uf.union(*e.get(), i);
+            }
+            Entry::Vacant(e) => {
+                e.insert(i);
+                reps.push(i);
             }
         }
     }
-    let mut bucket_list: Vec<((u8, String), Vec<usize>)> = buckets
-        .into_iter()
-        .filter(|(_, members)| members.len() >= 2)
-        .collect();
-    bucket_list.sort_unstable_by(|(ka, _), (kb, _)| ka.cmp(kb));
 
-    let matched: Vec<Vec<(usize, usize)>> = par_map(&bucket_list, |_, (_, members)| {
-        let mut sig_first: HashMap<Vec<Option<String>>, usize> = HashMap::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut reps: Vec<usize> = Vec::new();
-        for &m in members {
-            let sig: Vec<Option<String>> = fields(&eligible[m].1.whois)
-                .into_iter()
-                .map(|f| f.map(|v| normalize(v)))
-                .collect();
-            match sig_first.entry(sig) {
-                Entry::Occupied(e) => pairs.push((*e.get(), m)),
-                Entry::Vacant(e) => {
-                    e.insert(m);
-                    reps.push(m);
-                }
+    // Bucket the representatives by (field, value id); compare within.
+    let mut buckets: Vec<Vec<Vec<usize>>> = ids
+        .per_field
+        .iter()
+        .map(|f| vec![Vec::new(); f.len()])
+        .collect();
+    for &r in &reps {
+        for (fi, &id) in signatures[r].iter().enumerate() {
+            if id != ABSENT {
+                buckets[fi][id as usize].push(r);
             }
         }
-        for i in 0..reps.len() {
-            for j in (i + 1)..reps.len() {
-                let a = &eligible[reps[i]].1.whois;
-                let b = &eligible[reps[j]].1.whois;
-                if a.same_entity(b, MATCH_THRESHOLD) {
-                    pairs.push((reps[i], reps[j]));
+    }
+    let bucket_list: Vec<&[usize]> = buckets
+        .iter()
+        .flatten()
+        .filter(|members| members.len() >= 2)
+        .map(Vec::as_slice)
+        .collect();
+    let matched: Vec<Vec<(usize, usize)>> = par_map(&bucket_list, |_, members| {
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                if matching_fields(&signatures[a], &signatures[b]) >= MATCH_THRESHOLD {
+                    pairs.push((a, b));
                 }
             }
         }
@@ -178,13 +181,14 @@ pub fn cluster_registrants(rows: &[WhoisRow]) -> Vec<Cluster> {
         }
     }
 
-    let mut groups: HashMap<usize, Vec<Fqdn>> = HashMap::new();
-    for (local, (_, row)) in eligible.iter().enumerate() {
+    let mut groups: Vec<Vec<Fqdn>> = vec![Vec::new(); eligible.len()];
+    for (local, row) in eligible.iter().enumerate() {
         let root = uf.find(local);
-        groups.entry(root).or_default().push(row.domain.clone());
+        groups[root].push(row.domain.clone());
     }
     let mut clusters: Vec<Cluster> = groups
-        .into_values()
+        .into_iter()
+        .filter(|domains| !domains.is_empty())
         .map(|mut domains| {
             domains.sort();
             Cluster { domains }
@@ -198,6 +202,53 @@ pub fn cluster_registrants(rows: &[WhoisRow]) -> Vec<Cluster> {
     clusters
 }
 
+/// A row's six normalized field values as per-field ids ([`ABSENT`] for
+/// an empty field), in [`fields`] order.
+type Signature = [u32; 6];
+
+/// The id of an empty field; never equal to a populated one.
+const ABSENT: u32 = u32::MAX;
+
+/// Dense ids of normalized field values, one table per field, assigned
+/// in order of first appearance.
+#[derive(Default)]
+struct FieldIds {
+    per_field: [HashMap<String, u32>; 6],
+    buf: String,
+}
+
+impl FieldIds {
+    /// Normalizes `w`'s fields (trimmed, ASCII-lowercased, the equality
+    /// `WhoisRecord::matching_fields` uses) and maps each to its id.
+    fn signature(&mut self, w: &WhoisRecord) -> Signature {
+        let mut sig = [ABSENT; 6];
+        for (fi, field) in fields(w).into_iter().enumerate() {
+            let Some(v) = field else { continue };
+            self.buf.clear();
+            self.buf.push_str(v.trim());
+            self.buf.make_ascii_lowercase();
+            let table = &mut self.per_field[fi];
+            let next = table.len() as u32;
+            sig[fi] = match table.get(self.buf.as_str()) {
+                Some(&id) => id,
+                None => {
+                    table.insert(self.buf.clone(), next);
+                    next
+                }
+            };
+        }
+        sig
+    }
+}
+
+/// Fields populated in both signatures and equal.
+fn matching_fields(a: &Signature, b: &Signature) -> usize {
+    a.iter()
+        .zip(b)
+        .filter(|&(x, y)| *x != ABSENT && x == y)
+        .count()
+}
+
 fn fields(w: &WhoisRecord) -> [Option<&String>; 6] {
     [
         w.registrant_name.as_ref(),
@@ -207,10 +258,6 @@ fn fields(w: &WhoisRecord) -> [Option<&String>; 6] {
         w.fax.as_ref(),
         w.mail_address.as_ref(),
     ]
-}
-
-fn normalize(v: &str) -> String {
-    v.trim().to_ascii_lowercase()
 }
 
 /// The cumulative-ownership curve of Figure 8: for clusters sorted largest
@@ -433,6 +480,86 @@ mod tests {
         let clusters = cluster_registrants(&rows);
         assert_eq!(clusters.len(), 9, "{clusters:?}");
         assert_eq!(clusters[0].domains, vec![n("b.com"), n("d.com")]);
+    }
+
+    /// Field values the oracle rows draw from: blanks, and three values
+    /// spelled several ways, so exact duplicates, 4-of-6 matches, 3-of-6
+    /// near misses and sparse rows all occur.
+    const POOL: [Option<&str>; 8] = [
+        None,
+        None,
+        Some("Alpha"),
+        Some(" alpha "),
+        Some("ALPHA"),
+        Some("Beta"),
+        Some("beta "),
+        Some("Gamma"),
+    ];
+
+    /// One row per code: three bits per field pick from [`POOL`], one in
+    /// eight rows is private, and one in four repeats an earlier row's
+    /// record under its own domain.
+    fn pool_rows(codes: &[u32]) -> Vec<WhoisRow> {
+        let mut rows: Vec<WhoisRow> = Vec::new();
+        for (i, &code) in codes.iter().enumerate() {
+            let pick = |fi: u32| POOL[(code >> (3 * fi)) as usize & 7].map(str::to_owned);
+            let whois = if (code >> 30) == 0 && i > 0 {
+                rows[(code >> 21) as usize % i].whois.clone()
+            } else {
+                WhoisRecord {
+                    registrant_name: pick(0),
+                    organization: pick(1),
+                    email: pick(2),
+                    phone: pick(3),
+                    fax: pick(4),
+                    mail_address: pick(5),
+                }
+            };
+            rows.push(row(&format!("d{i}.com"), whois, (code >> 18) & 7 == 0));
+        }
+        rows
+    }
+
+    /// The 4-of-6 rule applied to every eligible pair, as sorted clusters.
+    fn all_pairs_oracle(rows: &[WhoisRow]) -> Vec<Vec<Fqdn>> {
+        let eligible: Vec<&WhoisRow> = rows
+            .iter()
+            .filter(|r| !r.private && r.whois.populated_fields() >= MATCH_THRESHOLD)
+            .collect();
+        let mut uf = UnionFind::new(eligible.len());
+        for i in 0..eligible.len() {
+            for j in i + 1..eligible.len() {
+                if eligible[i]
+                    .whois
+                    .same_entity(&eligible[j].whois, MATCH_THRESHOLD)
+                {
+                    uf.union(i, j);
+                }
+            }
+        }
+        let mut groups: Vec<Vec<Fqdn>> = vec![Vec::new(); eligible.len()];
+        for (i, r) in eligible.iter().enumerate() {
+            groups[uf.find(i)].push(r.domain.clone());
+        }
+        let mut clusters: Vec<Vec<Fqdn>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
+        clusters.iter_mut().for_each(|g| g.sort());
+        clusters.sort();
+        clusters
+    }
+
+    proptest::proptest! {
+        /// Bucketed clustering over collapsed signatures equals the
+        /// naive all-pairs union-find.
+        #[test]
+        fn clustering_matches_all_pairs_oracle(
+            codes in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..48)
+        ) {
+            let rows = pool_rows(&codes);
+            let mut got: Vec<Vec<Fqdn>> =
+                cluster_registrants(&rows).into_iter().map(|c| c.domains).collect();
+            got.sort();
+            proptest::prop_assert_eq!(got, all_pairs_oracle(&rows));
+        }
     }
 
     #[test]

@@ -29,24 +29,23 @@ pub const ANALYTICAL_CRATES: &[&str] = &[
     "ets-store",
 ];
 
-/// Files allowed to read the wall clock: the microbenchmark harness plus
-/// everything in `ets-bench`. (`lab.rs` used to be here; its stage timers
-/// now go through `ets-obs`, whose clock access is confined to the
-/// path-exact entry below.)
-pub const TIMING_ALLOWLIST_FILES: &[&str] = &["microbench.rs"];
+/// Crates allowed to read the wall clock everywhere: `ets-bench`.
 pub const TIMING_ALLOWLIST_CRATES: &[&str] = &["ets-bench"];
 /// Workspace-relative paths allowed to read the wall clock. Path-exact on
 /// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source in
 /// the observability subsystem, `crates/smtp/src/telemetry.rs` is the
-/// only one in the SMTP serving plane (per-phase latency observers), and
+/// only one in the SMTP serving plane (per-phase latency observers),
 /// `crates/loadgen/src/runner.rs` is the only one in the load harness
-/// (open-loop pacing and request latency) — so a `clock.rs`/
-/// `telemetry.rs`/`runner.rs` in any other crate, or `Instant::now`
-/// anywhere else in `ets-obs`/`ets-smtp`/`ets-loadgen`, is still denied.
+/// (open-loop pacing and request latency), and
+/// `crates/experiments/src/microbench.rs` is the experiment driver's
+/// microbenchmark harness — so a `clock.rs`/`telemetry.rs`/`runner.rs`/
+/// `microbench.rs` in any other crate, or `Instant::now` anywhere else in
+/// `ets-obs`/`ets-smtp`/`ets-loadgen`/`ets-experiments`, is still denied.
 pub const TIMING_ALLOWLIST_PATHS: &[&str] = &[
     "crates/obs/src/clock.rs",
     "crates/smtp/src/telemetry.rs",
     "crates/loadgen/src/runner.rs",
+    "crates/experiments/src/microbench.rs",
 ];
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
@@ -169,7 +168,6 @@ pub fn file_meta(root: &Path, krate: &Crate, path: &Path) -> FileMeta {
         // Binary entry points may panic on bad usage; library code may not.
         library: krate.has_lib && rel_to_src != "main.rs",
         timing_allowed: TIMING_ALLOWLIST_CRATES.contains(&krate.name.as_str())
-            || TIMING_ALLOWLIST_FILES.contains(&file_name.as_str())
             || TIMING_ALLOWLIST_PATHS.contains(&display_path.as_str()),
         crate_name: krate.name.clone(),
         display_path,

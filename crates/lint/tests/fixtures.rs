@@ -257,6 +257,15 @@ fn timing_allowlist_is_path_exact_for_obs_clock() {
     ));
     assert!(!timing_allowed_for("ets-core", "core", "src/runner.rs"));
 
+    // The microbenchmark harness is the fourth: path-exact like the
+    // others, so a `microbench.rs` in any other crate stays denied.
+    assert!(timing_allowed_for(
+        "ets-experiments",
+        "experiments",
+        "src/microbench.rs"
+    ));
+    assert!(!timing_allowed_for("ets-core", "core", "src/microbench.rs"));
+
     // And a denied meta really does fire on wall-clock reads.
     let src = std::fs::read_to_string(fixture_path("nondet.rs")).unwrap();
     let mut m = meta("nondet.rs", false, true, false);

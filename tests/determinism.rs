@@ -10,6 +10,7 @@
 use ets_collector::funnel::Funnel;
 use ets_collector::infra::CollectionInfra;
 use ets_collector::traffic::{TrafficConfig, TrafficGenerator};
+use ets_core::TypoTable;
 use ets_dns::Fqdn;
 use ets_ecosystem::population::{PopulationConfig, World};
 use ets_ecosystem::whois_cluster::{self, WhoisRow};
@@ -50,12 +51,41 @@ fn world_fingerprint(w: &World) -> String {
     )
 }
 
+/// The build's roll counters over one `World::build`: candidates
+/// enumerated, visual DPs run, registrations rolled. Every test here
+/// holds `LOCK`, so no other build moves them meanwhile.
+fn roll_counts(f: impl FnOnce() -> World) -> (World, [u64; 3]) {
+    let names = ["world.gtypos", "world.gtypos_scored", "world.ctypo_pending"];
+    let before = names.map(ets_obs::metrics::counter_value);
+    let world = f();
+    let after = names.map(ets_obs::metrics::counter_value);
+    (world, [0, 1, 2].map(|i| after[i] - before[i]))
+}
+
 #[test]
 fn world_build_is_thread_invariant() {
     let _guard = LOCK.lock().unwrap();
+    let config = PopulationConfig::tiny(42);
     assert_thread_invariant("World::build", || {
-        world_fingerprint(&World::build(PopulationConfig::tiny(42)))
+        let (world, counts) = roll_counts(|| World::build(config.clone()));
+        (world_fingerprint(&world), counts)
     });
+    // Roll first, score later: only candidates that pass the visual-free
+    // bound run the visual DP, and only those can register.
+    let (world, [gtypos, scored, pending]) = roll_counts(|| World::build(config));
+    assert!(
+        pending <= scored && scored < gtypos,
+        "{pending} {scored} {gtypos}"
+    );
+    assert!(pending >= world.ctypos.len() as u64);
+    // Every target of the tiny world is active, so the build enumerates
+    // exactly the eager generator's candidates.
+    let eager: usize = world
+        .targets
+        .iter()
+        .map(|t| TypoTable::generate(t).len())
+        .sum();
+    assert_eq!(gtypos, eager as u64);
 }
 
 #[test]
