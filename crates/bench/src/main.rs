@@ -537,7 +537,6 @@ fn update_serve(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
         "mix": mix,
         "seed": bench.get("seed").cloned().unwrap_or(Value::Null),
         "phases": phases,
-        "comparison": bench.get("comparison").cloned().unwrap_or(Value::Null),
     }));
     let value = json!({ "commit": commit, "entries": entries, "history": history });
     let text = serde_json::to_string_pretty(&value).expect("serializable") + "\n";

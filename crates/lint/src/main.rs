@@ -1,10 +1,11 @@
 //! `ets-lint` CLI.
 //!
 //! ```text
-//! ets-lint [--workspace | FILE...] [--deny] [--format human|json|sarif]
+//! ets-lint [--workspace] [--deny] [--format human|json|sarif]
 //!          [--budget PATH] [--pragma-budget PATH] [--update-budget]
 //!
-//!   --workspace          lint every member crate's src/ tree (default)
+//!   --workspace          lint every member crate's src/ tree (the only
+//!                        mode, so the flag is optional)
 //!   --deny               exit 1 on deny-tier findings or a busted budget
 //!   --format json        machine-readable findings + summary
 //!   --format sarif       SARIF 2.1.0 log (GitHub code-scanning upload)

@@ -196,18 +196,22 @@ fn pattern_idents(
     }
 }
 
-/// Splits a delimited group's interior `[open+1, close)` at top-level
-/// commas, returning non-empty `[start, end)` ranges.
-fn split_args(
-    tokens: &[Token],
-    match_of: &[usize],
-    open: usize,
-    close: usize,
-) -> Vec<(usize, usize)> {
+/// Splits `[lo, hi)` at top-level commas, returning non-empty
+/// `[start, end)` ranges. A closure's parameter list is not top level:
+/// in `f(a, |x, y| x + y, b)` the comma between `x` and `y` belongs to
+/// the closure, so the call has three arguments, not four.
+fn split_args(tokens: &[Token], match_of: &[usize], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let mut start = open + 1;
-    let mut i = open + 1;
-    while i < close {
+    let mut start = lo;
+    let mut i = lo;
+    while i < hi {
+        if i == start {
+            let body = past_closure_params(tokens, match_of, i, hi);
+            if body > i {
+                i = body;
+                continue;
+            }
+        }
         match tokens[i].kind {
             TokKind::Open(_) => {
                 i = past_group(match_of, i);
@@ -223,10 +227,32 @@ fn split_args(
         }
         i += 1;
     }
-    if close > start {
-        out.push((start, close));
+    if hi > start {
+        out.push((start, hi));
     }
     out
+}
+
+/// If a closure parameter list `|...|` (after an optional `move`)
+/// starts at `at`, the index one past its closing `|`; otherwise `at`.
+fn past_closure_params(tokens: &[Token], match_of: &[usize], at: usize, hi: usize) -> usize {
+    let mut i = at + usize::from(tokens[at].is_ident("move"));
+    if i >= hi || !tokens[i].is_punct("|") {
+        return at;
+    }
+    i += 1;
+    while i < hi {
+        match tokens[i].kind {
+            TokKind::Open(_) => {
+                i = past_group(match_of, i);
+                continue;
+            }
+            TokKind::Punct if tokens[i].text == "|" => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    at
 }
 
 fn collect_fns(tokens: &[Token], match_of: &[usize], out: &mut Vec<FnInfo>) {
@@ -262,7 +288,7 @@ fn collect_fns(tokens: &[Token], match_of: &[usize], out: &mut Vec<FnInfo>) {
             break;
         }
         let mut params = Vec::new();
-        for (s, e) in split_args(tokens, match_of, params_open, params_close) {
+        for (s, e) in split_args(tokens, match_of, params_open + 1, params_close) {
             pattern_idents(tokens, match_of, s, e, &mut params);
         }
         // Return type: `-> tokens...` until `{` / `;` / `where`.
@@ -375,7 +401,7 @@ fn collect_closures(tokens: &[Token], match_of: &[usize], out: &mut Vec<ClosureI
                 i += 1;
                 continue;
             };
-            for (s, e) in comma_ranges(tokens, match_of, i + 1, close) {
+            for (s, e) in split_args(tokens, match_of, i + 1, close) {
                 pattern_idents(tokens, match_of, s, e, &mut params);
             }
             after_params = close + 1;
@@ -421,33 +447,6 @@ fn collect_closures(tokens: &[Token], match_of: &[usize], out: &mut Vec<ClosureI
         });
         i = after_params;
     }
-}
-
-/// Like [`split_args`] but over an arbitrary `[lo, hi)` range.
-fn comma_ranges(tokens: &[Token], match_of: &[usize], lo: usize, hi: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = lo;
-    let mut i = lo;
-    while i < hi {
-        match tokens[i].kind {
-            TokKind::Open(_) => {
-                i = past_group(match_of, i);
-                continue;
-            }
-            TokKind::Punct if tokens[i].text == "," => {
-                if i > start {
-                    out.push((start, i));
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if hi > start {
-        out.push((start, hi));
-    }
-    out
 }
 
 /// Names bound inside a body range: `let` / `if let` / `while let`
@@ -589,7 +588,7 @@ fn collect_calls(tokens: &[Token], match_of: &[usize], out: &mut Vec<CallInfo>) 
             callee_idx: i,
             open,
             end: close + 1,
-            args: split_args(tokens, match_of, open, close),
+            args: split_args(tokens, match_of, open + 1, close),
             method: i > 0 && tokens[i - 1].is_punct("."),
         });
     }
@@ -698,6 +697,21 @@ mod tests {
             ],
             "{fan:?}"
         );
+    }
+
+    #[test]
+    fn closure_params_do_not_split_call_arguments() {
+        let tokens = lex("f(a, |x, y| x + y, b)").tokens;
+        let match_of = build_matches(&tokens, &mut Vec::new());
+        let open = 1;
+        assert_eq!(
+            split_args(&tokens, &match_of, open + 1, match_of[open]).len(),
+            3
+        );
+        // `move` closures and grouped patterns too; `||` has no params.
+        let ast = parsed("fn f() { g(move |(i, j), k| i + j + k, || 0, h); }");
+        let g = ast.calls.iter().find(|c| c.callee == "g").unwrap();
+        assert_eq!(g.args.len(), 3);
     }
 
     #[test]

@@ -32,19 +32,14 @@ pub const ANALYTICAL_CRATES: &[&str] = &[
 /// Crates allowed to read the wall clock everywhere: `ets-bench`.
 pub const TIMING_ALLOWLIST_CRATES: &[&str] = &["ets-bench"];
 /// Workspace-relative paths allowed to read the wall clock. Path-exact on
-/// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source in
-/// the observability subsystem, `crates/smtp/src/telemetry.rs` is the
-/// only one in the SMTP serving plane (per-phase latency observers),
-/// `crates/loadgen/src/runner.rs` is the only one in the load harness
-/// (open-loop pacing and request latency), and
-/// `crates/experiments/src/microbench.rs` is the experiment driver's
-/// microbenchmark harness — so a `clock.rs`/`telemetry.rs`/`runner.rs`/
-/// `microbench.rs` in any other crate, or `Instant::now` anywhere else in
-/// `ets-obs`/`ets-smtp`/`ets-loadgen`/`ets-experiments`, is still denied.
+/// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source
+/// for everything else (the serving plane's session observers and load
+/// harness included), and `crates/experiments/src/microbench.rs` is the
+/// experiment driver's microbenchmark harness — so a `clock.rs` or
+/// `microbench.rs` in any other crate, or `Instant::now` anywhere else,
+/// is still denied.
 pub const TIMING_ALLOWLIST_PATHS: &[&str] = &[
     "crates/obs/src/clock.rs",
-    "crates/smtp/src/telemetry.rs",
-    "crates/loadgen/src/runner.rs",
     "crates/experiments/src/microbench.rs",
 ];
 

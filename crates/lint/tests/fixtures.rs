@@ -214,9 +214,10 @@ fn timing_allowed_for(krate: &str, dir: &str, rel: &str) -> bool {
     ets_lint::workspace::file_meta(root, &c, &path).timing_allowed
 }
 
-/// The timing allowlist admits exactly `crates/obs/src/clock.rs`: the
-/// same `Instant::now` fixture stays denied everywhere else in `ets-obs`
-/// and in a `clock.rs` that lives in any other crate.
+/// The timing allowlist admits exactly `crates/obs/src/clock.rs` and the
+/// experiment driver's microbench harness: the same `Instant::now`
+/// fixture stays denied everywhere else in `ets-obs`, in a `clock.rs`
+/// that lives in any other crate, and in the serving plane.
 #[test]
 fn timing_allowlist_is_path_exact_for_obs_clock() {
     assert!(timing_allowed_for("ets-obs", "obs", "src/clock.rs"));
@@ -233,18 +234,13 @@ fn timing_allowlist_is_path_exact_for_obs_clock() {
         "src/lab.rs"
     ));
 
-    // The SMTP serving-telemetry module is the second (and only other)
-    // path-exact entry: allowed in ets-smtp, while the same filename in
-    // any other crate — and every other ets-smtp file — stays denied.
-    assert!(timing_allowed_for("ets-smtp", "smtp", "src/telemetry.rs"));
+    // The serving plane reads time only through `ets_obs::clock`: the
+    // SMTP session observer and the load-harness runner have no entry.
+    assert!(!timing_allowed_for("ets-smtp", "smtp", "src/telemetry.rs"));
     assert!(!timing_allowed_for("ets-smtp", "smtp", "src/server.rs"));
     assert!(!timing_allowed_for("ets-smtp", "smtp", "src/net_client.rs"));
     assert!(!timing_allowed_for("ets-dns", "dns", "src/telemetry.rs"));
-
-    // The load-harness runner is the third path-exact entry: open-loop
-    // pacing needs the clock, but the rest of ets-loadgen (scenario
-    // draws, stats, reports) must stay deterministic.
-    assert!(timing_allowed_for(
+    assert!(!timing_allowed_for(
         "ets-loadgen",
         "loadgen",
         "src/runner.rs"
@@ -257,8 +253,8 @@ fn timing_allowlist_is_path_exact_for_obs_clock() {
     ));
     assert!(!timing_allowed_for("ets-core", "core", "src/runner.rs"));
 
-    // The microbenchmark harness is the fourth: path-exact like the
-    // others, so a `microbench.rs` in any other crate stays denied.
+    // The microbenchmark harness is the only other entry: path-exact
+    // too, so a `microbench.rs` in any other crate stays denied.
     assert!(timing_allowed_for(
         "ets-experiments",
         "experiments",

@@ -70,6 +70,27 @@ pub fn good_worker_local_state(items: &[u32]) -> Vec<u32> {
     })
 }
 
+// A two-parameter worker's nested closure writing the worker's own
+// local: the comma in `|i, x|` must not make the nested closure a
+// worker of its own.
+pub fn good_two_param_worker_nested_local(items: &[u32], v: &[u32]) -> Vec<u32> {
+    par_map(items, |i, x| {
+        let mut acc = 0;
+        v.iter().for_each(|y| acc += y);
+        acc + x + i as u32
+    })
+}
+
+// The same shape writing a captured outer variable still fires.
+pub fn bad_two_param_worker_nested_capture(items: &[u32], v: &[u32]) -> u32 {
+    let mut total = 0;
+    par_map(items, |i, x| {
+        v.iter().for_each(|y| total += y); //~ shared-mutation-in-fanout
+        x + i as u32
+    });
+    total
+}
+
 pub fn good_pragma(items: &[u32]) -> u32 {
     let mut seen = 0;
     par_map(items, |x| {

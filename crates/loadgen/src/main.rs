@@ -2,45 +2,45 @@
 //! `results/bench_serve.json`.
 //!
 //! ```text
-//! ets-loadgen [--server-mode both|pool|thread] [--mix paper|delivery|faults]
+//! ets-loadgen [--target ADDR] [--mix paper|delivery|faults]
 //!             [--connections N] [--requests N] [--rps X] [--seed N]
-//!             [--workers N] [--conn-queue N] [--owner-queue N]
 //!             [--read-timeout-ms N] [--client-timeout-ms N]
 //!             [--max-failure-rate F] [--max-p50-ms F] [--max-p99-ms F]
 //!             [--out PATH] [--check]
 //! ```
 //!
-//! * `--server-mode` — which in-process server phases to run: the worker
-//!   `pool`, the `thread`-per-connection baseline, or `both` (baseline
-//!   first, then pool, so the report carries a before/after comparison).
+//! * `--target ADDR` — drive an SMTP server that is already listening
+//!   on `ADDR` (e.g. a standalone `ets-smtp`) instead of the default
+//!   in-process worker pool. The report's phase is then `target` and
+//!   its `delivered` is `null`: the owner channel lives in the other
+//!   process. The server must accept mail for `gmial.com`.
 //! * `--mix` — scenario mix: `paper` (delivery-dominated with a protocol
 //!   fault tail covering every Table 5 row), `delivery`, or `faults`.
 //! * `--connections` / `--requests` — concurrency slots × sessions each.
 //! * `--rps` — open-loop target rate across all slots; `0` = closed loop.
+//! * `--read-timeout-ms` — the server's read timeout: set on the
+//!   in-process server, and with `--target` it must match the target's,
+//!   since slowloris requests stall just past it.
 //! * `--max-*` — stop rules; with `--check` any violation fails the run.
 
 #![forbid(unsafe_code)]
 
 use ets_loadgen::report;
-use ets_loadgen::runner::{run_phase, PhaseResult, RunConfig, ServerSpec};
+use ets_loadgen::runner::{drive, run_phase, RunConfig, ServerSpec};
 use ets_loadgen::scenario::ScenarioMix;
 use ets_loadgen::stats::StopRules;
-use ets_smtp::server::ConcurrencyModel;
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server_mode = "both".to_owned();
+    let mut target: Option<String> = None;
     let mut mix = ScenarioMix::paper();
     let mut connections: usize = 64;
     let mut requests: usize = 16;
     let mut rps: f64 = 0.0;
     let mut seed: u64 = 42;
-    let mut workers: Option<usize> = None;
-    let mut conn_queue: Option<usize> = None;
-    let mut owner_queue: usize = 1024;
-    let mut read_timeout_ms: u64 = 150;
+    let mut spec = ServerSpec::default();
     let mut client_timeout_ms: u64 = 5_000;
     let mut rules = StopRules::default();
     let mut out = "results/bench_serve.json".to_owned();
@@ -49,9 +49,9 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--server-mode" => match it.next().map(String::as_str) {
-                Some(m @ ("both" | "pool" | "thread")) => server_mode = m.to_owned(),
-                _ => return usage("--server-mode needs both|pool|thread"),
+            "--target" => match it.next() {
+                Some(addr) => target = Some(addr.clone()),
+                None => return usage("--target needs an address"),
             },
             "--mix" => match it.next().and_then(|v| ScenarioMix::by_name(v)) {
                 Some(m) => mix = m,
@@ -73,20 +73,8 @@ fn main() -> ExitCode {
                 Some(n) => seed = n,
                 None => return usage("--seed needs an integer"),
             },
-            "--workers" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => workers = Some(n),
-                None => return usage("--workers needs an integer"),
-            },
-            "--conn-queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => conn_queue = Some(n),
-                None => return usage("--conn-queue needs an integer"),
-            },
-            "--owner-queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => owner_queue = n,
-                None => return usage("--owner-queue needs an integer"),
-            },
             "--read-timeout-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => read_timeout_ms = n,
+                Some(n) => spec.options.read_timeout = Duration::from_millis(n),
                 None => return usage("--read-timeout-ms needs an integer"),
             },
             "--client-timeout-ms" => match it.next().and_then(|s| s.parse().ok()) {
@@ -114,27 +102,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let read_timeout = Duration::from_millis(read_timeout_ms);
-    let mut pool_spec = ServerSpec::pool();
-    pool_spec.read_timeout = read_timeout;
-    pool_spec.owner_queue = owner_queue;
-    if let (Some(w), ConcurrencyModel::WorkerPool { queue, .. }) = (workers, pool_spec.model) {
-        pool_spec.model = ConcurrencyModel::WorkerPool {
-            workers: w,
-            queue: conn_queue.unwrap_or(queue),
-        };
-    } else if let (None, Some(q), ConcurrencyModel::WorkerPool { workers: w, .. }) =
-        (workers, conn_queue, pool_spec.model)
-    {
-        pool_spec.model = ConcurrencyModel::WorkerPool {
-            workers: w,
-            queue: q,
-        };
-    }
-    let mut thread_spec = ServerSpec::thread_per_connection();
-    thread_spec.read_timeout = read_timeout;
-    thread_spec.owner_queue = owner_queue;
-
     let cfg = RunConfig {
         connections,
         requests_per_conn: requests,
@@ -142,42 +109,35 @@ fn main() -> ExitCode {
         mix: mix.clone(),
         seed,
         client_timeout: Duration::from_millis(client_timeout_ms),
-        stall: read_timeout + Duration::from_millis(80),
-        local_domain: pool_spec.domain.clone(),
+        stall: spec.options.read_timeout + Duration::from_millis(80),
+        local_domain: spec.domain.clone(),
     };
 
-    let phase_plan: &[(&str, &ServerSpec)] = match server_mode.as_str() {
-        "pool" => &[("pool", &pool_spec)],
-        "thread" => &[("thread", &thread_spec)],
-        _ => &[("thread", &thread_spec), ("pool", &pool_spec)],
-    };
-
-    let mut results: Vec<PhaseResult> = Vec::new();
-    for (name, spec) in phase_plan {
-        eprintln!(
-            "phase {name}: {connections} connections x {requests} requests, mix {} (rps target {rps})",
-            mix.name
-        );
-        match run_phase(name, &cfg, spec) {
-            Ok(r) => {
-                eprintln!(
-                    "  {:.0} rps achieved, p50 {:.2} ms, p99 {:.2} ms, {} mismatches, {} delivered",
-                    r.achieved_rps,
-                    r.stats.quantile_ms(0.50),
-                    r.stats.quantile_ms(0.99),
-                    r.stats.mismatches,
-                    r.delivered,
-                );
-                results.push(r);
-            }
+    let phase = if target.is_some() { "target" } else { "pool" };
+    eprintln!(
+        "phase {phase}: {connections} connections x {requests} requests, mix {} (rps target {rps})",
+        mix.name
+    );
+    let r = match &target {
+        Some(addr) => drive(phase, &cfg, addr),
+        None => match run_phase(phase, &cfg, &spec) {
+            Ok(r) => r,
             Err(e) => {
-                eprintln!("phase {name} failed: {e}");
+                eprintln!("phase {phase} failed: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
+        },
+    };
+    eprintln!(
+        "  {:.0} rps achieved, p50 {:.2} ms, p99 {:.2} ms, {} mismatches, {} delivered",
+        r.achieved_rps,
+        r.stats.quantile_ms(0.50),
+        r.stats.quantile_ms(0.99),
+        r.stats.mismatches,
+        r.delivered.map_or("unknown".to_owned(), |d| d.to_string()),
+    );
 
-    let doc = report::render(mix.name, seed, &results, &rules);
+    let doc = report::render(mix.name, seed, std::slice::from_ref(&r), &rules);
     let text = report::to_pretty_string(&doc);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -193,21 +153,17 @@ fn main() -> ExitCode {
     }
     println!("wrote {out}");
 
-    let mut failed = false;
-    for r in &results {
-        for v in rules.violations(&r.stats) {
-            eprintln!("stop rule [{}]: {v}", r.phase);
-            failed = true;
-        }
-        if r.lost_workers > 0 {
-            eprintln!(
-                "stop rule [{}]: {} worker threads died",
-                r.phase, r.lost_workers
-            );
-            failed = true;
-        }
+    let violations = rules.violations(&r.stats);
+    for v in &violations {
+        eprintln!("stop rule [{phase}]: {v}");
     }
-    if check && failed {
+    if r.lost_workers > 0 {
+        eprintln!(
+            "stop rule [{phase}]: {} worker threads died",
+            r.lost_workers
+        );
+    }
+    if check && (!violations.is_empty() || r.lost_workers > 0) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -216,10 +172,9 @@ fn main() -> ExitCode {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: ets-loadgen [--server-mode both|pool|thread] [--mix paper|delivery|faults] \
-         [--connections N] [--requests N] [--rps X] [--seed N] [--workers N] [--conn-queue N] \
-         [--owner-queue N] [--read-timeout-ms N] [--client-timeout-ms N] [--max-failure-rate F] \
-         [--max-p50-ms F] [--max-p99-ms F] [--out PATH] [--check]"
+        "usage: ets-loadgen [--target ADDR] [--mix paper|delivery|faults] [--connections N] \
+         [--requests N] [--rps X] [--seed N] [--read-timeout-ms N] [--client-timeout-ms N] \
+         [--max-failure-rate F] [--max-p50-ms F] [--max-p99-ms F] [--out PATH] [--check]"
     );
     ExitCode::FAILURE
 }

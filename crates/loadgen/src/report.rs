@@ -91,47 +91,9 @@ pub fn phase_value(r: &PhaseResult, rules: &StopRules) -> Value {
     })
 }
 
-/// Relative improvement of `candidate` over `baseline` in percent;
-/// positive means the candidate is better (higher RPS / lower latency).
-fn improvement_pct(baseline: f64, candidate: f64, lower_is_better: bool) -> f64 {
-    if baseline <= 0.0 {
-        return 0.0;
-    }
-    let delta = if lower_is_better {
-        baseline - candidate
-    } else {
-        candidate - baseline
-    };
-    delta / baseline * 100.0
-}
-
-/// The full `bench_serve.json` document. `phases` is ordered as run;
-/// when both a `thread` baseline and a `pool` candidate are present a
-/// `comparison` block records the before/after deltas the README table
-/// quotes.
+/// The full `bench_serve.json` document, `phases` ordered as run.
 pub fn render(mix_name: &str, seed: u64, phases: &[PhaseResult], rules: &StopRules) -> Value {
     let phase_values: Vec<Value> = phases.iter().map(|r| phase_value(r, rules)).collect();
-    let thread = phases.iter().find(|r| r.phase == "thread");
-    let pool = phases.iter().find(|r| r.phase == "pool");
-    let comparison = match (thread, pool) {
-        (Some(t), Some(p)) => json!({
-            "baseline": "thread",
-            "candidate": "pool",
-            "rps_improvement_pct":
-                improvement_pct(t.achieved_rps, p.achieved_rps, false),
-            "p99_improvement_pct": improvement_pct(
-                t.stats.quantile_ms(0.99),
-                p.stats.quantile_ms(0.99),
-                true,
-            ),
-            "p50_improvement_pct": improvement_pct(
-                t.stats.quantile_ms(0.50),
-                p.stats.quantile_ms(0.50),
-                true,
-            ),
-        }),
-        _ => Value::Null,
-    };
     json!({
         "schema": "ets.bench_serve.v1",
         "mix": mix_name,
@@ -142,7 +104,6 @@ pub fn render(mix_name: &str, seed: u64, phases: &[PhaseResult], rules: &StopRul
             "max_p99_ms": rules.max_p99_ms,
         },
         "phases": phase_values,
-        "comparison": comparison,
     })
 }
 
@@ -161,7 +122,7 @@ mod tests {
     use crate::scenario::Scenario;
     use ets_smtp::fault::DeliveryOutcome;
 
-    fn fake_result(phase: &str, base_latency: u64) -> PhaseResult {
+    fn fake_result(phase: &str, base_latency: u64, delivered: Option<u64>) -> PhaseResult {
         let mut stats = PhaseStats::new();
         for i in 0..100u64 {
             let s = Scenario::ALL[(i % 8) as usize];
@@ -170,7 +131,7 @@ mod tests {
         PhaseResult {
             phase: phase.to_owned(),
             stats,
-            delivered: 50,
+            delivered,
             elapsed_secs: 2.0,
             achieved_rps: 50.0,
             target_rps: 0.0,
@@ -182,11 +143,17 @@ mod tests {
 
     #[test]
     fn report_is_deterministic_and_covers_taxonomy() {
-        let phases = vec![fake_result("thread", 9_000), fake_result("pool", 1_000)];
+        let phases = vec![
+            fake_result("pool", 1_000, Some(50)),
+            fake_result("target", 9_000, None),
+        ];
         let rules = StopRules::default();
         let a = to_pretty_string(&render("paper", 42, &phases, &rules));
         let b = to_pretty_string(&render("paper", 42, &phases, &rules));
         assert_eq!(a, b);
+        // A target phase's owner channel is out of reach: `null`.
+        let target = phase_value(&phases[1], &rules);
+        assert_eq!(target.get("delivered"), Some(&Value::Null));
         for o in DeliveryOutcome::ALL {
             assert!(a.contains(outcome_key(o)), "missing {o:?} row");
         }
@@ -197,28 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn comparison_block_scores_the_pool_win() {
-        let phases = vec![fake_result("thread", 9_000), fake_result("pool", 1_000)];
-        let v = render("paper", 1, &phases, &StopRules::default());
-        let cmp = v.get("comparison").unwrap();
-        assert_eq!(cmp.get("baseline"), Some(&json!("thread")));
-        let p99 = cmp
-            .get("p99_improvement_pct")
-            .and_then(Value::as_f64)
-            .unwrap();
-        assert!(p99 > 0.0, "pool latency should improve: {p99}");
-    }
-
-    #[test]
-    fn single_phase_report_has_no_comparison() {
-        let phases = [fake_result("pool", 500)];
-        let v = render("delivery", 7, &phases, &StopRules::default());
-        assert_eq!(v.get("comparison"), Some(&Value::Null));
-    }
-
-    #[test]
     fn stop_rule_violations_surface_in_the_phase_block() {
-        let phases = [fake_result("pool", 500)];
+        let phases = [fake_result("pool", 500, Some(50))];
         let strict = StopRules {
             max_failure_rate: 0.0,
             max_p50_ms: 0.001,

@@ -1,9 +1,12 @@
 //! The wall-clock half of the harness: sockets, pacing, worker threads.
 //!
-//! This is the only module in `ets-loadgen` permitted to read the clock
-//! (`ets-lint` pins the allowlist path-exactly). Everything it measures
-//! flows into the pure [`crate::stats`] accumulators so the analysis and
-//! report layers stay deterministic.
+//! Time comes from [`ets_obs::clock::monotonic_micros`], in
+//! microseconds; `ets-loadgen` never reads the clock itself. Everything
+//! this module measures flows into the pure [`crate::stats`]
+//! accumulators so the analysis and report layers stay deterministic.
+//!
+//! [`drive`] plays a workload at any SMTP listener: the in-process
+//! phase ([`run_phase`]) and `ets-loadgen --target ADDR` both call it.
 //!
 //! ## Open vs closed loop
 //!
@@ -19,16 +22,17 @@
 
 use crate::scenario::{build_email, conn_rng, Scenario, ScenarioMix};
 use crate::stats::{outcome_index, PhaseStats};
+use ets_obs::clock::monotonic_micros;
 use ets_obs::latency;
 use ets_obs::metrics;
 use ets_smtp::client::ClientOutcome;
 use ets_smtp::fault::DeliveryOutcome;
 use ets_smtp::net_client::{send_email, RawSession, SendError};
-use ets_smtp::server::{ConcurrencyModel, ServerOptions, SmtpServer};
+use ets_smtp::server::{ServerOptions, SmtpServer};
 use ets_smtp::session::ServerPolicy;
 use ets_smtp::telemetry::TelemetryConfig;
 use std::io::ErrorKind;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the load generator does: the workload half of a phase.
 #[derive(Debug, Clone)]
@@ -72,38 +76,30 @@ impl RunConfig {
 /// How the in-process server under test is built.
 #[derive(Debug, Clone)]
 pub struct ServerSpec {
-    /// Concurrency model under test.
-    pub model: ConcurrencyModel,
-    /// Per-connection read timeout (keep short so slowloris rows finish).
-    pub read_timeout: Duration,
-    /// Bound of the owner delivery channel.
-    pub owner_queue: usize,
+    /// Server options; the read timeout is kept short so slowloris rows
+    /// finish quickly.
+    pub options: ServerOptions,
     /// Server hostname for the banner.
     pub hostname: String,
     /// Catch-all domain.
     pub domain: String,
-    /// Session-trace sampling rate for the telemetry plane.
-    pub sample_every: u64,
 }
 
-impl ServerSpec {
-    /// The default system under test: worker pool, short read timeout.
-    pub fn pool() -> ServerSpec {
+impl Default for ServerSpec {
+    /// The default worker pool with a 150 ms read timeout and 1-in-64
+    /// session sampling, accepting mail for `gmial.com`.
+    fn default() -> ServerSpec {
         ServerSpec {
-            model: ConcurrencyModel::default_pool(),
-            read_timeout: Duration::from_millis(150),
-            owner_queue: 1024,
+            options: ServerOptions {
+                read_timeout: Duration::from_millis(150),
+                telemetry: TelemetryConfig {
+                    sample_every: 64,
+                    ..TelemetryConfig::default()
+                },
+                ..ServerOptions::default()
+            },
             hostname: "mx.gmial.com".to_owned(),
             domain: "gmial.com".to_owned(),
-            sample_every: 64,
-        }
-    }
-
-    /// The measurable baseline: thread-per-connection, same policy.
-    pub fn thread_per_connection() -> ServerSpec {
-        ServerSpec {
-            model: ConcurrencyModel::ThreadPerConnection,
-            ..ServerSpec::pool()
         }
     }
 }
@@ -111,12 +107,14 @@ impl ServerSpec {
 /// Everything measured about one executed phase.
 #[derive(Debug, Clone)]
 pub struct PhaseResult {
-    /// Phase label (`pool`, `thread`, …) used in reports and metrics.
+    /// Phase label (`pool`, `target`, …) used in reports and metrics.
     pub phase: String,
     /// The merged accumulators.
     pub stats: PhaseStats,
-    /// Emails the server actually handed to its owner channel.
-    pub delivered: u64,
+    /// Emails the server actually handed to its owner channel; `None`
+    /// when the server runs in another process and its owner channel is
+    /// out of reach.
+    pub delivered: Option<u64>,
     /// Wall-clock duration of the phase.
     pub elapsed_secs: f64,
     /// `requests / elapsed` — the rate actually sustained.
@@ -132,29 +130,41 @@ pub struct PhaseResult {
     pub lost_workers: u64,
 }
 
-/// Binds an in-process server per `spec`, drives the full workload at
-/// it, keeps the owner channel drained throughout, and shuts the server
-/// down. The phase's latency distribution is also published to the
-/// `ets-obs` latency plane as `loadgen.<phase>.request_us`.
+/// Binds an in-process server per `spec`, [`drive`]s the workload at
+/// it while a drainer thread keeps the bounded owner channel flowing,
+/// and shuts the server down. `delivered` counts every message the
+/// server handed to its owner, and is also published as the
+/// `loadgen.<phase>.delivered` counter.
 pub fn run_phase(phase: &str, cfg: &RunConfig, spec: &ServerSpec) -> std::io::Result<PhaseResult> {
-    let options = ServerOptions {
-        read_timeout: spec.read_timeout,
-        telemetry: TelemetryConfig {
-            sample_every: spec.sample_every,
-            ..TelemetryConfig::default()
-        },
-        model: spec.model,
-        owner_queue: spec.owner_queue,
-    };
     let policy = ServerPolicy::catch_all(&spec.hostname, std::slice::from_ref(&spec.domain));
-    let server = SmtpServer::bind_with("127.0.0.1:0", policy, options)?;
+    let server = SmtpServer::bind_with("127.0.0.1:0", policy, spec.options.clone())?;
     let addr = server.addr().to_string();
+    let rx = server.received().clone();
+    // The drainer's blocking iteration ends once shutdown has joined
+    // every session and dropped the last sender.
+    let drainer = std::thread::spawn(move || rx.iter().count() as u64);
+    let mut result = drive(phase, cfg, &addr);
+    let late = server.shutdown().len() as u64;
+    let drained = drainer
+        .join()
+        .map_err(|_| std::io::Error::other("owner-channel drainer panicked"))?;
+    let delivered = late + drained;
+    metrics::counter_add(&format!("loadgen.{phase}.delivered"), delivered);
+    result.delivered = Some(delivered);
+    Ok(result)
+}
 
+/// Drives the workload in `cfg` at the SMTP listener on `addr` and
+/// returns what the clients observed (`delivered` is `None`: only the
+/// server's owner knows it). The latency distribution is published to
+/// the `ets-obs` latency plane as `loadgen.<phase>.request_us` and the
+/// observed outcomes as `loadgen.<phase>.outcome.*` counters.
+pub fn drive(phase: &str, cfg: &RunConfig, addr: &str) -> PhaseResult {
     let recorder = latency::recorder(&format!("loadgen.{phase}.request_us"));
-    let t0 = Instant::now();
+    let t0 = monotonic_micros();
     let mut handles = Vec::with_capacity(cfg.connections);
     for c in 0..cfg.connections {
-        let addr = addr.clone();
+        let addr = addr.to_owned();
         let cfg = cfg.clone();
         let recorder = recorder.clone();
         handles.push(std::thread::spawn(move || {
@@ -163,34 +173,23 @@ pub fn run_phase(phase: &str, cfg: &RunConfig, spec: &ServerSpec) -> std::io::Re
             for k in 0..cfg.requests_per_conn {
                 let scenario = cfg.mix.draw(&mut rng);
                 let lat_start = if cfg.target_rps > 0.0 {
-                    let offset =
-                        Duration::from_secs_f64((k * cfg.connections + c) as f64 / cfg.target_rps);
-                    let sched = t0 + offset;
-                    let now = Instant::now();
+                    let offset = (k * cfg.connections + c) as f64 * 1e6 / cfg.target_rps;
+                    let sched = t0 + offset as u64;
+                    let now = monotonic_micros();
                     if sched > now {
-                        std::thread::sleep(sched - now);
+                        std::thread::sleep(Duration::from_micros(sched - now));
                     }
                     sched
                 } else {
-                    Instant::now()
+                    monotonic_micros()
                 };
                 let observed = execute(&addr, scenario, c as u64, k as u64, &cfg);
-                let micros = Instant::now()
-                    .saturating_duration_since(lat_start)
-                    .as_micros() as u64;
+                let micros = monotonic_micros().saturating_sub(lat_start);
                 recorder.record(micros);
                 stats.record(scenario, observed, micros);
             }
             stats
         }));
-    }
-
-    // Keep the bounded owner channel drained while the storm runs, so
-    // handlers never block on a full delivery queue.
-    let mut delivered = 0u64;
-    while handles.iter().any(|h| !h.is_finished()) {
-        delivered += server.drain().len() as u64;
-        std::thread::sleep(Duration::from_millis(2));
     }
 
     let mut stats = PhaseStats::new();
@@ -201,35 +200,35 @@ pub fn run_phase(phase: &str, cfg: &RunConfig, spec: &ServerSpec) -> std::io::Re
             Err(_) => lost_workers += 1,
         }
     }
-    let elapsed_secs = t0.elapsed().as_secs_f64();
-    delivered += server.shutdown().len() as u64;
+    let elapsed_secs = monotonic_micros().saturating_sub(t0) as f64 / 1e6;
 
     for (i, o) in DeliveryOutcome::ALL.iter().enumerate() {
         metrics::counter_add(&format!("loadgen.{phase}.outcome.{o:?}"), stats.observed[i]);
     }
-    metrics::counter_add(&format!("loadgen.{phase}.delivered"), delivered);
 
     let achieved_rps = if elapsed_secs > 0.0 {
         stats.requests as f64 / elapsed_secs
     } else {
         0.0
     };
-    Ok(PhaseResult {
+    PhaseResult {
         phase: phase.to_owned(),
         stats,
-        delivered,
+        delivered: None,
         elapsed_secs,
         achieved_rps,
         target_rps: cfg.target_rps,
         connections: cfg.connections,
         requests_per_conn: cfg.requests_per_conn,
         lost_workers,
-    })
+    }
 }
 
-/// Executes one request (one full SMTP session) and classifies what the
-/// client observed into the Table 5 taxonomy.
-fn execute(
+/// Executes one request (one full SMTP session) as `scenario` against
+/// `addr` and classifies what the client observed into the Table 5
+/// taxonomy; a correct server yields `scenario.expected_outcome()`.
+/// `conn` and `req` only shape the message content.
+pub fn execute(
     addr: &str,
     scenario: Scenario,
     conn: u64,
@@ -278,7 +277,7 @@ fn classify_transport(e: &SendError) -> DeliveryOutcome {
 
 /// Greets, then speaks garbage that never forms a transaction. A correct
 /// server answers each junk line with a 5xx and keeps the session —
-/// classified `OtherError`, mirroring the drive-mode taxonomy.
+/// classified `OtherError`.
 fn malformed(addr: &str, cfg: &RunConfig) -> DeliveryOutcome {
     let mut s = match RawSession::connect(addr, cfg.client_timeout) {
         Ok(s) => s,
@@ -346,13 +345,11 @@ mod tests {
     use super::*;
 
     fn fast_cfg() -> (RunConfig, ServerSpec) {
-        let mut spec = ServerSpec::pool();
-        spec.read_timeout = Duration::from_millis(60);
-        spec.model = ConcurrencyModel::WorkerPool {
-            workers: 8,
-            queue: 64,
-        };
-        let mut cfg = RunConfig::smoke(spec.read_timeout);
+        let mut spec = ServerSpec::default();
+        spec.options.read_timeout = Duration::from_millis(60);
+        spec.options.workers = 8;
+        spec.options.conn_queue = 64;
+        let mut cfg = RunConfig::smoke(spec.options.read_timeout);
         cfg.connections = 6;
         cfg.requests_per_conn = 10;
         (cfg, spec)
@@ -371,25 +368,12 @@ mod tests {
             assert!(r.stats.observed[i] > 0, "empty taxonomy row {o}");
         }
         // Every accepted delivery reached the owner channel.
-        assert_eq!(r.delivered, observed(&r.stats, DeliveryOutcome::NoError));
+        assert_eq!(
+            r.delivered,
+            Some(observed(&r.stats, DeliveryOutcome::NoError))
+        );
         assert!(r.achieved_rps > 0.0);
         assert_eq!(r.stats.latency.count(), 60);
-    }
-
-    #[test]
-    fn thread_model_smoke_run_matches_plan() {
-        let mut spec = ServerSpec::thread_per_connection();
-        spec.read_timeout = Duration::from_millis(60);
-        let mut cfg = RunConfig::smoke(spec.read_timeout);
-        cfg.connections = 4;
-        cfg.requests_per_conn = 6;
-        cfg.mix = ScenarioMix::delivery_only();
-        let r = run_phase("test_thread", &cfg, &spec).unwrap();
-        assert_eq!(r.stats.requests, 24);
-        assert_eq!(r.stats.mismatches, 0);
-        // Delivery-only mix: every request forms a transaction and the
-        // expected split is exactly the planned split.
-        assert_eq!(r.stats.observed, r.stats.expected);
     }
 
     #[test]

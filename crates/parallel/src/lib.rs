@@ -298,13 +298,20 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    /// `set_threads` is process-global; tests that touch it must not
-    /// interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Serializes the crate's tests that touch process-global state: the
+    /// thread count, the stream depth and the metric registry. The
+    /// `stream` tests take the same lock, so a `par_map` test bumping
+    /// `parallel.par_map.*` never lands inside a stream counter snapshot.
+    /// A test that panics while holding it must not cascade into the
+    /// others, hence the poison recovery.
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn par_map_preserves_order() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         let items: Vec<u64> = (0..10_000).collect();
         for threads in [1, 2, 7] {
             set_threads(threads);
@@ -317,7 +324,7 @@ mod tests {
 
     #[test]
     fn par_fold_matches_sequential() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         let items: Vec<u64> = (0..5_000).map(|i| i % 97).collect();
         let run = |threads| {
             set_threads(threads);
@@ -336,7 +343,7 @@ mod tests {
 
     #[test]
     fn par_flat_map_concatenates_in_order() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         set_threads(4);
         let items: Vec<usize> = (0..1000).collect();
         let out = par_flat_map(&items, |_, &x| vec![x, x]);
@@ -359,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         set_threads(4);
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
@@ -376,7 +383,7 @@ mod tests {
 
     #[test]
     fn fanout_emits_parented_worker_spans_when_traced() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         ets_obs::trace::disable();
         ets_obs::metrics::reset();
         ets_obs::trace::enable(ets_obs::Filter::all());
@@ -414,7 +421,7 @@ mod tests {
 
     #[test]
     fn fanout_counters_are_thread_count_invariant() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         let items: Vec<u64> = (0..257).collect();
         let snapshot_for = |threads: usize| {
             ets_obs::metrics::reset();
@@ -438,7 +445,7 @@ mod tests {
 
     #[test]
     fn par_map_index_runs_every_index() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         set_threads(3);
         let out = par_map_index(257, |i| i * i);
         set_threads(0);

@@ -284,11 +284,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `set_threads`/`set_stream_depth` are process-global; tests that
-    /// touch them must not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::tests::lock;
 
     fn collect_stream(threads: usize, depth: usize, n: usize) -> Vec<(usize, u64)> {
         crate::set_threads(threads);
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn commits_in_order_at_any_thread_count_and_depth() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         let expected = collect_stream(1, 0, 1000);
         assert!(expected
             .iter()
@@ -325,14 +321,14 @@ mod tests {
 
     #[test]
     fn empty_and_single_streams() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         assert!(collect_stream(4, 2, 0).is_empty());
         assert_eq!(collect_stream(4, 2, 1), vec![(0, 0)]);
     }
 
     #[test]
     fn stream_counters_are_thread_count_invariant() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         let snapshot_for = |threads: usize| {
             ets_obs::metrics::reset();
             let _ = collect_stream(threads, 4, 257);
@@ -379,7 +375,7 @@ mod tests {
 
     #[test]
     fn commit_sees_sequential_mutable_state() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock();
         crate::set_threads(6);
         set_stream_depth(3);
         // A running checksum is order-sensitive: any out-of-order commit

@@ -10,10 +10,11 @@
 //! * an **in-memory driver** ([`pipe`]) that runs a client session against
 //!   a server session directly — this is what the large-scale simulations
 //!   (50,995-domain honey-probe campaigns) use;
-//! * a **TCP driver** ([`server`], [`net_client`]) over `std::net` with a
-//!   crossbeam thread pool — this is what the loopback examples and
-//!   integration tests use to prove the state machines speak real SMTP
-//!   over real sockets.
+//! * a **TCP driver** ([`server`], [`net_client`]) over `std::net`: one
+//!   worker pool fed by a bounded connection queue, the only way the
+//!   server runs sessions — this is what the loopback examples,
+//!   integration tests and the standalone `ets-smtp` binary use to prove
+//!   the state machines speak real SMTP over real sockets.
 //!
 //! [`fault`] injects the failure modes of Table 5 (bounce, timeout,
 //! network error, other error) into either driver.
@@ -22,7 +23,10 @@
 //! histograms (accept→banner, command, policy, DATA, whole-session),
 //! in-flight gauges, a Table 5 outcome-taxonomy counter family, and a
 //! 1-in-N sampled session ring — all scrapeable live through
-//! `ets_obs::serve` (`ets-smtp --telemetry ADDR`).
+//! `ets_obs::serve` (`ets-smtp --telemetry ADDR`). Session timing reads
+//! `ets_obs::clock`; this crate never reads the clock itself. Driving
+//! the server through the five Table 5 outcomes is `ets-loadgen`'s job
+//! (`ets-loadgen --target ADDR` for a standalone `ets-smtp`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,8 +4,6 @@
 //! ```text
 //! ets-smtp [--listen ADDR] [--telemetry ADDR] [--hostname H]
 //!          [--domains a,b,...] [--read-timeout-ms N] [--sample-every N]
-//!          [--server-model pool|thread] [--workers N] [--conn-queue N]
-//!          [--owner-queue N] [--drive N] [--linger-secs S]
 //! ```
 //!
 //! * `--listen ADDR` — SMTP bind address (default `127.0.0.1:0`).
@@ -14,26 +12,20 @@
 //! * `--hostname H` / `--domains a,b` — catch-all policy (defaults:
 //!   `mx.gmial.com` accepting `gmial.com`).
 //! * `--read-timeout-ms N` — per-connection read timeout (default
-//!   30000); drive mode uses a short value so the `Timeout` taxonomy
-//!   row exercises quickly.
+//!   30000); a short value lets the `Timeout` taxonomy row resolve
+//!   quickly under a driven workload.
 //! * `--sample-every N` — session trace sampling rate (default 16).
-//! * `--server-model pool|thread` — worker-pool (default) or the legacy
-//!   thread-per-connection baseline; `--workers`/`--conn-queue` size the
-//!   pool, `--owner-queue` bounds the delivery channel.
-//! * `--drive N` — drive `N` deterministic loopback sessions cycling
-//!   through all five Table 5 outcomes, then report the counters.
-//! * `--linger-secs S` — keep serving for `S` seconds after the drive
-//!   (so an external scraper can read `/metrics`), then exit.
+//!
+//! The server runs the default worker pool and serves until killed.
+//! To drive it through the five Table 5 outcomes, point
+//! `ets-loadgen --target ADDR` at the `--listen` address.
 
 #![forbid(unsafe_code)]
 
-use ets_smtp::client::Email;
-use ets_smtp::net_client::send_email;
-use ets_smtp::server::{ConcurrencyModel, ServerOptions, SmtpServer};
+use ets_smtp::server::{ServerOptions, SmtpServer};
 use ets_smtp::session::ServerPolicy;
 use ets_smtp::telemetry::TelemetryConfig;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -43,14 +35,7 @@ fn main() -> ExitCode {
     let mut telemetry_addr: Option<String> = None;
     let mut hostname = "mx.gmial.com".to_owned();
     let mut domains = vec!["gmial.com".to_owned()];
-    let mut read_timeout_ms: u64 = 30_000;
-    let mut sample_every: u64 = 16;
-    let mut drive: Option<usize> = None;
-    let mut linger_secs: u64 = 0;
-    let mut thread_model = false;
-    let mut workers: Option<usize> = None;
-    let mut conn_queue: Option<usize> = None;
-    let mut owner_queue: usize = 1024;
+    let mut options = ServerOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -71,66 +56,22 @@ fn main() -> ExitCode {
                 None => return usage("--domains needs a comma-separated list"),
             },
             "--read-timeout-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => read_timeout_ms = n,
+                Some(n) => options.read_timeout = Duration::from_millis(n),
                 None => return usage("--read-timeout-ms needs an integer"),
             },
             "--sample-every" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => sample_every = n,
+                Some(n) => {
+                    options.telemetry = TelemetryConfig {
+                        sample_every: n,
+                        ..TelemetryConfig::default()
+                    }
+                }
                 None => return usage("--sample-every needs an integer"),
-            },
-            "--drive" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => drive = Some(n),
-                None => return usage("--drive needs an integer"),
-            },
-            "--linger-secs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => linger_secs = n,
-                None => return usage("--linger-secs needs an integer"),
-            },
-            "--server-model" => match it.next().map(String::as_str) {
-                Some("pool") => thread_model = false,
-                Some("thread") => thread_model = true,
-                _ => return usage("--server-model needs `pool` or `thread`"),
-            },
-            "--workers" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => workers = Some(n),
-                None => return usage("--workers needs an integer"),
-            },
-            "--conn-queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => conn_queue = Some(n),
-                None => return usage("--conn-queue needs an integer"),
-            },
-            "--owner-queue" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => owner_queue = n,
-                None => return usage("--owner-queue needs an integer"),
             },
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
 
-    let model = if thread_model {
-        ConcurrencyModel::ThreadPerConnection
-    } else {
-        match (workers, ConcurrencyModel::default_pool()) {
-            (None, d) => d,
-            (Some(w), ConcurrencyModel::WorkerPool { queue, .. }) => ConcurrencyModel::WorkerPool {
-                workers: w,
-                queue: conn_queue.unwrap_or(queue),
-            },
-            (Some(w), _) => ConcurrencyModel::WorkerPool {
-                workers: w,
-                queue: conn_queue.unwrap_or(256),
-            },
-        }
-    };
-    let options = ServerOptions {
-        read_timeout: Duration::from_millis(read_timeout_ms),
-        telemetry: TelemetryConfig {
-            sample_every,
-            ..TelemetryConfig::default()
-        },
-        model,
-        owner_queue,
-    };
     let policy = ServerPolicy::catch_all(&hostname, &domains);
     let server = match SmtpServer::bind_with(&listen, policy, options) {
         Ok(s) => s,
@@ -157,95 +98,18 @@ fn main() -> ExitCode {
     // Unbuffer the addresses for supervising scripts.
     let _ = std::io::stdout().flush();
 
-    if let Some(n) = drive {
-        drive_sessions(&server, n, read_timeout_ms, &domains[0]);
-        let drained = server.drain();
-        println!("drive complete: {n} sessions, {} delivered", drained.len());
-        for (name, v) in ets_obs::metrics::counters_with_prefix("smtp.session_outcome") {
-            println!("  outcome {name}: {v}");
-        }
-        let _ = std::io::stdout().flush();
-    }
-
-    if linger_secs > 0 {
-        std::thread::sleep(Duration::from_secs(linger_secs));
-    } else if drive.is_none() {
-        // Serve until killed.
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
+    // Serve until killed. No owner consumes accepted messages in this
+    // process, so discard them: a full owner channel would otherwise
+    // stall every session after the first `owner_queue` deliveries.
+    server.received().iter().for_each(drop);
     ExitCode::SUCCESS
-}
-
-/// Drives `n` loopback sessions cycling deterministically through the
-/// five Table 5 outcomes: accepted delivery, bounced recipient, read
-/// timeout, silent connect-and-drop, and protocol garbage.
-fn drive_sessions(server: &SmtpServer, n: usize, read_timeout_ms: u64, local_domain: &str) {
-    let addr = server.addr().to_string();
-    let client_timeout = Duration::from_millis(read_timeout_ms.max(1_000) * 4);
-    for i in 0..n {
-        match i % 5 {
-            // NoError: a catch-all accepted delivery.
-            0 => {
-                let email = Email::new(
-                    Some("alice@gmail.com".parse().expect("static address")),
-                    vec![format!("user{i}@{local_domain}").parse().expect("address")],
-                    format!("Subject: drive {i}\r\n\r\nhello"),
-                );
-                let _ = send_email(&addr, email, "drive.example", false, client_timeout);
-            }
-            // Bounce: a recipient outside the catch-all domains.
-            1 => {
-                let email = Email::new(
-                    Some("alice@gmail.com".parse().expect("static address")),
-                    vec![format!("user{i}@unrelated.example")
-                        .parse()
-                        .expect("address")],
-                    "Subject: bounce\r\n\r\nhello".to_owned(),
-                );
-                let _ = send_email(&addr, email, "drive.example", false, client_timeout);
-            }
-            // Timeout: greet, then stall past the server's read timeout.
-            2 => {
-                if let Ok(mut s) = TcpStream::connect(&addr) {
-                    let _ = s.set_read_timeout(Some(client_timeout));
-                    let mut banner = [0u8; 256];
-                    let _ = s.read(&mut banner);
-                    std::thread::sleep(Duration::from_millis(read_timeout_ms + 200));
-                }
-            }
-            // NetworkError: connect and vanish without a word.
-            3 => {
-                if let Ok(s) = TcpStream::connect(&addr) {
-                    drop(s);
-                    // Give the handler a beat to observe the EOF.
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-            // OtherError: protocol chatter that never forms a
-            // transaction.
-            _ => {
-                if let Ok(mut s) = TcpStream::connect(&addr) {
-                    let _ = s.set_read_timeout(Some(client_timeout));
-                    let mut banner = [0u8; 256];
-                    let _ = s.read(&mut banner);
-                    let _ = s.write_all(b"XYZZY plugh\r\n");
-                    let _ = s.read(&mut banner);
-                }
-            }
-        }
-    }
-    // Let the last handler threads classify before reporting.
-    std::thread::sleep(Duration::from_millis(300));
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
         "usage: ets-smtp [--listen ADDR] [--telemetry ADDR] [--hostname H] [--domains a,b] \
-         [--read-timeout-ms N] [--sample-every N] [--server-model pool|thread] [--workers N] \
-         [--conn-queue N] [--owner-queue N] [--drive N] [--linger-secs S]"
+         [--read-timeout-ms N] [--sample-every N]"
     );
     ExitCode::FAILURE
 }

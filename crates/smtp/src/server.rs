@@ -24,39 +24,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How the server turns accepted sockets into running sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConcurrencyModel {
-    /// One OS thread per accepted connection. This is the pre-loadgen
-    /// behaviour, kept selectable as the measured baseline: per-session
-    /// spawn cost and unbounded thread churn are exactly what the worker
-    /// pool removes (see `results/bench_serve.json`).
-    ThreadPerConnection,
-    /// A fixed pool of `workers` session threads fed by a bounded
-    /// connection queue of depth `queue`. When every worker is busy and
-    /// the queue is full, the accept loop itself blocks, so back-pressure
-    /// reaches the kernel accept backlog instead of growing heap state.
-    WorkerPool {
-        /// Pool size (clamped to at least 1).
-        workers: usize,
-        /// Connection-queue depth (clamped to at least 1).
-        queue: usize,
-    },
-}
-
-impl ConcurrencyModel {
-    /// The default pool geometry: twice the available cores (sessions
-    /// are IO-bound on socket reads), bounded away from degenerate
-    /// extremes.
-    pub fn default_pool() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, usize::from);
-        ConcurrencyModel::WorkerPool {
-            workers: (cores * 2).clamp(4, 64),
-            queue: 256,
-        }
-    }
-}
-
 /// Tuning knobs for [`SmtpServer::bind_with`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -65,8 +32,15 @@ pub struct ServerOptions {
     pub read_timeout: Duration,
     /// Telemetry sampling configuration.
     pub telemetry: TelemetryConfig,
-    /// Session concurrency model (worker pool by default).
-    pub model: ConcurrencyModel,
+    /// Session worker threads (clamped to at least 1). Sessions are
+    /// IO-bound on socket reads, so the default is twice the available
+    /// cores, bounded away from degenerate extremes.
+    pub workers: usize,
+    /// Depth of the connection queue between `accept` and the workers
+    /// (clamped to at least 1). With every worker busy and the queue
+    /// full, the accept loop itself blocks, so back-pressure reaches the
+    /// kernel accept backlog instead of growing heap state.
+    pub conn_queue: usize,
     /// Owner-channel capacity: completed transactions waiting for
     /// [`SmtpServer::drain`]/[`SmtpServer::received`]. A full channel
     /// blocks the session that produced the message, which holds its
@@ -79,10 +53,12 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
+        let cores = std::thread::available_parallelism().map_or(4, usize::from);
         ServerOptions {
             read_timeout: Duration::from_secs(30),
             telemetry: TelemetryConfig::default(),
-            model: ConcurrencyModel::default_pool(),
+            workers: (cores * 2).clamp(4, 64),
+            conn_queue: 256,
             owner_queue: 1024,
         }
     }
@@ -108,8 +84,8 @@ impl SmtpServer {
         SmtpServer::bind_with(addr, policy, ServerOptions::default())
     }
 
-    /// Like [`SmtpServer::bind`], with explicit
-    /// timeout/telemetry/concurrency options.
+    /// Like [`SmtpServer::bind`], with explicit timeout, telemetry and
+    /// pool options.
     pub fn bind_with(
         addr: &str,
         policy: ServerPolicy,
@@ -125,11 +101,8 @@ impl SmtpServer {
         let telemetry = SmtpTelemetry::new(&options.telemetry);
         let flag = shutdown.clone();
         let tm = telemetry.clone();
-        let read_timeout = options.read_timeout;
-        let model = options.model;
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, policy, tx, flag, tm, read_timeout, model)
-        });
+        let accept_thread =
+            std::thread::spawn(move || accept_loop(listener, policy, tx, flag, tm, &options));
         Ok(SmtpServer {
             addr: local,
             shutdown,
@@ -196,76 +169,19 @@ impl Drop for SmtpServer {
     }
 }
 
+/// A bounded connection queue fans accepted sockets out to
+/// `options.workers` long-lived session threads.
 fn accept_loop(
     listener: TcpListener,
     policy: ServerPolicy,
     tx: Sender<ReceivedEmail>,
     shutdown: Arc<AtomicBool>,
     telemetry: Arc<SmtpTelemetry>,
-    read_timeout: Duration,
-    model: ConcurrencyModel,
+    options: &ServerOptions,
 ) {
-    match model {
-        ConcurrencyModel::ThreadPerConnection => {
-            thread_per_connection_loop(listener, policy, tx, shutdown, telemetry, read_timeout)
-        }
-        ConcurrencyModel::WorkerPool { workers, queue } => worker_pool_loop(
-            listener,
-            policy,
-            tx,
-            shutdown,
-            telemetry,
-            read_timeout,
-            workers.max(1),
-            queue.max(1),
-        ),
-    }
-}
-
-/// The baseline model: spawn-per-connection with opportunistic reaping.
-fn thread_per_connection_loop(
-    listener: TcpListener,
-    policy: ServerPolicy,
-    tx: Sender<ReceivedEmail>,
-    shutdown: Arc<AtomicBool>,
-    telemetry: Arc<SmtpTelemetry>,
-    read_timeout: Duration,
-) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        telemetry.accept_queue_depth(0);
-        let tx = tx.clone();
-        let policy = policy.clone();
-        let tm = telemetry.clone();
-        handlers.push(std::thread::spawn(move || {
-            serve_connection(stream, &policy, &tx, read_timeout, &tm);
-        }));
-        // Opportunistically reap finished handlers.
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-/// The pooled model: a bounded connection queue fans accepted sockets
-/// out to `workers` long-lived session threads.
-#[allow(clippy::too_many_arguments)]
-fn worker_pool_loop(
-    listener: TcpListener,
-    policy: ServerPolicy,
-    tx: Sender<ReceivedEmail>,
-    shutdown: Arc<AtomicBool>,
-    telemetry: Arc<SmtpTelemetry>,
-    read_timeout: Duration,
-    workers: usize,
-    queue: usize,
-) {
-    let (conn_tx, conn_rx) = bounded::<TcpStream>(queue);
+    let read_timeout = options.read_timeout;
+    let (conn_tx, conn_rx) = bounded::<TcpStream>(options.conn_queue.max(1));
+    let workers = options.workers.max(1);
     let mut pool = Vec::with_capacity(workers);
     for _ in 0..workers {
         let conn_rx = conn_rx.clone();
@@ -465,12 +381,23 @@ mod tests {
         )
     }
 
-    fn pool_options(workers: usize, queue: usize, owner_queue: usize) -> ServerOptions {
+    fn pool_options(workers: usize, conn_queue: usize, owner_queue: usize) -> ServerOptions {
         ServerOptions {
-            model: ConcurrencyModel::WorkerPool { workers, queue },
+            workers,
+            conn_queue,
             owner_queue,
             ..ServerOptions::default()
         }
+    }
+
+    #[test]
+    fn default_options_keep_the_pool_geometry() {
+        let cores = std::thread::available_parallelism().map_or(4, usize::from);
+        let o = ServerOptions::default();
+        assert_eq!(o.workers, (cores * 2).clamp(4, 64));
+        assert_eq!((o.conn_queue, o.owner_queue), (256, 1024));
+        assert_eq!(o.read_timeout, Duration::from_secs(30));
+        assert_eq!(o.telemetry.sample_every, 16);
     }
 
     #[test]
@@ -489,25 +416,6 @@ mod tests {
         assert_eq!(received.len(), 1);
         assert_eq!(received[0].rcpt_to[0].to_string(), "bob@gmial.com");
         assert!(received[0].data.contains("over real TCP"));
-    }
-
-    #[test]
-    fn loopback_delivery_thread_per_connection() {
-        let options = ServerOptions {
-            model: ConcurrencyModel::ThreadPerConnection,
-            ..ServerOptions::default()
-        };
-        let server = SmtpServer::bind_with("127.0.0.1:0", policy(), options).unwrap();
-        let outcome = send_email(
-            &server.addr().to_string(),
-            email("bob@gmial.com", "legacy model"),
-            "client.example",
-            false,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert_eq!(outcome, ClientOutcome::Accepted);
-        assert_eq!(server.shutdown().len(), 1);
     }
 
     #[test]

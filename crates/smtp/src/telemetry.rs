@@ -1,8 +1,7 @@
 //! Live serving telemetry for the TCP SMTP server.
 //!
-//! This is the only wall-clock module in `ets-smtp` — `ets-lint`'s
-//! `nondeterministic-source` allowlist admits exactly
-//! `crates/smtp/src/telemetry.rs`, mirroring `crates/obs/src/clock.rs`.
+//! Session timing reads [`ets_obs::clock::monotonic_micros`] once per
+//! phase boundary; `ets-smtp` itself never touches the wall clock.
 //! Everything recorded here is *serving-side* observability (latency
 //! quantiles, in-flight gauges, per-session samples): it never feeds
 //! `results/*.json`, so the determinism boundary of the analytical
@@ -28,6 +27,7 @@
 //!   exposed as the `smtp_sessions` section of `/snapshot.json`.
 
 use crate::fault::DeliveryOutcome;
+use ets_obs::clock::monotonic_micros;
 use ets_obs::latency::{self, AtomicLatencyHistogram};
 use ets_obs::metrics;
 use parking_lot::Mutex;
@@ -35,7 +35,6 @@ use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Telemetry tuning knobs, part of the server's
 /// [`ServerOptions`](crate::server::ServerOptions).
@@ -140,9 +139,8 @@ impl SmtpTelemetry {
     }
 
     /// Called by the accept loop on every accepted connection; `depth`
-    /// is the bounded connection queue's backlog at accept time (always
-    /// `0` under the thread-per-connection model, which has no queue).
-    /// When this gauge rides near the configured queue depth, the next
+    /// is the bounded connection queue's backlog at accept time. When
+    /// this gauge rides near the configured queue depth, the next
     /// back-pressure stage is the kernel accept backlog.
     pub fn accept_queue_depth(&self, depth: usize) {
         metrics::gauge_set("smtp.accept_queue_depth", depth as f64);
@@ -162,12 +160,11 @@ impl SmtpTelemetry {
         metrics::counter_add("smtp.connections", 1);
         let open = self.open.fetch_add(1, Ordering::Relaxed) + 1;
         metrics::gauge_set("smtp.open_connections", open as f64);
-        let now = Instant::now();
+        let now = monotonic_micros();
         SessionObserver {
             telemetry: self.clone(),
-            start: now,
-            last: now,
-            start_us: ets_obs::clock::monotonic_micros(),
+            start_us: now,
+            last_us: now,
             phases: Vec::new(),
             commands: 0,
             accepted: 0,
@@ -188,7 +185,7 @@ impl SmtpTelemetry {
     }
 
     fn finish_session(&self, observer: &mut SessionObserver, err: Option<&io::Error>) {
-        let total_us = elapsed_us(&observer.start);
+        let total_us = monotonic_micros().saturating_sub(observer.start_us);
         self.session_us.record(total_us);
         let outcome = observer.classify(err);
         metrics::counter_add(
@@ -215,19 +212,15 @@ impl SmtpTelemetry {
     }
 }
 
-/// Microseconds elapsed since `t`, saturated into `u64`.
-fn elapsed_us(t: &Instant) -> u64 {
-    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
 /// Per-session phase timer and outcome classifier, created by
 /// [`SmtpTelemetry::session_start`] and driven by the connection
 /// handler.
 pub struct SessionObserver {
     telemetry: Arc<SmtpTelemetry>,
-    start: Instant,
-    last: Instant,
+    /// Session start, microseconds on the `ets_obs::clock` epoch.
     start_us: u64,
+    /// The previous phase boundary, same clock.
+    last_us: u64,
     phases: Vec<(&'static str, u64)>,
     commands: u32,
     accepted: u32,
@@ -238,10 +231,11 @@ pub struct SessionObserver {
 
 impl SessionObserver {
     /// Duration since the previous phase boundary; advances the
-    /// boundary.
+    /// boundary with the same clock read.
     fn phase_us(&mut self) -> u64 {
-        let us = elapsed_us(&self.last);
-        self.last = Instant::now();
+        let now = monotonic_micros();
+        let us = now.saturating_sub(self.last_us);
+        self.last_us = now;
         us
     }
 

@@ -62,9 +62,9 @@ fn analytical_results_json() -> String {
 
 /// A small paper-mix storm against an in-process worker-pool server.
 fn storm_cfg() -> (RunConfig, ServerSpec) {
-    let mut spec = ServerSpec::pool();
-    spec.read_timeout = Duration::from_millis(60);
-    let mut cfg = RunConfig::smoke(spec.read_timeout);
+    let mut spec = ServerSpec::default();
+    spec.options.read_timeout = Duration::from_millis(60);
+    let mut cfg = RunConfig::smoke(spec.options.read_timeout);
     cfg.connections = 4;
     cfg.requests_per_conn = 12;
     (cfg, spec)

@@ -11,18 +11,19 @@
 //!   the overflow bucket and the empty histogram, and merging split
 //!   recordings must equal recording everything into one histogram.
 //! * **Exposition** — a real `SmtpServer` with telemetry enabled,
-//!   driven through all five Table 5 outcomes over loopback TCP, must
-//!   serve a grammatically valid Prometheus `/metrics` scrape with the
-//!   full outcome counter family and latency quantiles, a parseable
-//!   `/snapshot.json`, and `/healthz`.
+//!   driven through all five Table 5 outcomes over loopback TCP by
+//!   `ets-loadgen`'s scenario runner, must serve a grammatically valid
+//!   Prometheus `/metrics` scrape with the full outcome counter family
+//!   and latency quantiles, a parseable `/snapshot.json`, and `/healthz`.
 
+use ets_loadgen::runner::{execute, RunConfig};
+use ets_loadgen::scenario::Scenario;
 use ets_obs::latency::LatencyHistogram;
 use ets_obs::metrics;
-use ets_smtp::net_client::send_email;
+use ets_smtp::fault::DeliveryOutcome;
 use ets_smtp::server::{ServerOptions, SmtpServer};
 use ets_smtp::session::ServerPolicy;
-use ets_smtp::telemetry::TelemetryConfig;
-use ets_smtp::Email;
+use ets_smtp::telemetry::{outcome_label, TelemetryConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -221,72 +222,14 @@ fn assert_exposition_grammar(body: &str) {
     }
 }
 
-/// Drives one session per Table 5 outcome against `addr` (the same mix
-/// as `ets-smtp --drive`): accepted delivery, foreign-recipient bounce,
-/// stall past the read timeout, silent connect-and-drop, and protocol
-/// garbage. Outcome counters land asynchronously as the handler threads
-/// resolve; the caller polls the scrape rather than assuming they are
-/// visible on return.
-/// The five Table 5 delivery-outcome rows, as counter-name suffixes.
-const OUTCOMES: [&str; 5] = [
-    "no_error",
-    "bounce",
-    "timeout",
-    "network_error",
-    "other_error",
-];
-
-fn drive_outcome(addr: &str, read_timeout: Duration, outcome: &str) {
-    let client_timeout = Duration::from_secs(5);
-    match outcome {
-        "no_error" => {
-            let ok = Email::new(
-                Some("alice@gmail.com".parse().expect("address")),
-                vec!["bob@gmial.com".parse().expect("address")],
-                "Subject: hi\r\n\r\nhello".to_owned(),
-            );
-            send_email(addr, ok, "probe.example", false, client_timeout)
-                .expect("accepted delivery");
-        }
-        "bounce" => {
-            let foreign = Email::new(
-                Some("alice@gmail.com".parse().expect("address")),
-                vec!["bob@unrelated.example".parse().expect("address")],
-                "Subject: hi\r\n\r\nhello".to_owned(),
-            );
-            send_email(addr, foreign, "probe.example", false, client_timeout)
-                .expect("bounced delivery");
-        }
-        // Timeout: greet then stall.
-        "timeout" => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.set_read_timeout(Some(client_timeout)).expect("timeout");
-            let mut banner = [0u8; 256];
-            let _ = s.read(&mut banner);
-            std::thread::sleep(read_timeout + Duration::from_millis(200));
-        }
-        // NetworkError: connect and vanish.
-        "network_error" => {
-            drop(TcpStream::connect(addr).expect("connect"));
-        }
-        // OtherError: chatter without a transaction.
-        _ => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.set_read_timeout(Some(client_timeout)).expect("timeout");
-            let mut buf = [0u8; 256];
-            let _ = s.read(&mut buf);
-            s.write_all(b"XYZZY plugh\r\n").expect("write");
-            let _ = s.read(&mut buf);
-        }
-    }
-}
-
-fn drive_all_five_outcomes(addr: &str, read_timeout: Duration) {
-    for o in OUTCOMES {
-        drive_outcome(addr, read_timeout, o);
-    }
-    // Let the handler threads resolve their observers.
-    std::thread::sleep(Duration::from_millis(400));
+/// Drives one session that a correct server resolves to `row`: the
+/// loadgen scenario whose expected outcome is that Table 5 row.
+fn drive_row(addr: &str, cfg: &RunConfig, row: DeliveryOutcome) {
+    let scenario = Scenario::ALL
+        .into_iter()
+        .find(|s| s.expected_outcome() == row)
+        .expect("every Table 5 row has a scenario");
+    execute(addr, scenario, 0, 0, cfg);
 }
 
 #[test]
@@ -315,8 +258,14 @@ fn live_scrape_shows_outcomes_and_quantiles() {
     )
     .expect("bind telemetry");
     let tele_addr = telemetry.addr().to_string();
+    let smtp_addr = server.addr().to_string();
+    let cfg = RunConfig::smoke(read_timeout);
 
-    drive_all_five_outcomes(&server.addr().to_string(), read_timeout);
+    for row in DeliveryOutcome::ALL {
+        drive_row(&smtp_addr, &cfg, row);
+    }
+    // Let the handler threads resolve their observers.
+    std::thread::sleep(Duration::from_millis(400));
 
     let (status, _, body) = http_get(&tele_addr, "/healthz");
     assert!(status.contains("200"), "{status}");
@@ -326,22 +275,21 @@ fn live_scrape_shows_outcomes_and_quantiles() {
     // scrape cache refreshes on a tick, so poll until the full outcome
     // family is visible (bounded by a deadline) rather than racing a
     // fixed sleep.
-    let outcome_value = |body: &str, outcome: &str| -> f64 {
+    let outcome_value = |body: &str, row: DeliveryOutcome| -> f64 {
+        let series = format!("smtp_session_outcome_{} ", outcome_label(row));
         body.lines()
-            .find(|l| l.starts_with(&format!("smtp_session_outcome_{outcome} ")))
+            .find(|l| l.starts_with(&series))
             .and_then(|l| l.rsplit_once(' '))
             .and_then(|(_, v)| v.parse().ok())
             .unwrap_or(0.0)
     };
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let smtp_addr = server.addr().to_string();
     let (headers, body) = loop {
         let (status, headers, body) = http_get(&tele_addr, "/metrics");
         assert!(status.contains("200"), "{status}");
-        let missing: Vec<&str> = OUTCOMES
-            .iter()
-            .copied()
-            .filter(|o| outcome_value(&body, o) < 1.0)
+        let missing: Vec<DeliveryOutcome> = DeliveryOutcome::ALL
+            .into_iter()
+            .filter(|&row| outcome_value(&body, row) < 1.0)
             .collect();
         if missing.is_empty() {
             break (headers, body);
@@ -356,8 +304,8 @@ fn live_scrape_shows_outcomes_and_quantiles() {
         // Timeout), so re-drive whatever is still missing instead of
         // sleeping and hoping: every assertion is `>= 1`, extra sessions
         // only raise counts.
-        for o in missing {
-            drive_outcome(&smtp_addr, read_timeout, o);
+        for row in missing {
+            drive_row(&smtp_addr, &cfg, row);
         }
         std::thread::sleep(Duration::from_millis(100));
     };
