@@ -44,41 +44,11 @@ fn bench_long_strings(c: &mut Criterion) {
     });
 }
 
-fn bench_legacy_kernels(c: &mut Criterion) {
-    // Pre-optimization char-matrix reference kernels over the same pairs,
-    // so the two-row byte kernels' speedup is measured side by side.
-    c.bench_function("damerau_levenshtein_legacy/6-pairs", |b| {
-        b.iter(|| {
-            for (x, y) in DISTANCE_PAIRS {
-                black_box(distance::damerau_levenshtein_legacy(
-                    black_box(x),
-                    black_box(y),
-                ));
-            }
-        })
-    });
-    c.bench_function("fat_finger_legacy/6-pairs", |b| {
-        b.iter(|| {
-            for (x, y) in DISTANCE_PAIRS {
-                black_box(distance::fat_finger_legacy(black_box(x), black_box(y)));
-            }
-        })
-    });
-    c.bench_function("visual_legacy/6-pairs", |b| {
-        b.iter(|| {
-            for (x, y) in DISTANCE_PAIRS {
-                black_box(distance::visual_legacy(black_box(x), black_box(y)));
-            }
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_damerau,
     bench_fat_finger,
     bench_visual,
-    bench_long_strings,
-    bench_legacy_kernels
+    bench_long_strings
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! `ets-scan` benchmarks: the compiled case-folding automaton against
 //! the repeated `to_ascii_lowercase` + `str::contains` scan it replaces,
 //! plus the two collector layers that moved onto it (spam scoring and
-//! sensitive-info scrubbing, each with its retained legacy path).
+//! sensitive-info scrubbing).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ets_collector::corpus::{self, SpamDataset};
@@ -75,15 +75,6 @@ fn bench_spamscore(c: &mut Criterion) {
             black_box(total)
         })
     });
-    c.bench_function("spamscore_legacy/400-emails", |b| {
-        b.iter(|| {
-            let mut total = 0.0f64;
-            for m in &emails {
-                total += scorer.score_legacy(black_box(m)).score;
-            }
-            black_box(total)
-        })
-    });
 }
 
 fn bench_scrub(c: &mut Criterion) {
@@ -93,15 +84,6 @@ fn bench_scrub(c: &mut Criterion) {
             let mut findings = 0usize;
             for t in &texts {
                 findings += scrub::scrub(black_box(t)).findings.len();
-            }
-            black_box(findings)
-        })
-    });
-    c.bench_function("scrub_legacy/300-bodies", |b| {
-        b.iter(|| {
-            let mut findings = 0usize;
-            for t in &texts {
-                findings += scrub::scrub_legacy(black_box(t)).findings.len();
             }
             black_box(findings)
         })

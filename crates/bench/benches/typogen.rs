@@ -34,23 +34,10 @@ fn bench_target_list(c: &mut Criterion) {
     });
 }
 
-fn bench_legacy_vs_table(c: &mut Criterion) {
-    // The pre-optimization string generator against the byte-level
-    // table engine, same target — the tentpole speedup, measured.
-    let target: DomainName = "outlook.com".parse().unwrap();
-    c.bench_function("generate_dl1_legacy/outlook.com", |b| {
-        b.iter(|| black_box(typogen::generate_dl1_legacy(black_box(&target))))
-    });
-    c.bench_function("typo_table_generate/outlook.com", |b| {
-        b.iter(|| black_box(typogen::TypoTable::generate(black_box(&target))))
-    });
-}
-
 criterion_group!(
     benches,
     bench_single_target,
     bench_ff1_subset,
-    bench_target_list,
-    bench_legacy_vs_table
+    bench_target_list
 );
 criterion_main!(benches);

@@ -541,7 +541,8 @@ fn header_cue_set() -> &'static PatternSet<()> {
 /// senders, disagreeing From/Reply-To/Return-Path, list-mail body
 /// phrases, system-user senders. Phrase and header-cue checks run on
 /// compiled `ets-scan` sets — one case-folding pass per text, no
-/// lowercased copies.
+/// lowercased copies. The lowercase-and-`contains` form it replaced is
+/// the oracle of this module's unit tests.
 pub fn reflection_mail(email: &CollectedEmail) -> bool {
     let m = &email.message;
     if m.headers.contains("List-Unsubscribe") {
@@ -566,47 +567,6 @@ pub fn reflection_mail(email: &CollectedEmail) -> bool {
     // Body phrases.
     if reflection_phrase_set().any_match(&m.body) {
         return true;
-    }
-    // System-user senders.
-    if let Some(from) = m.from_addr().or_else(|| email.mail_from.clone()) {
-        if from.is_system_user() {
-            return true;
-        }
-    }
-    false
-}
-
-/// The pre-`ets-scan` Layer-4 predicate (lowercase-then-`contains` per
-/// phrase), retained verbatim for the equivalence suite and the scan
-/// microbenches.
-pub fn reflection_mail_legacy(email: &CollectedEmail) -> bool {
-    let m = &email.message;
-    if m.headers.contains("List-Unsubscribe") {
-        return true;
-    }
-    for h in ["Sender", "From", "Reply-To"] {
-        if let Some(v) = m.headers.get(h) {
-            let v = v.to_ascii_lowercase();
-            if v.contains("bounce") || v.contains("unsubscribe") {
-                return true;
-            }
-        }
-    }
-    // Any two of From / Reply-To / Return-Path disagreeing.
-    let addrs: Vec<String> = [m.from_addr(), m.reply_to_addr(), m.return_path_addr()]
-        .into_iter()
-        .flatten()
-        .map(|a| a.to_string())
-        .collect();
-    if addrs.len() >= 2 && addrs.iter().any(|a| a != &addrs[0]) {
-        return true;
-    }
-    // Body phrases.
-    let body = m.body.to_ascii_lowercase();
-    for phrase in REFLECTION_PHRASES {
-        if body.contains(phrase) {
-            return true;
-        }
     }
     // System-user senders.
     if let Some(from) = m.from_addr().or_else(|| email.mail_from.clone()) {
@@ -668,6 +628,46 @@ fn fnv_addr(a: &ets_mail::EmailAddress) -> u64 {
 mod tests {
     use super::*;
     use crate::traffic::{TrafficConfig, TrafficGenerator, TrueKind};
+
+    /// The pre-`ets-scan` Layer-4 predicate (lowercase-then-`contains` per
+    /// phrase): the oracle of `reflection_scan_path_matches_legacy`.
+    fn reflection_mail_legacy(email: &CollectedEmail) -> bool {
+        let m = &email.message;
+        if m.headers.contains("List-Unsubscribe") {
+            return true;
+        }
+        for h in ["Sender", "From", "Reply-To"] {
+            if let Some(v) = m.headers.get(h) {
+                let v = v.to_ascii_lowercase();
+                if v.contains("bounce") || v.contains("unsubscribe") {
+                    return true;
+                }
+            }
+        }
+        // Any two of From / Reply-To / Return-Path disagreeing.
+        let addrs: Vec<String> = [m.from_addr(), m.reply_to_addr(), m.return_path_addr()]
+            .into_iter()
+            .flatten()
+            .map(|a| a.to_string())
+            .collect();
+        if addrs.len() >= 2 && addrs.iter().any(|a| a != &addrs[0]) {
+            return true;
+        }
+        // Body phrases.
+        let body = m.body.to_ascii_lowercase();
+        for phrase in REFLECTION_PHRASES {
+            if body.contains(phrase) {
+                return true;
+            }
+        }
+        // System-user senders.
+        if let Some(from) = m.from_addr().or_else(|| email.mail_from.clone()) {
+            if from.is_system_user() {
+                return true;
+            }
+        }
+        false
+    }
 
     fn run(seed: u64) -> (Vec<crate::traffic::GenEmail>, Vec<FunnelVerdict>) {
         let infra = CollectionInfra::build();

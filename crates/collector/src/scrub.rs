@@ -15,8 +15,9 @@
 //! pass locates every cue, and the expensive per-candidate validators
 //! only run near real hits — no `to_ascii_lowercase` copy of the text or
 //! of each candidate's context window. The pre-automaton recognizers are
-//! retained behind [`scrub_legacy`] for the equivalence suite and the
-//! scan microbenches.
+//! retained behind [`scrub_legacy`], the oracle of the equivalence suite
+//! `tests/scan_equivalence.rs`; they share the private shape, keyword and
+//! cue tables with [`scrub`], so they live beside them.
 
 use ets_scan::{contains_fold, PatternSet};
 use serde::{Deserialize, Serialize};
@@ -192,9 +193,8 @@ pub fn scrub(text: &str) -> ScrubResult {
 
 /// The pre-`ets-scan` scrubber: identical recognizer lineup, but the
 /// keyword-cued recognizers lowercase the text (and each candidate's
-/// context window) and rescan per keyword. Retained as the reference for
-/// the equivalence suite and the `scan_scrub` microbench; output is
-/// byte-identical with [`scrub`].
+/// context window) and rescan per keyword. Retained as the oracle of the
+/// equivalence suite; output is byte-identical with [`scrub`].
 pub fn scrub_legacy(text: &str) -> ScrubResult {
     let mut findings = Vec::new();
     find_credit_cards(text, &mut findings);
@@ -204,9 +204,9 @@ pub fn scrub_legacy(text: &str) -> ScrubResult {
     find_dates(text, &mut findings);
     find_vins(text, &mut findings);
     find_emails(text, &mut findings);
-    find_context_tokens_legacy(text, &mut findings);
-    find_zips_legacy(text, &mut findings);
-    find_id_numbers_legacy(text, &mut findings);
+    find_context_tokens_rescan(text, &mut findings);
+    find_zips_rescan(text, &mut findings);
+    find_id_numbers_rescan(text, &mut findings);
     assemble(text, findings)
 }
 
@@ -649,8 +649,8 @@ fn find_context_tokens(text: &str, out: &mut Vec<Finding>) {
 }
 
 /// The pre-`ets-scan` credential recognizer (lowercase text, rescan per
-/// keyword), retained for the equivalence suite.
-fn find_context_tokens_legacy(text: &str, out: &mut Vec<Finding>) {
+/// keyword), retained for [`scrub_legacy`].
+fn find_context_tokens_rescan(text: &str, out: &mut Vec<Finding>) {
     let lower = text.to_ascii_lowercase();
     for (kw, kind) in CONTEXT_KEYWORDS {
         let mut from = 0usize;
@@ -726,8 +726,8 @@ fn find_zips(text: &str, out: &mut Vec<Finding>) {
 }
 
 /// The pre-`ets-scan` ZIP recognizer (lowercase allocation per candidate
-/// prefix), retained for the equivalence suite.
-fn find_zips_legacy(text: &str, out: &mut Vec<Finding>) {
+/// prefix), retained for [`scrub_legacy`].
+fn find_zips_rescan(text: &str, out: &mut Vec<Finding>) {
     let bytes = text.as_bytes();
     find_shape(text, "#####-####", SensitiveKind::Zip, out);
     if bytes.len() < 5 {
@@ -810,9 +810,8 @@ fn find_id_numbers(text: &str, out: &mut Vec<Finding>) {
 }
 
 /// The pre-`ets-scan` id-number recognizer (lowercase the whole text,
-/// nine `contains` probes per digit run), retained for the equivalence
-/// suite and microbenches.
-fn find_id_numbers_legacy(text: &str, out: &mut Vec<Finding>) {
+/// nine `contains` probes per digit run), retained for [`scrub_legacy`].
+fn find_id_numbers_rescan(text: &str, out: &mut Vec<Finding>) {
     let lower = text.to_ascii_lowercase();
     let bytes = text.as_bytes();
     let mut i = 0usize;

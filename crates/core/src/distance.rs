@@ -12,16 +12,80 @@
 //!   *looks*, built from per-character confusability weights (`o`/`0` and
 //!   `l`/`1` are nearly invisible; `g`/`h` is glaring).
 //!
-//! Domain labels are ASCII, so every metric has a byte-level kernel: the
-//! DL distance runs a three-row DP with common-affix trimming and early
-//! outs, the fat-finger DP reads the `const` [`keyboard::ADJACENCY`]
-//! table, and the visual DP reads `const` per-byte-pair confusability and
-//! glyph-prominence tables. Each fast kernel performs the *same*
-//! floating-point operations in the same order as the original `char`
-//! implementation, so results are bit-identical; the originals survive as
-//! `*_legacy` reference functions for equivalence tests and benchmarks.
+//! Each metric is one rolling-row DP, generic over the crate-private
+//! `Symbol` trait. Domain labels are ASCII, so the hot paths run it on
+//! bytes, where every keyboard or glyph question is one load from the
+//! `const` [`keyboard::ADJACENCY`], [`GLYPH`] and [`CONFUSABILITY`]
+//! tables; any other input runs the same recurrence on `char`s. The
+//! equivalence suite `tests/typo_equivalence.rs` holds the textbook
+//! full-matrix forms and checks every kernel against them, bitwise for
+//! the visual distance, on ASCII and non-ASCII input.
 
 use crate::keyboard;
+
+/// A character the distance kernels compare: a byte of an ASCII label or
+/// a `char` of anything else. The `char` impl hands ASCII to the byte
+/// tables, so both impls agree wherever both apply.
+pub(crate) trait Symbol: Copy + Eq {
+    /// Whether the two keys are QWERTY neighbors.
+    fn adjacent(self, other: Self) -> bool;
+    /// Visual weight of the glyph when it is inserted or deleted.
+    fn glyph(self) -> f64;
+    /// Visual cost of typing `typed` where `self` was intended.
+    fn confusability(self, typed: Self) -> f64;
+}
+
+impl Symbol for u8 {
+    #[inline]
+    fn adjacent(self, other: u8) -> bool {
+        keyboard::adjacent_bytes(self, other)
+    }
+
+    #[inline]
+    fn glyph(self) -> f64 {
+        GLYPH[self as usize]
+    }
+
+    #[inline]
+    fn confusability(self, typed: u8) -> f64 {
+        CONFUSABILITY[self as usize][typed as usize]
+    }
+}
+
+impl Symbol for char {
+    fn adjacent(self, other: char) -> bool {
+        keyboard::adjacent(self, other)
+    }
+
+    fn glyph(self) -> f64 {
+        if self.is_ascii() {
+            (self as u8).glyph()
+        } else {
+            0.7
+        }
+    }
+
+    fn confusability(self, typed: char) -> f64 {
+        if self.is_ascii() && typed.is_ascii() {
+            return (self as u8).confusability(typed as u8);
+        }
+        // A non-ASCII glyph is in no look-alike pair; the class rules of
+        // `confusability_scan` decide.
+        if self == typed {
+            0.0
+        } else if self.is_ascii_digit() || typed.is_ascii_digit() {
+            0.9
+        } else if self == '-' || typed == '-' {
+            0.6
+        } else {
+            0.8
+        }
+    }
+}
+
+fn chars(s: &str) -> Vec<char> {
+    s.chars().collect()
+}
 
 /// Damerau-Levenshtein distance (restricted edit distance with adjacent
 /// transpositions), computed over the full strings.
@@ -40,19 +104,10 @@ use crate::keyboard;
 /// ```
 pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
     if a.is_ascii() && b.is_ascii() {
-        dl_bytes(a.as_bytes(), b.as_bytes())
+        dl_rows(a.as_bytes(), b.as_bytes())
     } else {
-        damerau_levenshtein_legacy(a, b)
+        dl_rows(&chars(a), &chars(b))
     }
-}
-
-/// Reference `char`-level implementation of [`damerau_levenshtein`]
-/// (full DP matrix, no early-outs). Kept for the equivalence property
-/// tests and the `legacy` sides of the `ets-bench` microbenchmarks.
-pub fn damerau_levenshtein_legacy(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    dl_matrix(&a, &b)
 }
 
 /// Fat-finger distance: like [`damerau_levenshtein`], but substitutions and
@@ -81,30 +136,12 @@ pub fn damerau_levenshtein_legacy(a: &str, b: &str) -> usize {
 /// assert_ne!(fat_finger("verizon", "vexizon"), Some(1));  // x not near r
 /// ```
 pub fn fat_finger(a: &str, b: &str) -> Option<usize> {
-    if a.is_ascii() && b.is_ascii() {
-        let d = dl_rows_ff_bytes(a.as_bytes(), b.as_bytes());
-        if d > a.len() + b.len() {
-            None
-        } else {
-            Some(d)
-        }
+    let d = if a.is_ascii() && b.is_ascii() {
+        fat_finger_rows(a.as_bytes(), b.as_bytes())
     } else {
-        fat_finger_legacy(a, b)
-    }
-}
-
-/// Reference `char`-level implementation of [`fat_finger`] (full DP
-/// matrix, per-call adjacency scans). Kept for equivalence tests and the
-/// `legacy` sides of the `ets-bench` microbenchmarks.
-pub fn fat_finger_legacy(a: &str, b: &str) -> Option<usize> {
-    let av: Vec<char> = a.chars().collect();
-    let bv: Vec<char> = b.chars().collect();
-    let d = dl_matrix_ff(&av, &bv);
-    if d > av.len() + bv.len() {
-        None
-    } else {
-        Some(d)
-    }
+        fat_finger_rows(&chars(a), &chars(b))
+    };
+    (d < INF).then_some(d)
 }
 
 /// True when `typo` is at fat-finger distance exactly one from `target`.
@@ -118,12 +155,11 @@ pub fn is_dl1(target: &str, typo: &str) -> bool {
     damerau_levenshtein(target, typo) == 1
 }
 
-/// Byte-level DL kernel: trims the common prefix/suffix, then runs a
-/// three-row DP over what remains. Distance-preserving for the OSA
-/// variant (transpositions never span a matched boundary character
-/// profitably); the property suite cross-checks this against the full
-/// matrix on random inputs.
-fn dl_bytes(a: &[u8], b: &[u8]) -> usize {
+/// The DL recurrence: trims the common prefix/suffix, then runs three
+/// rolling rows over what remains. Trimming preserves the OSA distance
+/// (a transposition never spans a matched boundary character
+/// profitably).
+fn dl_rows<S: Symbol>(a: &[S], b: &[S]) -> usize {
     let mut lo = 0;
     let (mut ahi, mut bhi) = (a.len(), b.len());
     while lo < ahi && lo < bhi && a[lo] == b[lo] {
@@ -163,48 +199,20 @@ fn dl_bytes(a: &[u8], b: &[u8]) -> usize {
     prev[m]
 }
 
-#[allow(clippy::needless_range_loop)] // DP matrix init reads clearer indexed
-fn dl_matrix(a: &[char], b: &[char]) -> usize {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    let w = m + 1;
-    let mut d = vec![0usize; (n + 1) * w];
-    for i in 0..=n {
-        d[i * w] = i;
-    }
-    for j in 0..=m {
-        d[j] = j;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (d[(i - 1) * w + j] + 1) // deletion
-                .min(d[i * w + j - 1] + 1) // insertion
-                .min(d[(i - 1) * w + j - 1] + cost); // substitution / match
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(d[(i - 2) * w + j - 2] + 1); // transposition
-            }
-            d[i * w + j] = best;
-        }
-    }
-    d[n * w + m]
-}
-
-/// Unreachable-alignment sentinel for the fat-finger DPs.
+/// Unreachable-alignment sentinel for the fat-finger DP.
 const INF: usize = usize::MAX / 4;
 
-/// Byte-level fat-finger DL kernel: same recurrence as [`dl_matrix_ff`],
-/// but three rolling rows and [`keyboard::ADJACENCY`] lookups instead of
-/// per-cell row scans. No affix trimming — insertion legality depends on
-/// the neighboring *intended* characters, which trimming would remove.
-fn dl_rows_ff_bytes(a: &[u8], b: &[u8]) -> usize {
+/// The fat-finger recurrence over three rolling rows: substitutions
+/// require adjacency between the intended and the typed character;
+/// insertions require the inserted character to be adjacent to (or a
+/// double-press of) a neighboring intended character. No affix trimming:
+/// insertion legality depends on the neighboring *intended* characters,
+/// which trimming would remove.
+fn fat_finger_rows<S: Symbol>(a: &[S], b: &[S]) -> usize {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
+        // With an empty reference there is nothing for an inserted
+        // character to be adjacent to.
         return if n == m { 0 } else { INF };
     }
     let mut prev2 = vec![INF; m + 1];
@@ -214,7 +222,7 @@ fn dl_rows_ff_bytes(a: &[u8], b: &[u8]) -> usize {
     for j in 1..=m {
         // Leading insertions: inserted b[j-1] must neighbor (or equal —
         // doubled keypress) the first intended character a[0].
-        if (b[j - 1] == a[0] || keyboard::adjacent_bytes(b[j - 1], a[0])) && prev[j - 1] < INF {
+        if (b[j - 1] == a[0] || b[j - 1].adjacent(a[0])) && prev[j - 1] < INF {
             prev[j] = prev[j - 1] + 1;
         }
     }
@@ -230,7 +238,7 @@ fn dl_rows_ff_bytes(a: &[u8], b: &[u8]) -> usize {
             // double-press of) an intended character next to the insertion
             // point.
             if cur[j - 1] < INF {
-                let near = |x: u8| b[j - 1] == x || keyboard::adjacent_bytes(b[j - 1], x);
+                let near = |x: S| b[j - 1] == x || b[j - 1].adjacent(x);
                 if near(a[i - 1]) || (i < n && near(a[i])) {
                     best = best.min(cur[j - 1] + 1);
                 }
@@ -239,7 +247,7 @@ fn dl_rows_ff_bytes(a: &[u8], b: &[u8]) -> usize {
             if prev[j - 1] < INF {
                 if a[i - 1] == b[j - 1] {
                     best = best.min(prev[j - 1]);
-                } else if keyboard::adjacent_bytes(a[i - 1], b[j - 1]) {
+                } else if a[i - 1].adjacent(b[j - 1]) {
                     best = best.min(prev[j - 1] + 1);
                 }
             }
@@ -256,71 +264,9 @@ fn dl_rows_ff_bytes(a: &[u8], b: &[u8]) -> usize {
     prev[m]
 }
 
-/// Fat-finger DL matrix: substitutions require adjacency between the
-/// intended and the typed character; insertions require the inserted
-/// character to be adjacent to a neighboring intended character.
-fn dl_matrix_ff(a: &[char], b: &[char]) -> usize {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        // Pure insertion of arbitrary characters is not a fat-finger typo
-        // unless each inserted character is adjacent to something intended;
-        // with an empty reference there is nothing to be adjacent to.
-        return if n == m { 0 } else { INF };
-    }
-    let w = m + 1;
-    let mut d = vec![INF; (n + 1) * w];
-    d[0] = 0;
-    for i in 1..=n {
-        d[i * w] = i; // deletions always allowed
-    }
-    for j in 1..=m {
-        // Leading insertions: inserted b[j-1] must neighbor (or equal —
-        // doubled keypress) the first intended character a[0].
-        if (b[j - 1] == a[0] || keyboard::adjacent(b[j - 1], a[0])) && d[j - 1] < INF {
-            d[j] = d[j - 1] + 1;
-        }
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let mut best = INF;
-            // deletion of a[i-1]
-            if d[(i - 1) * w + j] < INF {
-                best = best.min(d[(i - 1) * w + j] + 1);
-            }
-            // insertion of b[j-1]: the stray key must be adjacent to (or a
-            // double-press of) an intended character next to the insertion
-            // point.
-            if d[i * w + j - 1] < INF {
-                let near = |x: char| b[j - 1] == x || keyboard::adjacent(b[j - 1], x);
-                if near(a[i - 1]) || (i < n && near(a[i])) {
-                    best = best.min(d[i * w + j - 1] + 1);
-                }
-            }
-            // match / substitution
-            if d[(i - 1) * w + j - 1] < INF {
-                if a[i - 1] == b[j - 1] {
-                    best = best.min(d[(i - 1) * w + j - 1]);
-                } else if keyboard::adjacent(a[i - 1], b[j - 1]) {
-                    best = best.min(d[(i - 1) * w + j - 1] + 1);
-                }
-            }
-            // transposition
-            if i > 1
-                && j > 1
-                && a[i - 1] == b[j - 2]
-                && a[i - 2] == b[j - 1]
-                && d[(i - 2) * w + j - 2] < INF
-            {
-                best = best.min(d[(i - 2) * w + j - 2] + 1);
-            }
-            d[i * w + j] = best;
-        }
-    }
-    d[n * w + m]
-}
-
-/// Near-identical glyph pairs (byte form, lowercase).
-const NEAR: &[(u8, u8, f64)] = &[
+/// Near-identical glyph pairs (byte form, lowercase) with their
+/// confusability: the pair list [`CONFUSABILITY`] is built from.
+pub const LOOKALIKES: &[(u8, u8, f64)] = &[
     (b'o', b'0', 0.05),
     (b'l', b'1', 0.05),
     (b'i', b'1', 0.10),
@@ -347,7 +293,7 @@ const NEAR: &[(u8, u8, f64)] = &[
     (b'e', b'3', 0.40),
 ];
 
-/// `const` twin of the confusability scan, used to fill [`CONFUSABILITY`].
+/// Confusability of one ASCII byte pair, used to fill [`CONFUSABILITY`].
 const fn confusability_scan(a: u8, b: u8) -> f64 {
     let a = a.to_ascii_lowercase();
     let b = b.to_ascii_lowercase();
@@ -355,8 +301,8 @@ const fn confusability_scan(a: u8, b: u8) -> f64 {
         return 0.0;
     }
     let mut k = 0;
-    while k < NEAR.len() {
-        let (x, y, v) = NEAR[k];
+    while k < LOOKALIKES.len() {
+        let (x, y, v) = LOOKALIKES[k];
         if (a == x && b == y) || (a == y && b == x) {
             return v;
         }
@@ -391,10 +337,10 @@ const fn build_confusability() -> [[f64; 128]; 128] {
 }
 
 /// Precomputed [`char_confusability`] for every pair of ASCII bytes.
-/// Entries are the exact literals of the scan version, so lookups are
-/// bit-identical to the legacy per-call pair walk. A `static` rather than
-/// a `const` so the 128 KiB table is built exactly once, here, instead of
-/// at every use site.
+/// Entries are the exact literals of the pair list and class rules, so a
+/// lookup is bit-identical to walking [`LOOKALIKES`] per call. A `static`
+/// rather than a `const` so the 128 KiB table is built exactly once,
+/// here, instead of at every use site.
 #[allow(long_running_const_eval)] // 16k-cell table; finite by construction
 pub static CONFUSABILITY: [[f64; 128]; 128] = build_confusability();
 
@@ -407,44 +353,10 @@ pub static CONFUSABILITY: [[f64; 128]; 128] = build_confusability();
 /// two different letters, and that some letter pairs (`i`/`l`, `m`/`n`,
 /// `u`/`v`) are themselves easily confused.
 pub fn char_confusability(intended: char, typed: char) -> f64 {
-    if intended.is_ascii() && typed.is_ascii() {
-        CONFUSABILITY[intended as usize][typed as usize]
-    } else {
-        char_confusability_legacy(intended, typed)
-    }
+    intended.confusability(typed)
 }
 
-/// Reference scan implementation of [`char_confusability`] (pair-list
-/// walk per call). Kept for equivalence tests, benchmarks, and the
-/// non-ASCII fallback.
-pub fn char_confusability_legacy(intended: char, typed: char) -> f64 {
-    let (a, b) = (intended.to_ascii_lowercase(), typed.to_ascii_lowercase());
-    if a == b {
-        return 0.0;
-    }
-    if a.is_ascii() && b.is_ascii() {
-        for &(x, y, v) in NEAR {
-            let (x, y) = (x as char, y as char);
-            if (a == x && b == y) || (a == y && b == x) {
-                return v;
-            }
-        }
-    }
-    let digit_a = a.is_ascii_digit();
-    let digit_b = b.is_ascii_digit();
-    match (digit_a, digit_b) {
-        // Letter for letter: moderately visible.
-        (false, false) if a != '-' && b != '-' => 0.8,
-        // Digit for digit.
-        (true, true) => 0.7,
-        // Letter/digit with no glyph similarity: glaring.
-        (true, false) | (false, true) => 0.9,
-        // Hyphen involved: a dash in a name is conspicuous but thin.
-        _ => 0.6,
-    }
-}
-
-/// `const` twin of [`glyph_prominence`], used to fill [`GLYPH`].
+/// Glyph prominence of one ASCII byte, used to fill [`GLYPH`].
 const fn glyph_scan(c: u8) -> f64 {
     match c {
         b'i' | b'l' | b'1' | b'j' | b'.' | b'-' => 0.35,
@@ -483,24 +395,15 @@ pub const GLYPH: [f64; 128] = build_glyph();
 /// assert!(visual("outlook", "outlo0k") < visual("outlook", "outmook"));
 /// ```
 pub fn visual(target: &str, typo: &str) -> f64 {
+    let mut scratch = VisualScratch::default();
     if target.is_ascii() && typo.is_ascii() {
-        let mut scratch = VisualScratch::default();
-        visual_bytes(target.as_bytes(), typo.as_bytes(), &mut scratch)
+        visual_rows(target.as_bytes(), typo.as_bytes(), &mut scratch)
     } else {
-        visual_legacy(target, typo)
+        visual_rows(&chars(target), &chars(typo), &mut scratch)
     }
 }
 
-/// Reference `char`-level implementation of [`visual`] (full DP matrix,
-/// scan-based confusability). Kept for equivalence tests and the `legacy`
-/// sides of the `ets-bench` microbenchmarks; bit-identical to [`visual`].
-pub fn visual_legacy(target: &str, typo: &str) -> f64 {
-    let a: Vec<char> = target.chars().collect();
-    let b: Vec<char> = typo.chars().collect();
-    visual_cost(&a, &b)
-}
-
-/// Reusable rolling rows for [`visual_bytes`], so the typo engine scores
+/// Reusable rolling rows for [`visual_rows`], so the typo engine scores
 /// thousands of candidates without reallocating.
 #[derive(Default)]
 pub(crate) struct VisualScratch {
@@ -509,10 +412,10 @@ pub(crate) struct VisualScratch {
     cur: Vec<f64>,
 }
 
-/// Byte-level visual DP over three rolling rows. Performs the exact
-/// floating-point operations of [`visual_cost`] in the same order, so the
-/// result is bit-identical; only the storage differs.
-pub(crate) fn visual_bytes(a: &[u8], b: &[u8], s: &mut VisualScratch) -> f64 {
+/// The visual recurrence over three rolling rows. Each cell adds the same
+/// terms in the same order as the full-matrix form, so the result is
+/// bit-identical to it; only the storage differs.
+pub(crate) fn visual_rows<S: Symbol>(a: &[S], b: &[S], s: &mut VisualScratch) -> f64 {
     let (n, m) = (a.len(), b.len());
     let w = m + 1;
     s.prev2.clear();
@@ -523,19 +426,19 @@ pub(crate) fn visual_bytes(a: &[u8], b: &[u8], s: &mut VisualScratch) -> f64 {
     s.cur.resize(w, f64::INFINITY);
     s.prev[0] = 0.0;
     for j in 1..=m {
-        s.prev[j] = s.prev[j - 1] + GLYPH[b[j - 1] as usize];
+        s.prev[j] = s.prev[j - 1] + b[j - 1].glyph();
     }
     let mut col0 = 0.0;
     for i in 1..=n {
-        col0 += GLYPH[a[i - 1] as usize];
+        col0 += a[i - 1].glyph();
         s.cur[0] = col0;
         for j in 1..=m {
-            let del = s.prev[j] + GLYPH[a[i - 1] as usize];
-            let ins = s.cur[j - 1] + GLYPH[b[j - 1] as usize];
+            let del = s.prev[j] + a[i - 1].glyph();
+            let ins = s.cur[j - 1] + b[j - 1].glyph();
             let sub_cost = if a[i - 1] == b[j - 1] {
                 0.0
             } else {
-                CONFUSABILITY[a[i - 1] as usize][b[j - 1] as usize]
+                a[i - 1].confusability(b[j - 1])
             };
             let sub = s.prev[j - 1] + sub_cost;
             let mut best = del.min(ins).min(sub);
@@ -553,51 +456,6 @@ pub(crate) fn visual_bytes(a: &[u8], b: &[u8], s: &mut VisualScratch) -> f64 {
         std::mem::swap(&mut s.prev, &mut s.cur);
     }
     s.prev[m]
-}
-
-fn glyph_prominence(c: char) -> f64 {
-    match c {
-        'i' | 'l' | '1' | 'j' | '.' | '-' => 0.35,
-        't' | 'f' | 'r' => 0.55,
-        'm' | 'w' => 0.9,
-        _ => 0.7,
-    }
-}
-
-fn visual_cost(a: &[char], b: &[char]) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    let w = m + 1;
-    let mut d = vec![f64::INFINITY; (n + 1) * w];
-    d[0] = 0.0;
-    for i in 1..=n {
-        d[i * w] = d[(i - 1) * w] + glyph_prominence(a[i - 1]);
-    }
-    for j in 1..=m {
-        d[j] = d[j - 1] + glyph_prominence(b[j - 1]);
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let del = d[(i - 1) * w + j] + glyph_prominence(a[i - 1]);
-            let ins = d[i * w + j - 1] + glyph_prominence(b[j - 1]);
-            let sub_cost = if a[i - 1] == b[j - 1] {
-                0.0
-            } else {
-                char_confusability_legacy(a[i - 1], b[j - 1])
-            };
-            let sub = d[(i - 1) * w + j - 1] + sub_cost;
-            let mut best = del.min(ins).min(sub);
-            if i > 1
-                && j > 1
-                && a[i - 1] == b[j - 2]
-                && a[i - 2] == b[j - 1]
-                && a[i - 1] != a[i - 2]
-            {
-                best = best.min(d[(i - 2) * w + j - 2] + 0.3);
-            }
-            d[i * w + j] = best;
-        }
-    }
-    d[n * w + m]
 }
 
 #[cfg(test)]
@@ -634,29 +492,6 @@ mod tests {
     fn dl_transposition_not_two_substitutions() {
         assert_eq!(damerau_levenshtein("ab", "ba"), 1);
         assert_eq!(damerau_levenshtein("abcd", "acbd"), 1);
-    }
-
-    #[test]
-    fn dl_fast_matches_legacy_on_affix_cases() {
-        // Cases where trimming interacts with transpositions.
-        let pairs = [
-            ("aab", "aba"),
-            ("aba", "aab"),
-            ("baa", "aba"),
-            ("abab", "baba"),
-            ("xxabyy", "xxbayy"),
-            ("aaaa", "aaa"),
-            ("abcde", "abcde"),
-            ("ab", "ba"),
-            ("a", ""),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(
-                damerau_levenshtein(a, b),
-                damerau_levenshtein_legacy(a, b),
-                "{a} vs {b}"
-            );
-        }
     }
 
     #[test]
@@ -721,23 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn ff_fast_matches_legacy() {
-        let pairs = [
-            ("outlook", "outlo0k"),
-            ("outlook", "xoutlook"),
-            ("gmail", "gmaxil"),
-            ("gmail", "gmaiql"),
-            ("verizon", "vexizon"),
-            ("", "a"),
-            ("a", ""),
-            ("ab", "ba"),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(fat_finger(a, b), fat_finger_legacy(a, b), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn visual_lookalikes_are_cheap() {
         assert!(visual("outlook", "outlo0k") < 0.2);
         assert!(visual("paypal", "paypa1") < 0.2);
@@ -761,39 +579,6 @@ mod tests {
     fn visual_deletion_weights_glyph() {
         // Deleting thin 'i' is less visible than deleting wide 'm'.
         assert!(visual("gmail", "gmal") < visual("gmail", "gail"));
-    }
-
-    #[test]
-    fn visual_fast_matches_legacy_bitwise() {
-        let pairs = [
-            ("outlook", "outlo0k"),
-            ("outlook", "outmook"),
-            ("gmail", "gmial"),
-            ("gmail", ""),
-            ("", "gmail"),
-            ("paypal", "paypa1"),
-            ("verizon", "evrizon"),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(
-                visual(a, b).to_bits(),
-                visual_legacy(a, b).to_bits(),
-                "{a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn confusability_table_matches_scan() {
-        for a in 0u8..128 {
-            for b in 0u8..128 {
-                assert_eq!(
-                    CONFUSABILITY[a as usize][b as usize].to_bits(),
-                    char_confusability_legacy(a as char, b as char).to_bits(),
-                    "{a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]

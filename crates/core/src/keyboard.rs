@@ -192,34 +192,6 @@ pub fn alphabet() -> impl Iterator<Item = char> {
 mod tests {
     use super::*;
 
-    /// Reference implementation: the pre-table row scan.
-    fn adjacent_legacy(a: char, b: char) -> bool {
-        let (Some(pa), Some(pb)) = (key_pos(a), key_pos(b)) else {
-            return false;
-        };
-        if pa.row == pb.row {
-            return pa.col.abs_diff(pb.col) == 1;
-        }
-        if pa.row.abs_diff(pb.row) != 1 {
-            return false;
-        }
-        let (upper, lower) = if pa.row < pb.row { (pa, pb) } else { (pb, pa) };
-        lower.col == upper.col || lower.col + 1 == upper.col
-    }
-
-    #[test]
-    fn table_matches_row_scan_for_all_ascii() {
-        for a in 0u8..128 {
-            for b in 0u8..128 {
-                assert_eq!(
-                    ADJACENCY[a as usize][b as usize],
-                    adjacent_legacy(a as char, b as char),
-                    "{a} vs {b}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn alphabet_const_matches_iterator() {
         let chars: Vec<char> = alphabet().collect();

@@ -11,14 +11,15 @@
 //! [`for_each_dl1`] builds variants in one reusable scratch buffer,
 //! deduplicates analytically (a variant is emitted only at the canonical
 //! run-start position of its operation, which provably reproduces the
-//! legacy `HashSet<String>` first-wins order), decides fat-finger
-//! membership per operation from the `const` keyboard table instead of
-//! running a DP per candidate, and runs the visual-distance DP only for
-//! the variants the caller asks about. [`TypoTable`] scores every variant
-//! into a struct-of-arrays table; [`generate_dl1`] remains as a thin
-//! wrapper that materializes the table into the classic
-//! `Vec<TypoCandidate>`; [`generate_dl1_legacy`] keeps the original
-//! string-based generator for equivalence tests and benchmarks.
+//! `HashSet<String>` first-wins order of a string-based generator),
+//! decides fat-finger membership per operation from the `const` keyboard
+//! table instead of running a DP per candidate, and runs the
+//! visual-distance DP only for the variants the caller asks about.
+//! [`TypoTable`] scores every variant into a struct-of-arrays table;
+//! [`generate_dl1`] remains as a thin wrapper that materializes the table
+//! into the classic `Vec<TypoCandidate>`. The string-based generator
+//! (per-candidate `String`, `HashSet` dedup, fat-finger DP per candidate)
+//! is the oracle `tests/typo_equivalence.rs` checks the engine against.
 
 use crate::distance;
 use crate::domain::{DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
@@ -108,8 +109,9 @@ pub struct TypoTable {
 impl TypoTable {
     /// Generates all distinct DL-1 variants of `target`'s second-level
     /// label, in [`for_each_dl1`]'s canonical order, scoring every one.
-    /// Candidate order, attribution, and scores are identical to
-    /// [`generate_dl1_legacy`].
+    /// Candidate order, attribution, and scores are identical to the
+    /// string-based generator that `tests/typo_equivalence.rs` keeps as
+    /// its oracle.
     pub fn generate(target: &DomainName) -> TypoTable {
         let n = target.sld().len();
         let cap = dl1_upper_bound(n, keyboard::ALPHABET.len());
@@ -274,7 +276,7 @@ impl Dl1Variant<'_> {
         if let Some(v) = self.visual {
             return v;
         }
-        let v = distance::visual_bytes(self.target_sld, self.sld, self.scratch);
+        let v = distance::visual_rows(self.target_sld, self.sld, self.scratch);
         self.visual = Some(v);
         v
     }
@@ -389,8 +391,8 @@ pub fn for_each_dl1(target: &DomainName, mut f: impl FnMut(Dl1Variant<'_>)) {
     }
     // Additions (insert before position i, 0..=n). Inserting `c`
     // anywhere along a run of `c` yields the same string; the run
-    // start is canonical. The legacy parser rejected variants whose
-    // label or full name exceeded the RFC limits, so gate on those.
+    // start is canonical. The domain parser rejects variants whose
+    // label or full name exceeds the RFC limits, so gate on those.
     if n < MAX_LABEL_LEN && (n + 1) + 1 + tld_len <= MAX_NAME_LEN {
         for i in 0..=n {
             for &c in &keyboard::ALPHABET {
@@ -424,9 +426,7 @@ pub fn for_each_dl1(target: &DomainName, mut f: impl FnMut(Dl1Variant<'_>)) {
 /// position wins (deletions and transpositions are the most frequent
 /// mistakes per Figure 9, so ties attribute to the likelier cause).
 ///
-/// This is a thin wrapper over the byte-level [`TypoTable`] engine; the
-/// output is byte-identical to the original string-based generator
-/// (retained as [`generate_dl1_legacy`]).
+/// This is a thin wrapper over the byte-level [`TypoTable`] engine.
 ///
 /// ```
 /// use ets_core::typogen::generate_dl1;
@@ -436,91 +436,6 @@ pub fn for_each_dl1(target: &DomainName, mut f: impl FnMut(Dl1Variant<'_>)) {
 /// ```
 pub fn generate_dl1(target: &DomainName) -> Vec<TypoCandidate> {
     TypoTable::generate(target).into_candidates()
-}
-
-/// The original string-based DL-1 generator: per-candidate `String`
-/// allocation, `HashSet` first-wins dedup, per-candidate fat-finger DP.
-/// Kept as the reference implementation for the equivalence property
-/// tests and the `legacy` sides of the `ets-bench` microbenchmarks.
-pub fn generate_dl1_legacy(target: &DomainName) -> Vec<TypoCandidate> {
-    let sld: Vec<char> = target.sld().chars().collect();
-    let n = sld.len();
-    let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(target.sld().to_owned());
-    let mut out = Vec::new();
-
-    let mut push = |variant: String, kind: MistakeKind, position: usize, out: &mut Vec<_>| {
-        if variant.starts_with('-') || variant.ends_with('-') || variant.is_empty() {
-            return;
-        }
-        if seen.contains(&variant) {
-            return;
-        }
-        let Ok(domain) = target.with_sld(&variant) else {
-            seen.insert(variant);
-            return;
-        };
-        let fat_finger = distance::fat_finger_legacy(target.sld(), &variant) == Some(1);
-        let visual = distance::visual_legacy(target.sld(), &variant);
-        seen.insert(variant);
-        out.push(TypoCandidate {
-            domain,
-            target: target.clone(),
-            kind,
-            position,
-            fat_finger,
-            visual,
-        });
-    };
-
-    // Deletions.
-    for i in 0..n {
-        let mut v = String::with_capacity(n - 1);
-        v.extend(sld.iter().take(i));
-        v.extend(sld.iter().skip(i + 1));
-        push(v, MistakeKind::Deletion, i, &mut out);
-    }
-    // Transpositions of neighbors.
-    for i in 0..n.saturating_sub(1) {
-        if sld[i] == sld[i + 1] {
-            continue;
-        }
-        let mut v: Vec<char> = sld.clone();
-        v.swap(i, i + 1);
-        push(
-            v.into_iter().collect(),
-            MistakeKind::Transposition,
-            i,
-            &mut out,
-        );
-    }
-    // Substitutions.
-    for i in 0..n {
-        for c in keyboard::alphabet() {
-            if c == sld[i] {
-                continue;
-            }
-            let mut v: Vec<char> = sld.clone();
-            v[i] = c;
-            push(
-                v.into_iter().collect(),
-                MistakeKind::Substitution,
-                i,
-                &mut out,
-            );
-        }
-    }
-    // Additions (insert before position i, 0..=n).
-    for i in 0..=n {
-        for c in keyboard::alphabet() {
-            let mut v = String::with_capacity(n + 1);
-            v.extend(sld.iter().take(i));
-            v.push(c);
-            v.extend(sld.iter().skip(i));
-            push(v, MistakeKind::Addition, i, &mut out);
-        }
-    }
-    out
 }
 
 /// Classifies `typo` as a DL-1 variant of `target`, returning the same
@@ -560,7 +475,7 @@ pub fn classify_dl1(target: &DomainName, typo: &DomainName) -> Option<TypoCandid
         }
     };
     let mut scratch = distance::VisualScratch::default();
-    let visual = distance::visual_bytes(s, t, &mut scratch);
+    let visual = distance::visual_rows(s, t, &mut scratch);
     Some(TypoCandidate {
         domain: typo.clone(),
         target: target.clone(),
@@ -724,21 +639,6 @@ mod tests {
         for c in &typos {
             assert!(set.insert(c.domain.as_str()), "duplicate {}", c.domain);
             assert_ne!(c.domain, t);
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_generator() {
-        for name in [
-            "gmail.com",
-            "outlook.com",
-            "aa.org",
-            "x.org",
-            "a-b.net",
-            "zzzaaa.com",
-        ] {
-            let t = d(name);
-            assert_eq!(generate_dl1(&t), generate_dl1_legacy(&t), "{name}");
         }
     }
 

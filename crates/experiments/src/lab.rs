@@ -17,8 +17,8 @@ use std::sync::OnceLock;
 /// Stage timings and workload counts live in the `ets-obs` registry:
 /// wall-clock stage durations go through [`ets_obs::metrics::time_stage`]
 /// (which also opens a `stage.<name>` span for traces), and deterministic
-/// workload counts are `lab.<name>` counters read back by the bench
-/// reports.
+/// workload counts are `lab.<name>` counters read back by the
+/// `bench_pipeline.json` report.
 pub struct Lab {
     /// Base RNG seed.
     pub seed: u64,
@@ -74,7 +74,7 @@ impl Lab {
         }
     }
 
-    /// The scale key for the bench reports: `--scale` rendered as the
+    /// The scale key for the bench report: `--scale` rendered as the
     /// preset name (`1k`, `100k`, `1m`, or the raw count), else the
     /// historical `fast`/`default` modes.
     pub fn scale_label(&self) -> String {
@@ -104,10 +104,10 @@ impl Lab {
         }
     }
 
-    /// Records a deterministic workload count for `bench_baseline.json`
-    /// as a `lab.<name>` counter in the obs registry. The baseline report
-    /// pairs the counts with the stage timings so a timing regression can
-    /// be told apart from a workload change.
+    /// Records a deterministic workload count for `bench_pipeline.json`
+    /// as a `lab.<name>` counter in the obs registry. The report pairs
+    /// the counts with the stage timings so a timing regression can be
+    /// told apart from a workload change.
     fn record_count(&self, name: &str, value: u64) {
         ets_obs::metrics::counter_add(&format!("lab.{name}"), value);
     }
@@ -323,11 +323,10 @@ impl Lab {
             .into_iter()
             .map(|(name, v)| (name, json!(v)))
             .collect();
-        // Recorder contention check: the sharded thread-local counters
-        // must keep beating a single global mutex under fan-out. The
-        // `bench_` prefix keeps this out of the byte-identity checks,
-        // and `ets-bench --check` reads only the `stages` array.
-        let obs = crate::microbench::obs_counter_contention();
+        let counts: serde_json::Map = ets_obs::metrics::counters_with_prefix("lab")
+            .into_iter()
+            .map(|(name, v)| (name, json!(v)))
+            .collect();
         let value = json!({
             "threads": ets_parallel::threads(),
             "streaming": self.streaming,
@@ -338,65 +337,8 @@ impl Lab {
             "total_seconds": total,
             "stages": stages,
             "mem": mem,
-            "obs_microbench": obs,
+            "counts": counts,
         });
         self.write_json("bench_pipeline", &value);
-    }
-
-    /// Writes the full performance baseline (`bench_baseline.json`):
-    /// pipeline stage timings, deterministic workload counts, and the
-    /// legacy-vs-optimized kernel microbenchmarks. Timings vary run to
-    /// run; the counts are byte-identical for a given seed/scale.
-    pub fn write_bench_baseline(&self) {
-        let micro = crate::microbench::run();
-        let timings = ets_obs::metrics::stage_timeline();
-        let stages: Vec<serde_json::Value> = timings
-            .iter()
-            .map(|(name, secs)| json!({ "stage": name.as_str(), "seconds": *secs }))
-            .collect();
-        let total: f64 = timings.iter().map(|(_, s)| *s).sum();
-        let counts_json: serde_json::Map = ets_obs::metrics::counters_with_prefix("lab")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let value = json!({
-            "threads": ets_parallel::threads(),
-            "streaming": self.streaming,
-            "seed": self.seed,
-            "fast": self.fast,
-            "scale": self.scale_label(),
-            "total_seconds": total,
-            "stages": stages,
-            "counts": counts_json,
-            "microbench": micro,
-        });
-        self.write_json("bench_baseline", &value);
-        self.write_bench_scan(&micro);
-    }
-
-    /// Writes the scan-engine report (`bench_scan.json`): the
-    /// legacy-vs-automaton comparisons for the layers that moved onto
-    /// `ets-scan`, plus the scan workload counters. Timings vary run to
-    /// run; the `bench_` prefix keeps it out of the byte-identity checks.
-    fn write_bench_scan(&self, micro: &[crate::microbench::Microbench]) {
-        let scan: Vec<&crate::microbench::Microbench> = micro
-            .iter()
-            .filter(|m| m.name.starts_with("scan_"))
-            .collect();
-        if scan.is_empty() {
-            return;
-        }
-        let counters: serde_json::Map = ets_obs::metrics::counters_with_prefix("funnel.scan")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let value = json!({
-            "threads": ets_parallel::threads(),
-            "seed": self.seed,
-            "fast": self.fast,
-            "microbench": scan,
-            "counters": counters,
-        });
-        self.write_json("bench_scan", &value);
     }
 }

@@ -52,7 +52,7 @@
 //!   day by day under bounded channels, so peak payload memory is set by
 //!   the channel geometry rather than the study size. `--batch` runs the
 //!   original collect-then-classify oracle. Every `results/*.json`
-//!   (bench reports aside) is byte-identical between the two modes.
+//!   (`bench_pipeline.json` aside) is byte-identical between the two modes.
 //! * `--channel-depth N` — per-worker bounded-channel depth for
 //!   streaming mode (default 64); results are byte-identical for any
 //!   value, only memory and throughput change.
@@ -74,7 +74,6 @@
 #![forbid(unsafe_code)]
 
 mod lab;
-mod microbench;
 mod report;
 mod section4;
 mod section5;
@@ -223,7 +222,6 @@ fn main() -> ExitCode {
                 f(&ctx);
             }
             ctx.write_bench_pipeline();
-            ctx.write_bench_baseline();
         }
         name => match known.iter().find(|(n, _)| *n == name) {
             Some((_, f)) => {

@@ -177,6 +177,45 @@ fn trace_artifacts_are_valid_and_deterministic() {
         .is_some(),
         "dl1 fan-out histogram missing"
     );
+    let counter_names: Vec<&String> = counters
+        .as_object()
+        .expect("counters is an object")
+        .keys()
+        .collect();
+    assert!(
+        counter_names.iter().all(|name| !name.starts_with("bench.")),
+        "benchmark counters leaked into the metrics snapshot: {counter_names:?}"
+    );
+
+    // --- one bench report, carrying the workload counts ------------------
+    let bench_files: Vec<String> = std::fs::read_dir(plain.join("results"))
+        .expect("results dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("bench_"))
+        .collect();
+    assert_eq!(bench_files, ["bench_pipeline.json"], "bench reports");
+    let bench: Value = serde_json::from_str(
+        &std::fs::read_to_string(plain.join("results/bench_pipeline.json"))
+            .expect("bench report written"),
+    )
+    .expect("bench report is valid JSON");
+    let counts = field(&bench, "counts");
+    for count in [
+        "world_targets",
+        "world_ctypos",
+        "traffic_emails",
+        "funnel_true_typos",
+    ] {
+        assert!(
+            field(counts, count).as_u64().unwrap_or(0) > 0,
+            "count {count} missing or zero"
+        );
+    }
 
     // --- tracing must not perturb results; no --trace, no artifacts -----
     assert_eq!(

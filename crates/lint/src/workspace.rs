@@ -33,15 +33,10 @@ pub const ANALYTICAL_CRATES: &[&str] = &[
 pub const TIMING_ALLOWLIST_CRATES: &[&str] = &["ets-bench"];
 /// Workspace-relative paths allowed to read the wall clock. Path-exact on
 /// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source
-/// for everything else (the serving plane's session observers and load
-/// harness included), and `crates/experiments/src/microbench.rs` is the
-/// experiment driver's microbenchmark harness — so a `clock.rs` or
-/// `microbench.rs` in any other crate, or `Instant::now` anywhere else,
-/// is still denied.
-pub const TIMING_ALLOWLIST_PATHS: &[&str] = &[
-    "crates/obs/src/clock.rs",
-    "crates/experiments/src/microbench.rs",
-];
+/// for everything else (the experiment driver, the serving plane's
+/// session observers and the load harness included) — so a `clock.rs`
+/// in any other crate, or `Instant::now` anywhere else, is still denied.
+pub const TIMING_ALLOWLIST_PATHS: &[&str] = &["crates/obs/src/clock.rs"];
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.

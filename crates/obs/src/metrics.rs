@@ -338,6 +338,28 @@ mod tests {
     }
 
     #[test]
+    fn contended_counters_lose_no_updates() {
+        const THREADS: u64 = 8;
+        const OPS: u64 = 50_000;
+        const NAMES: [&str; 4] = ["t.hot.a", "t.hot.b", "t.hot.c", "t.hot.d"];
+        locked(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        for i in 0..OPS {
+                            counter_add(NAMES[(i % 4) as usize], 1);
+                        }
+                        retire_local();
+                    });
+                }
+            });
+            for name in NAMES {
+                assert_eq!(counter_value(name), THREADS * OPS / 4, "{name}");
+            }
+        });
+    }
+
+    #[test]
     fn snapshot_is_sorted_and_stable() {
         locked(|| {
             counter_add("z.last", 1);

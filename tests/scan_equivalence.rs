@@ -5,6 +5,7 @@
 //! byte-identical with their retained legacy paths — including on
 //! case-folding and overlapping-pattern edge cases.
 
+use ets_collector::corpus::{self, SpamDataset};
 use ets_collector::scrub;
 use ets_collector::spamscore::SpamScorer;
 use ets_mail::Message;
@@ -236,6 +237,30 @@ fn scrub_edge_cases_match_legacy() {
         let legacy = scrub::scrub_legacy(text);
         assert_eq!(new.text, legacy.text, "text for {text:?}");
         assert_eq!(new.findings, legacy.findings, "findings for {text:?}");
+    }
+}
+
+/// Both collector layers match their legacy paths on whole generated
+/// corpora: a spam-heavy set (rule-rich messages) and a ham-heavy set
+/// with sensitive identifiers in some bodies.
+#[test]
+fn corpora_score_and_scrub_match_legacy() {
+    let mut emails = corpus::spam_dataset(SpamDataset::Trec, 600, 0xBEEF);
+    emails.extend(corpus::enron_like(600, 0.1, 0xFEED));
+    let scorer = SpamScorer::new();
+    for (i, e) in emails.iter().enumerate() {
+        let new = scorer.score(&e.message);
+        let legacy = scorer.score_legacy(&e.message);
+        assert_eq!(new.rules, legacy.rules, "rules of email {i}");
+        assert_eq!(
+            new.score.to_bits(),
+            legacy.score.to_bits(),
+            "score of email {i}"
+        );
+        let new = scrub::scrub(&e.message.body);
+        let legacy = scrub::scrub_legacy(&e.message.body);
+        assert_eq!(new.text, legacy.text, "scrubbed text of email {i}");
+        assert_eq!(new.findings, legacy.findings, "findings of email {i}");
     }
 }
 
