@@ -6,7 +6,8 @@
 //! DESIGN.md ablations, and end-to-end experiment regeneration.
 //!
 //! Run with `cargo bench --workspace`. Shared fixtures live here so the
-//! individual bench targets stay small.
+//! individual bench targets stay small. The crate's binary, `ets-bench`,
+//! is the perf ratchet CI runs over both planes' reports.
 
 #![forbid(unsafe_code)]
 

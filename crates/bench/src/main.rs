@@ -1,355 +1,114 @@
-//! `ets-bench` — the pipeline performance ratchet.
+//! `ets-bench` — the performance ratchet for both planes.
 //!
-//! Compares a fresh `results/bench_pipeline.json` (written by
-//! `repro all`) against the committed baseline `BENCH_pipeline.json` and
-//! fails when a stage regresses. CI runs `--check` on every push; the
-//! baseline is refreshed deliberately with `--update-baseline` when a
-//! change is *supposed* to shift the profile.
+//! Compares a fresh report — `bench_pipeline.json` from `repro` or
+//! `bench_serve.json` from `ets-loadgen` — against the committed
+//! baseline `BENCH_ratchet.json` and fails when a metric regresses. CI
+//! checks one report of each kind on every push; the baseline moves
+//! deliberately with `--update-baseline` when a change is *supposed* to
+//! shift the profile.
 //!
 //! ```text
-//! ets-bench --check                 [--bench FILE] [--baseline FILE]
-//! ets-bench --update-baseline       [--bench FILE] [--baseline FILE] [--commit HEX]
-//! ets-bench --report-md             [--baseline FILE] [--readme FILE]
-//! ets-bench --check-serve           [--bench FILE] [--baseline FILE]
-//! ets-bench --update-serve-baseline [--bench FILE] [--baseline FILE] [--commit HEX]
+//! ets-bench --check           [--bench FILE] [--baseline FILE]
+//! ets-bench --update-baseline [--bench FILE] [--baseline FILE] [--commit HEX]
+//! ets-bench --report-md       [--baseline FILE] [--readme FILE]
 //! ```
 //!
-//! Baseline entries are keyed by `(threads, fast, streaming, scale)` so
-//! a single file can hold the configurations CI exercises (reports from
-//! before the `--scale` knob carry no scale field and key as their
-//! `fast`/`default` mode). Wall-clock noise policy: a stage only fails
-//! the check when it exceeds the baseline by **both** 10% relative and
-//! 0.35 s absolute — tiny stages jitter far more than 10% between runs,
-//! and large stages hide real regressions behind a pure-absolute bound.
-//! A missing baseline (or a configuration the baseline has never seen)
-//! warns and exits 0, so new CI matrix cells don't fail before anyone
-//! has ratcheted them.
+//! One adapter per report kind turns a report into rows
+//! `{workload, layer, metric, unit, value}`:
 //!
-//! Stages a run *skipped* (e.g. `world_build` satisfied from a world
-//! snapshot) appear in the report with a `skipped` reason instead of
-//! `seconds`; the ratchet never mistakes one for a 0-second run of the
-//! real stage.
+//! * a pipeline report is one workload `{plane: "pipeline", threads,
+//!   fast, scale, world}` with one `stage.<name>` row (`seconds`) per
+//!   timed stage. `world` is `snapshot` when the run skipped a stage
+//!   (`Lab` skips `world_build` after a `--snapshot` reload) and `build`
+//!   otherwise, so a reload is never compared with a fresh build. A
+//!   report with no `scale` keys as its `fast`/`default` mode;
+//! * a serve report is one workload per phase, `{plane: "serve", mix,
+//!   phase, connections, requests_per_conn, target_rps}`, with `session`
+//!   rows `achieved_rps`, `p50_ms`, `p99_ms` and `p999_ms`. Before it
+//!   yields a row, the adapter gates the report hard: schema
+//!   `ets.bench_serve.v1`, all five Table 5 taxonomy rows, zero lost
+//!   workers and passing stop rules.
 //!
-//! `--update-baseline` also **appends** the run to an ever-growing
-//! `history` array (`{commit, threads, fast, streaming, scale, stages}`),
-//! so the baseline file doubles as the performance trajectory of the
-//! repo; `--report-md` renders that trajectory as a Markdown table and
-//! can splice it into the README between the
+//! [`BOUNDS`] holds one noise bound per metric. `--check` fails on a row
+//! beyond its bound, on a report value that is missing, and on a
+//! workload the baseline knows when no row was compared (renamed stages
+//! must not pass as "nothing regressed"). It does not require every
+//! baseline row to appear: which stages run depends on the experiment. A
+//! workload the baseline has never seen warns and passes, so new CI
+//! matrix cells don't fail before anyone has ratcheted them.
+//!
+//! `--update-baseline` replaces the rows of the report's workloads and
+//! appends one `{commit, rows}` record to the `history` array, so the
+//! baseline doubles as the performance trajectory of the repo.
+//! `--report-md` renders the pipeline part of that history as a Markdown
+//! table and can splice it into the README between the
 //! `<!-- ets-bench:trajectory -->` / `<!-- /ets-bench:trajectory -->`
 //! markers.
-//!
-//! The `--check-serve` / `--update-serve-baseline` pair is the same
-//! ratchet for the serving benchmark: `results/bench_serve.json`
-//! (written by `ets-loadgen`) against `BENCH_serve.json`, with entries
-//! keyed by `(mix, phase, connections, requests_per_conn, target_rps)`.
-//! Correctness fields gate hard — the report must carry all five Table 5
-//! taxonomy rows, zero lost workers, and a passing stop-rule verdict —
-//! while the performance fields get socket-scale noise headroom:
-//! achieved RPS may fall up to 35% below baseline, and a latency
-//! quantile only fails when it exceeds the baseline by both 2× relative
-//! and 5 ms absolute. Serve updates append to the same-style `history`
-//! array in `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]
 
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
+use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
-/// Relative headroom before a stage counts as regressed.
-const REL_TOLERANCE: f64 = 0.10;
-/// Absolute headroom (seconds); guards tiny stages against jitter.
-const ABS_TOLERANCE: f64 = 0.35;
-
-/// Serving ratchet: tolerated fractional RPS shortfall vs baseline.
-const SERVE_RPS_SHORTFALL: f64 = 0.35;
-/// Serving ratchet: relative latency headroom (1.0 = may double).
-const SERVE_LAT_REL: f64 = 1.0;
-/// Serving ratchet: absolute latency headroom in milliseconds.
-const SERVE_LAT_ABS_MS: f64 = 5.0;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode: Option<&str> = None;
-    let mut bench_arg: Option<String> = None;
-    let mut baseline_arg: Option<String> = None;
-    let mut commit = "unknown".to_owned();
-    let mut readme_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => mode = Some("check"),
-            "--update-baseline" => mode = Some("update"),
-            "--report-md" => mode = Some("report"),
-            "--check-serve" => mode = Some("check-serve"),
-            "--update-serve-baseline" => mode = Some("update-serve"),
-            "--bench" => match it.next() {
-                Some(p) => bench_arg = Some(p.clone()),
-                None => return usage("--bench needs a file path"),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_arg = Some(p.clone()),
-                None => return usage("--baseline needs a file path"),
-            },
-            "--commit" => match it.next() {
-                Some(c) => commit = c.clone(),
-                None => return usage("--commit needs a revision id"),
-            },
-            "--readme" => match it.next() {
-                Some(p) => readme_path = Some(p.clone()),
-                None => return usage("--readme needs a file path"),
-            },
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    let serve = matches!(mode, Some("check-serve") | Some("update-serve"));
-    let bench_path = bench_arg.unwrap_or_else(|| {
-        if serve {
-            "results/bench_serve.json".to_owned()
-        } else {
-            "results/bench_pipeline.json".to_owned()
-        }
-    });
-    let baseline_path = baseline_arg.unwrap_or_else(|| {
-        if serve {
-            "BENCH_serve.json".to_owned()
-        } else {
-            "BENCH_pipeline.json".to_owned()
-        }
-    });
-    if mode == Some("report") {
-        return report_md(&baseline_path, readme_path.as_deref());
-    }
-    let bench = match read_json(&bench_path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("[ets-bench] cannot read {bench_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match mode {
-        Some("check") => check(&bench, &baseline_path),
-        Some("update") => update(&bench, &baseline_path, &commit),
-        Some("check-serve") => check_serve(&bench, &baseline_path),
-        Some("update-serve") => update_serve(&bench, &baseline_path, &commit),
-        _ => usage("pass --check, --update-baseline, --check-serve, --update-serve-baseline, or --report-md"),
-    }
+/// One ratcheted number.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Row {
+    /// The configuration that produced the number (a JSON object).
+    workload: Value,
+    /// Where in the workload: `stage.<name>` or `session`.
+    layer: String,
+    metric: String,
+    unit: String,
+    value: f64,
 }
 
-fn usage(err: &str) -> ExitCode {
-    eprintln!("error: {err}");
-    eprintln!("usage: ets-bench --check|--update-baseline|--check-serve|--update-serve-baseline|--report-md [--bench FILE] [--baseline FILE] [--commit HEX] [--readme FILE]");
-    eprintln!("  --bench FILE     fresh report to evaluate (default results/bench_pipeline.json; serve modes: results/bench_serve.json)");
-    eprintln!("  --baseline FILE  committed ratchet file (default BENCH_pipeline.json; serve modes: BENCH_serve.json)");
-    eprintln!("  --commit HEX     revision recorded with --update-baseline");
-    eprintln!("  --readme FILE    with --report-md: splice the trajectory table between the ets-bench:trajectory markers in FILE");
-    ExitCode::FAILURE
+/// One `--update-baseline` run: its commit and every row it ratcheted.
+#[derive(Serialize, Deserialize)]
+struct Record {
+    commit: String,
+    rows: Vec<Row>,
 }
 
-fn read_json(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    serde_json::from_str(&text).map_err(|e| e.to_string())
+/// The committed ratchet file.
+#[derive(Default, Serialize, Deserialize)]
+struct Baseline {
+    /// The rows `--check` compares against: the latest of each workload.
+    entries: Vec<Row>,
+    /// Every update ever made, oldest first.
+    history: Vec<Record>,
 }
 
-/// The `(threads, fast, streaming, scale)` key of a report or baseline
-/// entry.
-fn config_key(v: &Value) -> (u64, bool, bool, String) {
-    let fast = v.get("fast").and_then(Value::as_bool).unwrap_or(false);
-    (
-        v.get("threads").and_then(Value::as_u64).unwrap_or(0),
-        fast,
-        // Reports before the streaming pipeline carry no flag; they were
-        // all batch.
-        v.get("streaming").and_then(Value::as_bool).unwrap_or(false),
-        // Reports before the --scale knob carry no scale field; their
-        // world size was implied by the fast flag.
-        v.get("scale")
-            .and_then(Value::as_str)
-            .unwrap_or(if fast { "fast" } else { "default" })
-            .to_owned(),
-    )
+/// Which side of its bound a metric fails on.
+#[derive(Clone, Copy)]
+enum Better {
+    Lower,
+    Higher,
 }
 
-/// Stage timings of a report or baseline entry as `(name, seconds)`.
-/// Skipped stages (a `skipped` reason instead of `seconds`) are excluded
-/// here — see [`skipped_stages`].
-fn stage_seconds(v: &Value) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Some(stages) = v.get("stages").and_then(Value::as_array) {
-        for s in stages {
-            let name = s.get("stage").and_then(Value::as_str);
-            let secs = s.get("seconds").and_then(Value::as_f64);
-            if s.get("skipped").is_some() {
-                continue;
-            }
-            if let (Some(name), Some(secs)) = (name, secs) {
-                out.push((name.to_owned(), secs));
-            }
-        }
-    }
-    out
-}
+/// Noise bounds by metric: `(metric, better, rel, abs)`. A lower-is-better
+/// value fails above max(base × (1 + rel), base + abs); a higher-is-better
+/// one fails below min(base × (1 − rel), base − abs).
+const BOUNDS: [(&str, Better, f64, f64); 5] = [
+    // Wall clock: tiny stages jitter far more than 10% between runs, and
+    // large stages would hide real regressions behind a pure-absolute bound.
+    ("seconds", Better::Lower, 0.10, 0.35),
+    // Socket-scale noise: RPS may fall 35%, a latency quantile may double
+    // and may always grow by 5 ms.
+    ("achieved_rps", Better::Higher, 0.35, 0.0),
+    ("p50_ms", Better::Lower, 1.0, 5.0),
+    ("p99_ms", Better::Lower, 1.0, 5.0),
+    ("p999_ms", Better::Lower, 1.0, 5.0),
+];
 
-/// Stages a report explicitly skipped, as `(name, reason)`.
-fn skipped_stages(v: &Value) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    if let Some(stages) = v.get("stages").and_then(Value::as_array) {
-        for s in stages {
-            let name = s.get("stage").and_then(Value::as_str);
-            let why = s.get("skipped").and_then(Value::as_str);
-            if let (Some(name), Some(why)) = (name, why) {
-                out.push((name.to_owned(), why.to_owned()));
-            }
-        }
-    }
-    out
-}
+/// Relative slack on every limit, so a value on the edge of its decimal
+/// bound passes: in `f64`, 0.05 s + 0.35 s is 0.39999999999999997, below
+/// a 0.40 s reading.
+const EDGE_SLACK: f64 = 1e-12;
 
-fn check(bench: &Value, baseline_path: &str) -> ExitCode {
-    let baseline = match read_json(baseline_path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!(
-                "[ets-bench] no baseline at {baseline_path} ({e}); nothing to ratchet against"
-            );
-            return ExitCode::SUCCESS;
-        }
-    };
-    let key = config_key(bench);
-    let entries = baseline
-        .get("entries")
-        .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
-    let Some(base) = entries.iter().find(|e| config_key(e) == key) else {
-        eprintln!(
-            "[ets-bench] baseline has no entry for threads={} fast={} streaming={} scale={}; run --update-baseline to ratchet this configuration",
-            key.0, key.1, key.2, key.3
-        );
-        return ExitCode::SUCCESS;
-    };
-    let base_stages = stage_seconds(base);
-    let mut failed = false;
-    let mut checked = 0;
-    for (name, why) in skipped_stages(bench) {
-        eprintln!("[ets-bench] stage {name}: skipped ({why}); not ratcheted");
-    }
-    for (name, secs) in stage_seconds(bench) {
-        let Some((_, base_secs)) = base_stages.iter().find(|(n, _)| *n == name) else {
-            eprintln!("[ets-bench] stage {name}: {secs:.3}s (new stage, no baseline)");
-            continue;
-        };
-        checked += 1;
-        let allowed = f64::max(base_secs * (1.0 + REL_TOLERANCE), base_secs + ABS_TOLERANCE);
-        if secs > allowed {
-            eprintln!(
-                "[ets-bench] REGRESSION stage {name}: {secs:.3}s vs baseline {base_secs:.3}s (allowed {allowed:.3}s)"
-            );
-            failed = true;
-        } else {
-            eprintln!("[ets-bench] ok stage {name}: {secs:.3}s vs baseline {base_secs:.3}s");
-        }
-    }
-    if checked == 0 {
-        eprintln!("[ets-bench] no overlapping stages between report and baseline");
-    }
-    if failed {
-        eprintln!(
-            "[ets-bench] FAIL: stage(s) regressed beyond {:.0}% + {ABS_TOLERANCE}s against {}",
-            REL_TOLERANCE * 100.0,
-            baseline
-                .get("commit")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown")
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!("[ets-bench] ratchet holds ({checked} stages checked)");
-        ExitCode::SUCCESS
-    }
-}
-
-fn update(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
-    let prior = read_json(baseline_path).ok();
-    let mut entries = prior
-        .as_ref()
-        .and_then(|b| b.get("entries").and_then(Value::as_array).cloned())
-        .unwrap_or_default();
-    let mut history = prior
-        .as_ref()
-        .and_then(|b| b.get("history").and_then(Value::as_array).cloned())
-        .unwrap_or_default();
-    let key = config_key(bench);
-    let total = bench.get("total_seconds").cloned().unwrap_or(Value::Null);
-    let stages = bench.get("stages").cloned().unwrap_or(Value::Null);
-    let entry = json!({
-        "threads": key.0,
-        "fast": key.1,
-        "streaming": key.2,
-        "scale": key.3,
-        "total_seconds": total.clone(),
-        "stages": stages.clone(),
-    });
-    // The ratchet entry for this configuration is replaced; the history
-    // records every update ever made, so the file doubles as the repo's
-    // performance trajectory.
-    history.push(json!({
-        "commit": commit,
-        "threads": key.0,
-        "fast": key.1,
-        "streaming": key.2,
-        "scale": key.3,
-        "total_seconds": total,
-        "stages": stages,
-    }));
-    match entries.iter_mut().find(|e| config_key(e) == key) {
-        Some(slot) => *slot = entry,
-        None => entries.push(entry),
-    }
-    let value = json!({ "commit": commit, "entries": entries, "history": history });
-    let text = serde_json::to_string_pretty(&value).expect("serializable") + "\n";
-    match std::fs::write(baseline_path, text) {
-        Ok(()) => {
-            eprintln!(
-                "[ets-bench] ratcheted {} for threads={} fast={} streaming={} scale={} at {commit}",
-                baseline_path, key.0, key.1, key.2, key.3
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("[ets-bench] cannot write {baseline_path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `(mix, phase, connections, requests_per_conn, target_rps)` key of
-/// one serving-benchmark phase. `mix` lives at the report top level, so
-/// it is passed alongside the phase object; baseline entries carry it
-/// inline.
-fn serve_key(mix: &str, phase: &Value) -> (String, String, u64, u64, String) {
-    let num = |k: &str| phase.get(k).and_then(Value::as_u64).unwrap_or(0);
-    let rps = phase
-        .get("target_rps")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    (
-        phase
-            .get("mix")
-            .and_then(Value::as_str)
-            .unwrap_or(mix)
-            .to_owned(),
-        phase
-            .get("phase")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_owned(),
-        num("connections"),
-        num("requests_per_conn"),
-        format!("{rps:.1}"),
-    )
-}
-
-/// The five Table 5 taxonomy keys a serve report must carry.
+/// The five Table 5 taxonomy rows a serve report must carry.
 const TABLE5_KEYS: [&str; 5] = [
     "no_error",
     "bounce",
@@ -358,298 +117,594 @@ const TABLE5_KEYS: [&str; 5] = [
     "other_error",
 ];
 
-/// Structural and correctness validation of a `bench_serve.json` report:
-/// these gate hard with no noise headroom.
-fn validate_serve(bench: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    if bench.get("schema").and_then(Value::as_str) != Some("ets.bench_serve.v1") {
-        errs.push("schema is not ets.bench_serve.v1".to_owned());
+/// Markers between which `--report-md --readme` splices the trajectory.
+const TRAJ_BEGIN: &str = "<!-- ets-bench:trajectory -->";
+const TRAJ_END: &str = "<!-- /ets-bench:trajectory -->";
+
+fn main() -> ExitCode {
+    let mut mode: Option<String> = None;
+    let mut bench_path = "results/bench_pipeline.json".to_owned();
+    let mut baseline_path = "BENCH_ratchet.json".to_owned();
+    let mut commit = "unknown".to_owned();
+    let mut readme: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let slot = match a.as_str() {
+            "--check" | "--update-baseline" | "--report-md" => {
+                mode = Some(a);
+                continue;
+            }
+            "--bench" => &mut bench_path,
+            "--baseline" => &mut baseline_path,
+            "--commit" => &mut commit,
+            "--readme" => readme.insert(String::new()),
+            other => return usage(&format!("unknown argument {other:?}")),
+        };
+        match args.next() {
+            Some(v) => *slot = v,
+            None => return usage(&format!("{a} needs a value")),
+        }
     }
-    let phases = bench
+    let outcome = match mode.as_deref() {
+        Some("--check") => read_json(&bench_path).and_then(|report| {
+            let compared = check(&report, &load(&baseline_path)?)?;
+            Ok(format!(
+                "ratchet holds ({compared} rows checked against {baseline_path})"
+            ))
+        }),
+        Some("--update-baseline") => read_json(&bench_path).and_then(|report| {
+            // Only the update may start a baseline from nothing.
+            let prior = if Path::new(&baseline_path).exists() {
+                load(&baseline_path)?
+            } else {
+                Baseline::default()
+            };
+            let updated = update(&report, prior, &commit)?;
+            let text = serde_json::to_string_pretty(&updated).map_err(|e| vec![e.to_string()])?;
+            write(&baseline_path, &(text + "\n"))?;
+            Ok(format!("ratcheted {baseline_path} at {commit}"))
+        }),
+        Some("--report-md") => load(&baseline_path).and_then(|baseline| {
+            let table = trajectory(&baseline);
+            print!("{table}");
+            let Some(readme) = readme else {
+                return Ok("trajectory rendered".to_owned());
+            };
+            let spliced = splice(&read(&readme)?, &table).map_err(|e| vec![e])?;
+            write(&readme, &spliced)?;
+            Ok(format!("spliced trajectory table into {readme}"))
+        }),
+        _ => return usage("pass --check, --update-baseline or --report-md"),
+    };
+    match outcome {
+        Ok(done) => {
+            eprintln!("[ets-bench] {done}");
+            ExitCode::SUCCESS
+        }
+        Err(errors) => {
+            for e in errors {
+                eprintln!("[ets-bench] FAIL: {e}");
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn usage(err: &str) -> ExitCode {
+    eprintln!("error: {err}");
+    eprintln!("usage: ets-bench --check|--update-baseline|--report-md [--bench FILE] [--baseline FILE] [--commit HEX] [--readme FILE]");
+    eprintln!("  --bench FILE     fresh bench_pipeline.json or bench_serve.json report (default results/bench_pipeline.json)");
+    eprintln!("  --baseline FILE  committed ratchet file (default BENCH_ratchet.json)");
+    eprintln!("  --commit HEX     revision recorded with --update-baseline");
+    eprintln!("  --readme FILE    with --report-md: splice the trajectory table between the ets-bench:trajectory markers in FILE");
+    ExitCode::FAILURE
+}
+
+fn read(path: &str) -> Result<String, Vec<String>> {
+    std::fs::read_to_string(path).map_err(|e| vec![format!("cannot read {path}: {e}")])
+}
+
+fn read_json(path: &str) -> Result<Value, Vec<String>> {
+    serde_json::from_str(&read(path)?).map_err(|e| vec![format!("cannot parse {path}: {e}")])
+}
+
+fn load(path: &str) -> Result<Baseline, Vec<String>> {
+    serde_json::from_str(&read(path)?).map_err(|e| vec![format!("cannot parse {path}: {e}")])
+}
+
+fn write(path: &str, text: &str) -> Result<(), Vec<String>> {
+    std::fs::write(path, text).map_err(|e| vec![format!("cannot write {path}: {e}")])
+}
+
+fn row(workload: &Value, layer: &str, metric: &str, unit: &str, value: f64) -> Row {
+    Row {
+        workload: workload.clone(),
+        layer: layer.to_owned(),
+        metric: metric.to_owned(),
+        unit: unit.to_owned(),
+        value,
+    }
+}
+
+/// Turns a report into rows: the serve adapter for a report with
+/// `phases`, the pipeline adapter otherwise. A report that yields no row
+/// is an error, since nothing could be ratcheted.
+fn rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
+    let rows = if report.get("phases").is_some() {
+        serve_rows(report)?
+    } else {
+        pipeline_rows(report)?
+    };
+    if rows.is_empty() {
+        return Err(vec!["report has no timed stage or phase".to_owned()]);
+    }
+    Ok(rows)
+}
+
+fn pipeline_rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
+    let stages = report
+        .get("stages")
+        .and_then(Value::as_array)
+        .map_or(&[][..], Vec::as_slice);
+    let fast = report.get("fast").and_then(Value::as_bool).unwrap_or(false);
+    let skipped = |s: &Value| s.get("skipped").is_some();
+    let world = if stages.iter().any(skipped) {
+        "snapshot"
+    } else {
+        "build"
+    };
+    let workload = json!({
+        "plane": "pipeline",
+        "threads": report.get("threads").and_then(Value::as_u64).unwrap_or(0),
+        "fast": fast,
+        "scale": report
+            .get("scale")
+            .and_then(Value::as_str)
+            .unwrap_or(if fast { "fast" } else { "default" }),
+        "world": world,
+    });
+    let mut out = Vec::new();
+    let mut errors = Vec::new();
+    for s in stages.iter().filter(|s| !skipped(s)) {
+        let name = s.get("stage").and_then(Value::as_str).unwrap_or("?");
+        let layer = format!("stage.{name}");
+        match s.get("seconds").and_then(Value::as_f64) {
+            Some(secs) => out.push(row(&workload, &layer, "seconds", "s", secs)),
+            None => errors.push(format!("{layer}: no seconds")),
+        }
+    }
+    errors.is_empty().then_some(out).ok_or(errors)
+}
+
+fn serve_rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
+    let mut errors = Vec::new();
+    if report.get("schema").and_then(Value::as_str) != Some("ets.bench_serve.v1") {
+        errors.push("schema is not ets.bench_serve.v1".to_owned());
+    }
+    let phases = report
         .get("phases")
         .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
+        .map_or(&[][..], Vec::as_slice);
     if phases.is_empty() {
-        errs.push("report has no phases".to_owned());
+        errors.push("report has no phases".to_owned());
     }
-    for p in &phases {
+    let mix = report.get("mix").and_then(Value::as_str).unwrap_or("?");
+    let mut out = Vec::new();
+    for p in phases {
         let name = p.get("phase").and_then(Value::as_str).unwrap_or("?");
-        let observed = p.get("taxonomy").and_then(|t| t.get("observed"));
-        match observed.and_then(Value::as_object) {
-            Some(map) => {
-                for k in TABLE5_KEYS {
-                    if !map.contains_key(k) {
-                        errs.push(format!("phase {name}: taxonomy row {k} missing"));
-                    }
-                }
-            }
-            None => errs.push(format!("phase {name}: no taxonomy.observed object")),
+        match p
+            .get("taxonomy")
+            .and_then(|t| t.get("observed"))
+            .and_then(Value::as_object)
+        {
+            Some(observed) => errors.extend(
+                TABLE5_KEYS
+                    .iter()
+                    .filter(|k| !observed.contains_key(**k))
+                    .map(|k| format!("phase {name}: taxonomy row {k} missing")),
+            ),
+            None => errors.push(format!("phase {name}: no taxonomy.observed object")),
         }
         if p.get("lost_workers").and_then(Value::as_u64).unwrap_or(0) > 0 {
-            errs.push(format!("phase {name}: lost worker threads"));
+            errors.push(format!("phase {name}: lost worker threads"));
         }
         if p.get("stop_rules")
             .and_then(|s| s.get("pass"))
             .and_then(Value::as_bool)
             != Some(true)
         {
-            errs.push(format!("phase {name}: stop rules did not pass"));
+            errors.push(format!("phase {name}: stop rules did not pass"));
         }
-    }
-    errs
-}
-
-/// Latency quantile of a serve phase in milliseconds.
-fn serve_quantile(phase: &Value, key: &str) -> Option<f64> {
-    phase
-        .get("latency")
-        .and_then(|l| l.get(key))
-        .and_then(Value::as_f64)
-}
-
-fn check_serve(bench: &Value, baseline_path: &str) -> ExitCode {
-    let structural = validate_serve(bench);
-    for e in &structural {
-        eprintln!("[ets-bench] serve report invalid: {e}");
-    }
-    if !structural.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    let mix = bench.get("mix").and_then(Value::as_str).unwrap_or("?");
-    let phases = bench
-        .get("phases")
-        .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
-    let baseline = match read_json(baseline_path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!(
-                "[ets-bench] no serve baseline at {baseline_path} ({e}); nothing to ratchet against"
-            );
-            return ExitCode::SUCCESS;
-        }
-    };
-    let entries = baseline
-        .get("entries")
-        .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
-    let mut failed = false;
-    let mut checked = 0;
-    for p in &phases {
-        let key = serve_key(mix, p);
-        let Some(base) = entries.iter().find(|e| serve_key(mix, e) == key) else {
-            eprintln!(
-                "[ets-bench] serve baseline has no entry for mix={} phase={} connections={} requests={} rps={}; run --update-serve-baseline to ratchet it",
-                key.0, key.1, key.2, key.3, key.4
-            );
-            continue;
-        };
-        checked += 1;
-        let rps = p.get("achieved_rps").and_then(Value::as_f64).unwrap_or(0.0);
-        let base_rps = base
-            .get("achieved_rps")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let rps_floor = base_rps * (1.0 - SERVE_RPS_SHORTFALL);
-        if rps < rps_floor {
-            eprintln!(
-                "[ets-bench] REGRESSION serve {}: achieved {rps:.0} rps vs baseline {base_rps:.0} (floor {rps_floor:.0})",
-                key.1
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "[ets-bench] ok serve {}: {rps:.0} rps vs baseline {base_rps:.0}",
-                key.1
-            );
-        }
-        for q in ["p50_ms", "p99_ms", "p999_ms"] {
-            let (Some(fresh), Some(base_q)) = (serve_quantile(p, q), serve_quantile(base, q))
-            else {
-                continue;
-            };
-            let allowed = f64::max(base_q * (1.0 + SERVE_LAT_REL), base_q + SERVE_LAT_ABS_MS);
-            if fresh > allowed {
-                eprintln!(
-                    "[ets-bench] REGRESSION serve {} {q}: {fresh:.2} ms vs baseline {base_q:.2} ms (allowed {allowed:.2})",
-                    key.1
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "[ets-bench] ok serve {} {q}: {fresh:.2} ms vs baseline {base_q:.2} ms",
-                    key.1
-                );
+        let count = |k: &str| p.get(k).and_then(Value::as_u64).unwrap_or(0);
+        let rps = p.get("target_rps").and_then(Value::as_f64).unwrap_or(0.0);
+        let workload = json!({
+            "plane": "serve",
+            "mix": mix,
+            "phase": name,
+            "connections": count("connections"),
+            "requests_per_conn": count("requests_per_conn"),
+            // The offered rate keys to one decimal.
+            "target_rps": (rps * 10.0).round() / 10.0,
+        });
+        let latency = |q: &str| p.get("latency").and_then(|l| l.get(q));
+        for (metric, unit, value) in [
+            ("achieved_rps", "1/s", p.get("achieved_rps")),
+            ("p50_ms", "ms", latency("p50_ms")),
+            ("p99_ms", "ms", latency("p99_ms")),
+            ("p999_ms", "ms", latency("p999_ms")),
+        ] {
+            match value.and_then(Value::as_f64) {
+                Some(v) => out.push(row(&workload, "session", metric, unit, v)),
+                None => errors.push(format!("phase {name}: no {metric}")),
             }
         }
     }
-    if checked == 0 {
-        eprintln!("[ets-bench] no serve phase overlaps the baseline");
+    errors.is_empty().then_some(out).ok_or(errors)
+}
+
+/// Rows grouped by workload, in first-seen order.
+fn by_workload(rows: &[Row]) -> Vec<(&Value, Vec<&Row>)> {
+    let mut groups: Vec<(&Value, Vec<&Row>)> = Vec::new();
+    for r in rows {
+        match groups.iter_mut().find(|(w, _)| **w == r.workload) {
+            Some((_, group)) => group.push(r),
+            None => groups.push((&r.workload, vec![r])),
+        }
     }
-    if failed {
-        eprintln!("[ets-bench] FAIL: serving path regressed against {baseline_path}");
-        ExitCode::FAILURE
-    } else {
-        eprintln!("[ets-bench] serve ratchet holds ({checked} phases checked)");
-        ExitCode::SUCCESS
+    groups
+}
+
+/// The limit a `metric` reading may reach against `base`, and whether
+/// `value` lies beyond it.
+fn judge(metric: &str, base: f64, value: f64) -> (f64, bool) {
+    let &(_, better, rel, abs) = BOUNDS
+        .iter()
+        .find(|b| b.0 == metric)
+        .expect("the adapters emit only bounded metrics");
+    match better {
+        Better::Lower => {
+            let limit = f64::max(base * (1.0 + rel), base + abs);
+            (limit, value > limit * (1.0 + EDGE_SLACK))
+        }
+        Better::Higher => {
+            let limit = f64::min(base * (1.0 - rel), base - abs);
+            (limit, value < limit * (1.0 - EDGE_SLACK))
+        }
     }
 }
 
-fn update_serve(bench: &Value, baseline_path: &str, commit: &str) -> ExitCode {
-    let structural = validate_serve(bench);
-    for e in &structural {
-        eprintln!("[ets-bench] serve report invalid: {e}");
-    }
-    if !structural.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    let mix = bench.get("mix").and_then(Value::as_str).unwrap_or("?");
-    let phases = bench
-        .get("phases")
-        .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
-    let prior = read_json(baseline_path).ok();
-    let mut entries = prior
-        .as_ref()
-        .and_then(|b| b.get("entries").and_then(Value::as_array).cloned())
-        .unwrap_or_default();
-    let mut history = prior
-        .as_ref()
-        .and_then(|b| b.get("history").and_then(Value::as_array).cloned())
-        .unwrap_or_default();
-    for p in &phases {
-        let key = serve_key(mix, p);
-        let mut entry = p.clone();
-        if let Value::Object(map) = &mut entry {
-            map.insert("mix".to_owned(), json!(key.0));
-        }
-        match entries.iter_mut().find(|e| serve_key(mix, e) == key) {
-            Some(slot) => *slot = entry,
-            None => entries.push(entry),
-        }
-    }
-    history.push(json!({
-        "commit": commit,
-        "mix": mix,
-        "seed": bench.get("seed").cloned().unwrap_or(Value::Null),
-        "phases": phases,
-    }));
-    let value = json!({ "commit": commit, "entries": entries, "history": history });
-    let text = serde_json::to_string_pretty(&value).expect("serializable") + "\n";
-    match std::fs::write(baseline_path, text) {
-        Ok(()) => {
+/// `--check`: compares every report row with the baseline row of the same
+/// workload, layer and metric. Returns how many rows were compared, or
+/// every failure.
+fn check(report: &Value, baseline: &Baseline) -> Result<usize, Vec<String>> {
+    let rows = rows(report)?;
+    let mut compared = 0;
+    let mut errors = Vec::new();
+    for (workload, group) in by_workload(&rows) {
+        let key = serde_json::to_string(workload).unwrap_or_default();
+        let base: Vec<&Row> = baseline
+            .entries
+            .iter()
+            .filter(|b| b.workload == *workload)
+            .collect();
+        if base.is_empty() {
             eprintln!(
-                "[ets-bench] ratcheted {baseline_path}: {} phase entr{} at {commit}",
-                phases.len(),
-                if phases.len() == 1 { "y" } else { "ies" }
+                "[ets-bench] baseline has no rows for {key}; run --update-baseline to ratchet it"
             );
-            ExitCode::SUCCESS
+            continue;
         }
-        Err(e) => {
-            eprintln!("[ets-bench] cannot write {baseline_path}: {e}");
-            ExitCode::FAILURE
+        let mut matched = 0;
+        for r in group {
+            let what = format!("{key} {} {}", r.layer, r.metric);
+            let Some(b) = base
+                .iter()
+                .find(|b| b.layer == r.layer && b.metric == r.metric)
+            else {
+                eprintln!(
+                    "[ets-bench] new row {what}: {:.3} {} (no baseline)",
+                    r.value, r.unit
+                );
+                continue;
+            };
+            matched += 1;
+            let (limit, regressed) = judge(&r.metric, b.value, r.value);
+            let line = format!(
+                "{what}: {:.3} {unit} vs baseline {:.3} {unit} (limit {limit:.3})",
+                r.value,
+                b.value,
+                unit = r.unit
+            );
+            if regressed {
+                errors.push(format!("REGRESSION {line}"));
+            } else {
+                eprintln!("[ets-bench] ok {line}");
+            }
         }
+        if matched == 0 {
+            errors.push(format!(
+                "{key}: no report row matches a baseline row, so nothing was compared"
+            ));
+        }
+        compared += matched;
     }
+    errors.is_empty().then_some(compared).ok_or(errors)
 }
 
-/// Markers between which [`report_md`] splices the trajectory table.
-const TRAJ_BEGIN: &str = "<!-- ets-bench:trajectory -->";
-const TRAJ_END: &str = "<!-- /ets-bench:trajectory -->";
+/// `--update-baseline`: replaces every baseline row of the report's
+/// workloads with the report's rows and appends one history record.
+fn update(report: &Value, mut baseline: Baseline, commit: &str) -> Result<Baseline, Vec<String>> {
+    let rows = rows(report)?;
+    baseline
+        .entries
+        .retain(|b| rows.iter().all(|r| r.workload != b.workload));
+    baseline.entries.extend(rows.iter().cloned());
+    baseline.history.push(Record {
+        commit: commit.to_owned(),
+        rows,
+    });
+    Ok(baseline)
+}
 
-/// Renders the baseline's `history` as a Markdown speedup-trajectory
-/// table; prints it, and splices it into `readme` when given. Rows with
-/// a `snapshot_load` stage derive a speedup against the most recent
-/// fresh `world_build` at the same scale.
-fn report_md(baseline_path: &str, readme: Option<&str>) -> ExitCode {
-    let baseline = match read_json(baseline_path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("[ets-bench] cannot read {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let history = baseline
-        .get("history")
-        .and_then(Value::as_array)
-        .cloned()
-        .unwrap_or_default();
+/// The pipeline history as a Markdown table: world build vs snapshot
+/// reload per scale, one line per record. A reload's speedup is taken
+/// against the latest fresh build at the same scale; the total sums the
+/// record's stage rows, as `Lab` does.
+fn trajectory(baseline: &Baseline) -> String {
     let mut table = String::from(
         "| commit | scale | threads | world_build (s) | snapshot_load (s) | load speedup | total (s) |\n\
          |---|---|---|---|---|---|---|\n",
     );
-    let fmt = |v: Option<f64>| match v {
-        Some(s) => format!("{s:.3}"),
-        None => "—".to_owned(),
-    };
-    let mut last_build: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-    let mut rows = 0;
-    for h in &history {
-        let key = config_key(h);
-        let stages = stage_seconds(h);
-        let get = |name: &str| stages.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
-        let build = get("world_build");
-        let load = get("snapshot_load");
-        if let Some(b) = build {
-            last_build.insert(key.3.clone(), b);
+    let fmt = |v: Option<f64>| v.map_or_else(|| "—".to_owned(), |s| format!("{s:.3}"));
+    let mut last_build: HashMap<String, f64> = HashMap::new();
+    let mut lines = 0;
+    for record in &baseline.history {
+        let short: String = record.commit.chars().take(9).collect();
+        for (workload, stages) in by_workload(&record.rows) {
+            if workload.get("plane").and_then(Value::as_str) != Some("pipeline") {
+                continue;
+            }
+            let scale = workload.get("scale").and_then(Value::as_str).unwrap_or("?");
+            let threads = workload.get("threads").and_then(Value::as_u64).unwrap_or(0);
+            let stage = |name: &str| {
+                stages
+                    .iter()
+                    .find(|r| r.layer.strip_prefix("stage.") == Some(name))
+                    .map(|r| r.value)
+            };
+            let (build, load) = (stage("world_build"), stage("snapshot_load"));
+            if let Some(b) = build {
+                last_build.insert(scale.to_owned(), b);
+            }
+            let speedup = match (load, last_build.get(scale)) {
+                (Some(l), Some(b)) if l > 0.0 => format!("{:.1}x", b / l),
+                _ => "—".to_owned(),
+            };
+            let total: f64 = stages.iter().map(|r| r.value).sum();
+            table.push_str(&format!(
+                "| {short} | {scale} | {threads} | {} | {} | {speedup} | {total:.3} |\n",
+                fmt(build),
+                fmt(load)
+            ));
+            lines += 1;
         }
-        let speedup = match (load, last_build.get(&key.3)) {
-            (Some(l), Some(b)) if l > 0.0 => format!("{:.1}x", b / l),
-            _ => "—".to_owned(),
-        };
-        let commit = h.get("commit").and_then(Value::as_str).unwrap_or("unknown");
-        let short: String = commit.chars().take(9).collect();
-        let total = h.get("total_seconds").and_then(Value::as_f64);
-        table.push_str(&format!(
-            "| {short} | {} | {} | {} | {} | {speedup} | {} |\n",
-            key.3,
-            key.0,
-            fmt(build),
-            fmt(load),
-            fmt(total)
-        ));
-        rows += 1;
     }
-    if rows == 0 {
+    if lines == 0 {
         table.push_str("| *(no history yet)* | | | | | | |\n");
     }
-    print!("{table}");
-    let Some(readme_path) = readme else {
-        return ExitCode::SUCCESS;
-    };
-    let text = match std::fs::read_to_string(readme_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[ets-bench] cannot read {readme_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    table
+}
+
+/// `text` with `table` between the trajectory markers.
+fn splice(text: &str, table: &str) -> Result<String, String> {
     let (Some(begin), Some(end)) = (text.find(TRAJ_BEGIN), text.find(TRAJ_END)) else {
-        eprintln!("[ets-bench] {readme_path} has no {TRAJ_BEGIN} / {TRAJ_END} markers");
-        return ExitCode::FAILURE;
+        return Err(format!("no {TRAJ_BEGIN} / {TRAJ_END} markers"));
     };
     if end < begin {
-        eprintln!("[ets-bench] {readme_path}: trajectory markers are out of order");
-        return ExitCode::FAILURE;
+        return Err("trajectory markers are out of order".to_owned());
     }
-    let spliced = format!(
-        "{}{}\n{}{}",
+    Ok(format!(
+        "{}{TRAJ_BEGIN}\n{table}{}",
         &text[..begin],
-        TRAJ_BEGIN,
-        table,
         &text[end..]
-    );
-    match std::fs::write(readme_path, spliced) {
-        Ok(()) => {
-            eprintln!("[ets-bench] spliced trajectory table into {readme_path}");
-            ExitCode::SUCCESS
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::Map;
+
+    fn pipeline_report(scale: &str, stages: &[(&str, f64)]) -> Value {
+        let stages: Vec<Value> = stages
+            .iter()
+            .map(|(name, secs)| json!({ "stage": *name, "seconds": *secs }))
+            .collect();
+        json!({ "threads": 1, "fast": false, "scale": scale, "stages": stages })
+    }
+
+    /// A `repro --snapshot` reload report: `world_build` skipped.
+    fn reload_report(scale: &str, load_secs: f64) -> Value {
+        json!({
+            "threads": 1,
+            "fast": false,
+            "scale": scale,
+            "stages": [
+                { "stage": "snapshot_load", "seconds": load_secs },
+                { "stage": "world_build", "skipped": "snapshot" },
+            ],
+        })
+    }
+
+    /// A passing 16-connection serve phase.
+    fn phase(rps: f64, p50: f64, p99: f64, p999: f64) -> Map {
+        let Value::Object(phase) = json!({
+            "phase": "pool",
+            "connections": 16,
+            "requests_per_conn": 8,
+            "target_rps": 200.0,
+            "achieved_rps": rps,
+            "latency": { "p50_ms": p50, "p99_ms": p99, "p999_ms": p999 },
+            "lost_workers": 0,
+            "stop_rules": { "pass": true, "violations": [] },
+            "taxonomy": { "observed": {
+                "no_error": 92, "bounce": 12, "timeout": 10,
+                "network_error": 9, "other_error": 5,
+            } },
+        }) else {
+            unreachable!("json! object literal")
+        };
+        phase
+    }
+
+    fn serve_report(phase: Map) -> Value {
+        json!({ "schema": "ets.bench_serve.v1", "mix": "paper", "phases": [Value::Object(phase)] })
+    }
+
+    /// A baseline built by updating from `reports` in order.
+    fn baseline_of(reports: &[Value]) -> Baseline {
+        reports.iter().fold(Baseline::default(), |b, r| {
+            update(r, b, "base").expect("valid report")
+        })
+    }
+
+    fn stage_passes(base: f64, secs: f64) -> bool {
+        let baseline = baseline_of(&[pipeline_report("1k", &[("world_build", base)])]);
+        check(&pipeline_report("1k", &[("world_build", secs)]), &baseline).is_ok()
+    }
+
+    #[test]
+    fn seconds_bound_is_the_larger_of_10_percent_and_350_ms() {
+        assert!(stage_passes(0.05, 0.40));
+        assert!(!stage_passes(0.05, 0.40 + 1e-9));
+        assert!(stage_passes(10.0, 11.0));
+        assert!(!stage_passes(10.0, 11.0 + 1e-9));
+    }
+
+    #[test]
+    fn serve_bounds_at_their_edges() {
+        let baseline = baseline_of(&[serve_report(phase(100.0, 1.0, 1.0, 100.0))]);
+        let passes = |p: Map| check(&serve_report(p), &baseline).is_ok();
+        assert!(passes(phase(65.0, 1.0, 1.0, 100.0)));
+        assert!(!passes(phase(65.0 - 1e-9, 1.0, 1.0, 100.0)));
+        assert!(passes(phase(100.0, 1.0, 6.0, 100.0)));
+        assert!(!passes(phase(100.0, 1.0, 6.0 + 1e-9, 100.0)));
+        let baseline = baseline_of(&[serve_report(phase(100.0, 1.0, 100.0, 100.0))]);
+        let passes = |p: Map| check(&serve_report(p), &baseline).is_ok();
+        assert!(passes(phase(100.0, 1.0, 200.0, 100.0)));
+        assert!(!passes(phase(100.0, 1.0, 200.0 + 1e-9, 100.0)));
+    }
+
+    #[test]
+    fn unknown_workload_passes_unchecked() {
+        let baseline = baseline_of(&[pipeline_report("1k", &[("world_build", 0.05)])]);
+        let report = pipeline_report("100k", &[("world_build", 500.0)]);
+        assert_eq!(check(&report, &baseline), Ok(0));
+    }
+
+    #[test]
+    fn reload_is_never_compared_with_a_fresh_build() {
+        let build = pipeline_report("1k", &[("world_build", 0.28), ("snapshot_save", 0.01)]);
+        let reload = reload_report("1k", 0.06);
+        let world = |r: &Value| rows(r).expect("valid")[0].workload.get("world").cloned();
+        assert_eq!(world(&build), Some(json!("build")));
+        assert_eq!(world(&reload), Some(json!("snapshot")));
+        assert_eq!(
+            check(&reload_report("1k", 50.0), &baseline_of(&[build])),
+            Ok(0)
+        );
+        let baseline = baseline_of(&[reload]);
+        assert_eq!(check(&reload_report("1k", 0.06), &baseline), Ok(1));
+    }
+
+    #[test]
+    fn missing_stages_pass_but_renamed_stages_fail() {
+        let stages = [
+            ("world_build", 0.05),
+            ("stream_collect", 0.10),
+            ("funnel_finish", 0.002),
+        ];
+        let baseline = baseline_of(&[pipeline_report("fast", &stages)]);
+        // `repro snapshot` times world_build alone.
+        let snapshot_only = pipeline_report("fast", &stages[..1]);
+        assert_eq!(check(&snapshot_only, &baseline), Ok(1));
+        let renamed = pipeline_report("fast", &[("build", 0.05), ("collect", 0.10)]);
+        let errors = check(&renamed, &baseline).expect_err("compared nothing");
+        assert!(errors[0].contains("nothing was compared"), "{errors:?}");
+    }
+
+    #[test]
+    fn serve_report_without_latency_fails() {
+        let baseline = baseline_of(&[serve_report(phase(100.0, 1.0, 1.0, 100.0))]);
+        let mut p = phase(100.0, 1.0, 1.0, 100.0);
+        p.remove("latency");
+        let report = serve_report(p);
+        let errors = check(&report, &baseline).expect_err("no latency");
+        assert!(errors.iter().any(|e| e.contains("no p99_ms")), "{errors:?}");
+        assert!(update(&report, Baseline::default(), "x").is_err());
+    }
+
+    #[test]
+    fn serve_gate_rejects_broken_reports_in_check_and_update() {
+        let good = phase(100.0, 1.0, 1.0, 100.0);
+        let baseline = baseline_of(&[serve_report(good.clone())]);
+        let mut wrong_schema = serve_report(good.clone());
+        if let Value::Object(m) = &mut wrong_schema {
+            m.insert("schema".to_owned(), json!("ets.bench_serve.v0"));
         }
-        Err(e) => {
-            eprintln!("[ets-bench] cannot write {readme_path}: {e}");
-            ExitCode::FAILURE
+        let mut cases = vec![(wrong_schema, "schema is not")];
+        for (key, value, why) in [
+            (
+                "taxonomy",
+                json!({ "observed": { "no_error": 1, "bounce": 1, "timeout": 1, "network_error": 1 } }),
+                "taxonomy row other_error missing",
+            ),
+            ("lost_workers", json!(1), "lost worker"),
+            (
+                "stop_rules",
+                json!({ "pass": false, "violations": ["failure rate"] }),
+                "stop rules did not pass",
+            ),
+        ] {
+            let mut p = good.clone();
+            p.insert(key.to_owned(), value);
+            cases.push((serve_report(p), why));
         }
+        for (bad, why) in cases {
+            for errors in [
+                check(&bad, &baseline).expect_err(why),
+                update(&bad, Baseline::default(), "x").err().expect(why),
+            ] {
+                assert!(errors.iter().any(|e| e.contains(why)), "{why}: {errors:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_replaces_only_the_report_workload_and_appends_one_record() {
+        let serve = serve_report(phase(100.0, 1.0, 1.0, 100.0));
+        let old = pipeline_report("fast", &[("world_build", 0.05), ("stream_collect", 0.1)]);
+        let baseline = baseline_of(&[old, serve.clone()]);
+        let fresh = pipeline_report("fast", &[("world_build", 0.04)]);
+        let updated = update(&fresh, baseline, "new").expect("valid");
+        let expected: Vec<Row> = rows(&serve)
+            .expect("valid")
+            .into_iter()
+            .chain(rows(&fresh).expect("valid"))
+            .collect();
+        assert_eq!(updated.entries, expected);
+        assert_eq!(updated.history.len(), 3);
+        let last = &updated.history[2];
+        assert_eq!(last.commit, "new");
+        assert_eq!(last.rows, rows(&fresh).expect("valid"));
+    }
+
+    #[test]
+    fn readme_trajectory_matches_committed_baseline() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |name: &str| std::fs::read_to_string(root.join(name)).expect("committed file");
+        let baseline: Baseline =
+            serde_json::from_str(&read("BENCH_ratchet.json")).expect("baseline parses");
+        let readme = read("README.md");
+        assert_eq!(splice(&readme, &trajectory(&baseline)), Ok(readme));
     }
 }

@@ -1,10 +1,12 @@
 //! The streaming collection driver: traffic → features → funnel in
 //! bounded memory.
 //!
-//! The batch path materializes the whole study period before the funnel
-//! runs — an O(total-emails) memory term that caps the study size. This
-//! module replays the same computation as a stream over simulated days:
-//! each day is one work unit fanned out through
+//! This is the collection path `repro` runs. The batch form —
+//! [`TrafficGenerator::generate`] then [`Funnel::classify_all`] —
+//! materializes the whole study period before the funnel runs, an
+//! O(total-emails) memory term that caps the study size; it stays as the
+//! oracle. This module runs the same computation as a stream over
+//! simulated days: each day is one work unit fanned out through
 //! [`ets_parallel::stream_map`] (bounded channels, reorder-commit), and
 //! the commit side — running strictly sequentially, in calendar order —
 //! absorbs the day's [`FeatureBatch`] into an incremental
@@ -14,12 +16,13 @@
 //! function of `(config, day)` (per-day RNG streams); feature extraction
 //! is a pure per-email function; the reorder buffer replays day batches
 //! in calendar order, so the sink and the feature sequence match the
-//! batch path exactly; and the funnel's cross-email state merges by
+//! batch oracle exactly; and the funnel's cross-email state merges by
 //! commutative addition, so epoch grouping cannot change a frequency
 //! count. [`Funnel::finish`] then sees identical inputs — identical
 //! verdicts, identical bytes downstream, at any thread count or channel
-//! depth. `tests/streaming_differential.rs` holds this equivalence as a
-//! differential oracle.
+//! depth. `tests/streaming_differential.rs` holds this equivalence
+//! against the oracle, including at exactly the collection
+//! `repro --fast` runs.
 //!
 //! Peak payload memory is O(workers × channel-depth × day-batch) —
 //! measured, not claimed: workers register each day's payload bytes with
@@ -147,8 +150,8 @@ pub fn stream_collect<'f, 'a>(
             (emails, batch, bytes)
         },
         |_, (emails, batch, bytes)| {
-            // Same workload metrics as the batch path, recorded at commit
-            // time so they land in calendar order.
+            // Same workload metrics as `generate`, recorded at commit time
+            // so they land in calendar order.
             ets_obs::metrics::histogram_record(
                 "traffic.day_batch",
                 &DAY_BATCH_BOUNDS,

@@ -159,8 +159,8 @@ pub struct TrafficSetup<'a> {
 }
 
 /// Bucket bounds for the per-day batch-size histogram
-/// (`traffic.day_batch`) — shared by the batch and streaming drivers so
-/// both record into the same buckets.
+/// (`traffic.day_batch`) — shared by [`TrafficGenerator::generate`] and
+/// the streaming driver so both record into the same buckets.
 pub(crate) const DAY_BATCH_BOUNDS: [u64; 7] = [0, 8, 16, 32, 64, 128, 256];
 
 impl<'a> TrafficGenerator<'a> {
@@ -205,8 +205,9 @@ impl<'a> TrafficGenerator<'a> {
     ///
     /// A pure function of `(config, setup, day)`: the day draws from its
     /// own RNG stream derived from `(seed, TRAFFIC_DAY, day)`, so any
-    /// caller — batch fan-out, streaming shard, live replay — produces
-    /// identical bytes for the same day. Outage days are empty.
+    /// caller — the [`generate`](Self::generate) fan-out, a streaming
+    /// shard, a live replay — produces identical bytes for the same day.
+    /// Outage days are empty.
     pub fn day(&self, setup: &TrafficSetup<'a>, day: usize) -> Vec<GenEmail> {
         let date = SimDate(day as u32);
         if self.infra.in_outage(date) {
@@ -235,7 +236,8 @@ impl<'a> TrafficGenerator<'a> {
     /// Days run data-parallel over [`TrafficGenerator::day`] and per-day
     /// batches are concatenated in calendar order, so the output is
     /// byte-identical for any thread count — and element-identical to
-    /// draining [`TrafficGenerator::source`].
+    /// the emails [`stream_collect`](crate::stream::stream_collect) hands
+    /// its sink, which makes this the streaming pipeline's oracle.
     pub fn generate(&self) -> Vec<GenEmail> {
         let mut gen_span = ets_obs::span!("traffic.generate");
         let setup = self.setup();
@@ -257,19 +259,6 @@ impl<'a> TrafficGenerator<'a> {
         ets_obs::metrics::counter_add("traffic.emails", out.len() as u64);
         gen_span.arg("emails", out.len() as u64);
         out
-    }
-
-    /// A lazy day-by-day iterator over the study period: yields exactly
-    /// the emails [`TrafficGenerator::generate`] would return, in the
-    /// same order, while holding at most one day's batch in memory — the
-    /// generator-side event source the streaming pipeline consumes.
-    pub fn source(&self) -> TrafficSource<'_, 'a> {
-        TrafficSource {
-            gen: self,
-            setup: self.setup(),
-            next_day: 0,
-            buffer: std::collections::VecDeque::new(),
-        }
     }
 
     /// Per-domain yearly receiver-typo weights from the typing model,
@@ -696,49 +685,6 @@ impl<'a> TrafficGenerator<'a> {
     }
 }
 
-/// The lazy traffic event stream from [`TrafficGenerator::source`]:
-/// generates one day at a time and yields its emails in canonical order.
-/// Peak memory is one day's batch, not the study period.
-pub struct TrafficSource<'g, 'a> {
-    gen: &'g TrafficGenerator<'a>,
-    setup: TrafficSetup<'a>,
-    next_day: u32,
-    buffer: std::collections::VecDeque<GenEmail>,
-}
-
-impl TrafficSource<'_, '_> {
-    /// The shared setup tables (campaigns, weights, domain lists).
-    pub fn setup(&self) -> &TrafficSetup<'_> {
-        &self.setup
-    }
-}
-
-impl Iterator for TrafficSource<'_, '_> {
-    type Item = GenEmail;
-
-    fn next(&mut self) -> Option<GenEmail> {
-        loop {
-            if let Some(email) = self.buffer.pop_front() {
-                return Some(email);
-            }
-            if self.next_day >= STUDY_DAYS {
-                return None;
-            }
-            let batch = self.gen.day(&self.setup, self.next_day as usize);
-            self.next_day += 1;
-            // Same workload metrics as the batch path, recorded day by
-            // day; totals match `generate` exactly.
-            ets_obs::metrics::histogram_record(
-                "traffic.day_batch",
-                &DAY_BATCH_BOUNDS,
-                batch.len() as u64,
-            );
-            ets_obs::metrics::counter_add("traffic.emails", batch.len() as u64);
-            self.buffer.extend(batch);
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct SmtpUser {
     id: usize,
@@ -924,20 +870,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b).take(50) {
             assert_eq!(x.collected.rcpt_to, y.collected.rcpt_to);
             assert_eq!(x.truth, y.truth);
-        }
-    }
-
-    #[test]
-    fn source_iterator_matches_generate() {
-        let (infra, batch) = generate(16);
-        let gen = TrafficGenerator::new(&infra, TrafficConfig::test_scale(16));
-        let streamed: Vec<GenEmail> = gen.source().collect();
-        assert_eq!(streamed.len(), batch.len());
-        for (a, b) in batch.iter().zip(&streamed) {
-            assert_eq!(a.collected.rcpt_to, b.collected.rcpt_to);
-            assert_eq!(a.collected.date, b.collected.date);
-            assert_eq!(a.collected.message.body, b.collected.message.body);
-            assert_eq!(a.truth, b.truth);
         }
     }
 

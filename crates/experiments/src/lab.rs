@@ -1,5 +1,6 @@
-//! Shared experiment context: lazily-built worlds, collections, and
-//! funnel outputs, so `repro all` builds each expensive substrate once.
+//! Shared experiment context: the lazily-built world and the streamed
+//! collection run with its funnel verdicts, so `repro all` builds each
+//! expensive substrate once.
 
 use ets_collector::funnel::{Funnel, FunnelVerdict};
 use ets_collector::infra::{CollectedEmail, CollectionInfra};
@@ -24,10 +25,6 @@ pub struct Lab {
     pub seed: u64,
     /// Reduced-scale mode for quick runs.
     pub fast: bool,
-    /// Streaming pipeline (the default) vs the batch
-    /// collect-then-classify oracle; results are byte-identical either
-    /// way, only peak memory and stage names differ.
-    pub streaming: bool,
     /// Output directory for JSON records.
     pub out_dir: String,
     /// Explicit world scale (`--scale`): number of popularity targets.
@@ -40,8 +37,9 @@ pub struct Lab {
     collection: OnceLock<Collection>,
     log: Mutex<()>,
     /// Stages skipped this run (name, reason) — reported in
-    /// `bench_pipeline.json` so the ratchet never compares a skipped
-    /// stage's absence against a real timing.
+    /// `bench_pipeline.json`, where `ets-bench` keys a report with a
+    /// skipped stage as a `world: snapshot` workload, so a reload is never
+    /// compared with a fresh build.
     skipped: Mutex<Vec<(String, String)>>,
 }
 
@@ -59,11 +57,10 @@ pub struct Collection {
 
 impl Lab {
     /// Creates a lab bench.
-    pub fn new(seed: u64, fast: bool, streaming: bool, out_dir: String) -> Lab {
+    pub fn new(seed: u64, fast: bool, out_dir: String) -> Lab {
         Lab {
             seed,
             fast,
-            streaming,
             out_dir,
             scale: None,
             snapshot: None,
@@ -210,7 +207,10 @@ impl Lab {
             .push((stage.to_owned(), reason.to_owned()));
     }
 
-    /// The collection run (§4 substrate), built once.
+    /// The collection run (§4 substrate), built once: the
+    /// `stream_collect` stage streams the study period through the
+    /// funnel's per-email layers, then `funnel_finish` runs its
+    /// corpus-level layers.
     pub fn collection(&self) -> &Collection {
         self.collection.get_or_init(|| {
             let infra = CollectionInfra::build();
@@ -225,54 +225,28 @@ impl Lab {
             };
             let spam_scale = config.spam_scale;
             eprintln!(
-                "[lab] generating {} months of traffic (spam scale 1/{:.0}, {})...",
+                "[lab] generating {} months of traffic (spam scale 1/{:.0})...",
                 7.5,
                 1.0 / spam_scale,
-                if self.streaming { "streaming" } else { "batch" },
             );
-            let (collected, verdicts) = if self.streaming {
-                // Streaming: generate, extract features, and hand off
-                // day by day under back-pressure; only the finish layers
-                // see the whole corpus.
-                let gen = TrafficGenerator::new(&infra, config);
-                let funnel = Funnel::new(&infra);
-                let mut collected: Vec<CollectedEmail> = Vec::new();
-                ets_obs::mem::reset_peak();
-                let state = self.time_stage("stream_collect", || {
-                    let mut sink = |e: GenEmail| collected.push(e.collected);
-                    stream_collect(&gen, &funnel, &mut sink)
-                });
-                self.gauge_stage_peak("stream_collect");
-                eprintln!(
-                    "[lab] finishing the funnel over {} emails...",
-                    collected.len()
-                );
-                ets_obs::mem::reset_peak();
-                let verdicts = self.time_stage("funnel_finish", || state.finish());
-                self.gauge_stage_peak("funnel_finish");
-                (collected, verdicts)
-            } else {
-                let collected: Vec<CollectedEmail> = self.time_stage("traffic_generate", || {
-                    TrafficGenerator::new(&infra, config)
-                        .generate()
-                        .into_iter()
-                        .map(|e| e.collected)
-                        .collect()
-                });
-                // Batch materializes the whole corpus before the funnel
-                // runs: record its payload bytes as the stage peak so
-                // bench_pipeline.json shows the memory contrast.
-                let bytes: u64 = collected.iter().map(|e| e.approx_heap_bytes()).sum();
-                ets_obs::metrics::gauge_set("mem.stage_peak_bytes.traffic_generate", bytes as f64);
-                eprintln!(
-                    "[lab] running the funnel over {} emails...",
-                    collected.len()
-                );
-                let verdicts = self.time_stage("funnel_classify", || {
-                    Funnel::new(&infra).classify_all(&collected)
-                });
-                (collected, verdicts)
-            };
+            // Generate, extract features, and hand off day by day under
+            // back-pressure; only the finish layers see the whole corpus.
+            let gen = TrafficGenerator::new(&infra, config);
+            let funnel = Funnel::new(&infra);
+            let mut collected: Vec<CollectedEmail> = Vec::new();
+            ets_obs::mem::reset_peak();
+            let state = self.time_stage("stream_collect", || {
+                let mut sink = |e: GenEmail| collected.push(e.collected);
+                stream_collect(&gen, &funnel, &mut sink)
+            });
+            self.gauge_stage_peak("stream_collect");
+            eprintln!(
+                "[lab] finishing the funnel over {} emails...",
+                collected.len()
+            );
+            ets_obs::mem::reset_peak();
+            let verdicts = self.time_stage("funnel_finish", || state.finish());
+            self.gauge_stage_peak("funnel_finish");
             self.record_count("traffic_emails", collected.len() as u64);
             self.record_count(
                 "funnel_true_typos",
@@ -329,8 +303,6 @@ impl Lab {
             .collect();
         let value = json!({
             "threads": ets_parallel::threads(),
-            "streaming": self.streaming,
-            "channel_depth": ets_parallel::stream_depth(),
             "seed": self.seed,
             "fast": self.fast,
             "scale": self.scale_label(),

@@ -16,7 +16,7 @@ use std::process::Command;
 /// Stages `repro all` runs through `time_stage` — each must appear as a
 /// `stage.<name>` span in the trace. (The streaming pipeline fuses
 /// traffic generation and funnel classification into `stream_collect` +
-/// `funnel_finish`; the batch names died with the batch default.)
+/// `funnel_finish`; `repro` has no batch mode.)
 const STAGES: [&str; 3] = ["world_build", "stream_collect", "funnel_finish"];
 
 /// Top-level pipeline spans every `all --fast` trace must contain.

@@ -6,7 +6,8 @@
 //! payload memory. This suite holds each claim against the oracle:
 //!
 //! * full email + verdict equality across a thread {1, 2, 8} × channel
-//!   depth {1, 1024} sweep;
+//!   depth {1, 1024} sweep, and at 1 and 4 threads on exactly the
+//!   collection `repro --fast` runs;
 //! * a proptest that absorbs the corpus in arbitrary epoch groupings and
 //!   demands the verdicts never move;
 //! * a peak-memory assertion: with a discarding sink, the in-flight
@@ -77,6 +78,34 @@ fn stream_equals_batch_across_threads_and_depths() {
                 "verdicts diverged at threads={threads} depth={depth}"
             );
         }
+    }
+    restore_defaults();
+}
+
+/// `repro --fast` collects `TrafficConfig::test_scale` at the default
+/// seed, 20160604, and every result file is a function of those emails,
+/// their verdicts and the world. Streaming them at 1 and 4 threads must
+/// reproduce the batch oracle exactly.
+#[test]
+fn repro_fast_collection_equals_batch_oracle() {
+    let _g = lock();
+    restore_defaults();
+    let infra = CollectionInfra::build();
+    let config = TrafficConfig::test_scale(20160604);
+    let gen = TrafficGenerator::new(&infra, config);
+    let funnel = Funnel::new(&infra);
+    let batch: Vec<CollectedEmail> = gen.generate().into_iter().map(|e| e.collected).collect();
+    let batch_verdicts = funnel.classify_all(&batch);
+    for threads in [1usize, 4] {
+        ets_parallel::set_threads(threads);
+        let mut streamed: Vec<CollectedEmail> = Vec::new();
+        let mut sink = |e: GenEmail| streamed.push(e.collected);
+        let verdicts = stream_collect(&gen, &funnel, &mut sink).finish();
+        assert_eq!(streamed, batch, "emails diverged at threads={threads}");
+        assert_eq!(
+            verdicts, batch_verdicts,
+            "verdicts diverged at threads={threads}"
+        );
     }
     restore_defaults();
 }
