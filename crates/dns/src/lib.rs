@@ -13,8 +13,8 @@
 //! * [`record`] — A / NS / MX / TXT / SOA / CNAME resource records.
 //! * [`zone`] — authoritative zones with RFC 4592 wildcard matching.
 //! * [`wire`] — the RFC 1035 message codec, including name compression.
-//! * [`resolver`] — lookups against a zone set, plus the RFC 5321
-//!   MX-with-A-fallback resolution used by every SMTP client.
+//! * [`resolver`] — lookups against any [`ZoneSource`], plus the
+//!   RFC 5321 MX-with-A-fallback resolution used by every SMTP client.
 //! * [`server`] — a UDP driver serving the resolver over real sockets.
 //! * [`registry`] — the registration database: who owns which domain,
 //!   through which registrar, behind which privacy proxy.
@@ -36,6 +36,6 @@ pub mod zone;
 pub use name::Fqdn;
 pub use record::{RecordData, RecordType, ResourceRecord};
 pub use registry::{Registration, Registry};
-pub use resolver::{MailTarget, Resolver};
+pub use resolver::{MailTarget, Resolver, ZoneSource};
 pub use whois::WhoisRecord;
 pub use zone::Zone;

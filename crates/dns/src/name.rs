@@ -237,10 +237,15 @@ impl fmt::Display for Fqdn {
 // Ordering is label-wise, exactly as the former `Vec<String>` layout
 // compared: `a.b` sorts before `a-x.b` because the first *labels* are
 // `a` < `a-x`, even though byte-wise `-` < `.` would say otherwise.
-// Sorted result files depend on this order.
+// Sorted result files depend on this order. The bytes are compared with
+// each dot mapped below every label byte, which orders names exactly as
+// their labels do (the first differing byte, or the shorter name,
+// decides as the first differing label would) without splitting them.
 impl Ord for Fqdn {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.labels().cmp(other.labels())
+        let below_labels = |c: u8| if c == b'.' { 0 } else { c };
+        let (a, b) = (self.name.bytes(), other.name.bytes());
+        a.map(below_labels).cmp(b.map(below_labels))
     }
 }
 
@@ -366,5 +371,31 @@ mod tests {
         v.sort();
         v.dedup();
         assert_eq!(v, vec![n("a.com"), n("b.com")]);
+    }
+
+    proptest::proptest! {
+        /// `Ord` is the label-wise order, for names that extend a shared
+        /// first label with a hyphen (`a.b` vs `a-x.b`, where the bytes
+        /// disagree) or with a label byte, and for unrelated names of any
+        /// depth, the root included.
+        #[test]
+        fn ordering_is_label_wise(
+            labels in proptest::collection::vec("[a-z0-9_-]{1,4}", 2..4),
+            ext in "[a-z0-9_]{1,3}",
+            other in proptest::collection::vec("[a-z0-9_-]{1,4}", 0..4),
+        ) {
+            let rest = labels[1..].join(".");
+            let names = [
+                n(&labels.join(".")),
+                n(&format!("{}-{ext}.{rest}", labels[0])),
+                n(&format!("{}{ext}.{rest}", labels[0])),
+                n(&other.join(".")),
+            ];
+            for p in &names {
+                for q in &names {
+                    proptest::prop_assert!(p.cmp(q) == p.labels().cmp(q.labels()), "{p} vs {q}");
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,12 @@
 //! privacy proxy), its registrar, its name servers, and its authoritative
 //! zone. This is the substrate §5 scans: generate gtypos, ask the registry
 //! which are registered (ctypos), resolve their MX/A records, fetch WHOIS,
-//! and read the `.com` zone file for name-server statistics.
+//! and read the `.com` zone file for name-server statistics. A
+//! [`Registry`] stores its rows; a view that derives them on lookup can
+//! stand in for it behind the same [`ZoneSource`] trait.
 
 use crate::name::Fqdn;
+use crate::resolver::ZoneSource;
 use crate::whois::WhoisRecord;
 use crate::zone::Zone;
 use parking_lot::RwLock;
@@ -55,10 +58,9 @@ pub struct Registry {
     inner: Arc<RwLock<RegistryInner>>,
 }
 
-/// One domain's registry row: the registration plus its published zone.
-/// One map (not registration/zone side tables) on purpose: the bulk
-/// commit paths touch ~10⁶ random buckets, and a second table doubles
-/// the cache/TLB misses that dominate that loop.
+/// One domain's registry row: the registration plus its published zone,
+/// so a registration can never exist without its zone slot (or the
+/// reverse) and a lookup of either is one probe.
 #[derive(Debug)]
 struct RegistryEntry {
     registration: Registration,
@@ -74,14 +76,6 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-sizes the registration and zone tables for `additional` more
-    /// entries — the bulk paths (background population, snapshot reload)
-    /// know their counts up front, so the maps never rehash mid-commit.
-    pub fn reserve(&self, additional: usize) {
-        let mut inner = self.inner.write();
-        inner.domains.reserve(additional);
     }
 
     /// Registers a domain with its zone. Returns `false` (and changes
@@ -105,13 +99,6 @@ impl Registry {
         }
     }
 
-    /// Removes a registration (domain surrender, per the study's trademark
-    /// policy). Returns the removed registration, if any.
-    pub fn surrender(&self, domain: &Fqdn) -> Option<Registration> {
-        let mut inner = self.inner.write();
-        inner.domains.remove(domain).map(|e| e.registration)
-    }
-
     /// Whether a domain is registered.
     pub fn is_registered(&self, domain: &Fqdn) -> bool {
         self.inner.read().domains.contains_key(domain)
@@ -126,15 +113,6 @@ impl Registry {
             .map(|e| e.registration.clone())
     }
 
-    /// The public WHOIS view of a domain (proxy record when proxied).
-    pub fn whois(&self, domain: &Fqdn) -> Option<WhoisRecord> {
-        self.inner
-            .read()
-            .domains
-            .get(domain)
-            .map(|e| e.registration.public_whois())
-    }
-
     /// The authoritative zone for a domain, if one is published.
     pub fn zone(&self, domain: &Fqdn) -> Option<Zone> {
         self.inner
@@ -142,19 +120,6 @@ impl Registry {
             .domains
             .get(domain)
             .and_then(|e| e.zone.clone())
-    }
-
-    /// Replaces (or publishes) a domain's zone. Returns `false` if the
-    /// domain is not registered.
-    pub fn publish_zone(&self, zone: Zone) -> bool {
-        let mut inner = self.inner.write();
-        match inner.domains.get_mut(&zone.origin) {
-            Some(e) => {
-                e.zone = Some(zone);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Number of registrations.
@@ -165,13 +130,6 @@ impl Registry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All registered domains (sorted, for determinism).
-    pub fn domains(&self) -> Vec<Fqdn> {
-        let mut v: Vec<Fqdn> = self.inner.read().domains.keys().cloned().collect();
-        v.sort();
-        v
     }
 
     /// The zone-file view used by §5.1's name-server analysis: one
@@ -187,22 +145,17 @@ impl Registry {
         rows.sort();
         rows
     }
+}
 
-    /// Runs `f` over every registration without cloning the map.
-    pub fn for_each<F: FnMut(&Registration)>(&self, mut f: F) {
-        let inner = self.inner.read();
-        let mut keys: Vec<&Fqdn> = inner.domains.keys().collect();
-        keys.sort();
-        for k in keys {
-            f(&inner.domains[k].registration);
-        }
+impl ZoneSource for Registry {
+    fn zone(&self, domain: &Fqdn) -> Option<Zone> {
+        Registry::zone(self, domain)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordType;
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> Fqdn {
@@ -242,35 +195,10 @@ mod tests {
         let r = Registry::new();
         r.register(reg("hidden.com", true), None);
         r.register(reg("open.com", false), None);
-        let hidden = r.whois(&n("hidden.com")).unwrap();
+        let hidden = r.registration(&n("hidden.com")).unwrap().public_whois();
         assert_eq!(hidden.organization.as_deref(), Some("proxy.example"));
-        let open = r.whois(&n("open.com")).unwrap();
+        let open = r.registration(&n("open.com")).unwrap().public_whois();
         assert_eq!(open.registrant_name.as_deref(), Some("Owner"));
-    }
-
-    #[test]
-    fn zone_publication_and_lookup() {
-        let r = Registry::new();
-        r.register(reg("typo.com", false), None);
-        assert!(r.zone(&n("typo.com")).is_none());
-        let z = Zone::catch_all(&n("typo.com"), Ipv4Addr::new(5, 5, 5, 5), 300);
-        assert!(r.publish_zone(z));
-        let z = r.zone(&n("typo.com")).unwrap();
-        assert_eq!(z.lookup(&n("a.typo.com"), RecordType::Mx).len(), 1);
-        // Unregistered domains cannot publish.
-        let z2 = Zone::parked(&n("other.com"), Ipv4Addr::new(1, 2, 3, 4), 300);
-        assert!(!r.publish_zone(z2));
-    }
-
-    #[test]
-    fn surrender_removes_everything() {
-        let r = Registry::new();
-        let zone = Zone::parked(&n("trademark.com"), Ipv4Addr::new(1, 1, 1, 1), 300);
-        r.register(reg("trademark.com", false), Some(zone));
-        assert!(r.surrender(&n("trademark.com")).is_some());
-        assert!(!r.is_registered(&n("trademark.com")));
-        assert!(r.zone(&n("trademark.com")).is_none());
-        assert!(r.surrender(&n("trademark.com")).is_none());
     }
 
     #[test]

@@ -1,17 +1,26 @@
-//! Resolution against the registry, including RFC 5321 mail routing.
+//! Resolution against a set of zones, including RFC 5321 mail routing.
 //!
-//! The resolver answers A/MX/NS/TXT queries from the zones published in a
-//! [`Registry`], and implements the mail-specific rule of RFC 5321 §5.1
-//! that the study's scan relies on: *"in the absence of an MX record, the
-//! A record of the domain name should be used as the mail server's
-//! address"* (an "implicit MX").
+//! The resolver answers A/MX/NS/TXT queries from the zones a
+//! [`ZoneSource`] publishes — a [`Registry`](crate::Registry), or any
+//! view that derives its zones on lookup — and implements the
+//! mail-specific rule of RFC 5321 §5.1 that the study's scan relies on:
+//! *"in the absence of an MX record, the A record of the domain name
+//! should be used as the mail server's address"* (an "implicit MX").
 
 use crate::name::Fqdn;
 use crate::record::{RecordData, RecordType};
-use crate::registry::Registry;
 use crate::wire::{DnsMessage, Rcode};
+use crate::zone::Zone;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// Where a [`Resolver`] reads zones from.
+pub trait ZoneSource: Send + Sync + fmt::Debug {
+    /// The authoritative zone published at exactly `domain`, if any.
+    fn zone(&self, domain: &Fqdn) -> Option<Zone>;
+}
 
 /// Where mail for a domain should be delivered.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,26 +48,28 @@ pub struct MxTarget {
     pub address: Option<Ipv4Addr>,
 }
 
-/// A resolver bound to a registry.
+/// A resolver bound to a zone source.
 #[derive(Debug, Clone)]
 pub struct Resolver {
-    registry: Registry,
+    zones: Arc<dyn ZoneSource>,
 }
 
 impl Resolver {
-    /// Creates a resolver over `registry`.
-    pub fn new(registry: Registry) -> Self {
-        Resolver { registry }
+    /// Creates a resolver over `zones`.
+    pub fn new(zones: impl ZoneSource + 'static) -> Self {
+        Resolver {
+            zones: Arc::new(zones),
+        }
     }
 
     /// The registrable zone a name falls under, if registered.
-    fn zone_for(&self, name: &Fqdn) -> Option<crate::zone::Zone> {
+    fn zone_for(&self, name: &Fqdn) -> Option<Zone> {
         // Walk up: the zone cut in this simulation is always at the
         // registrable (two-label) boundary, but checking each ancestor
         // keeps deeper delegations possible.
         let mut cur = name.clone();
         loop {
-            if let Some(z) = self.registry.zone(&cur) {
+            if let Some(z) = self.zones.zone(&cur) {
                 return Some(z);
             }
             if cur.label_count() <= 2 {
@@ -182,9 +193,8 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registration;
+    use crate::registry::{Registration, Registry};
     use crate::whois::WhoisRecord;
-    use crate::zone::Zone;
 
     fn n(s: &str) -> Fqdn {
         s.parse().unwrap()

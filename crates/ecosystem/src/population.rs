@@ -21,8 +21,9 @@ use ets_core::alexa::{self, PopularityList};
 use ets_core::taxonomy::DomainClass;
 use ets_core::typogen::{self, TypoCandidate};
 use ets_core::{DomainInterner, DomainName, MistakeKind, ReverseDl1Index};
-use ets_dns::registry::{Registration, Registry};
-use ets_dns::resolver::Resolver;
+use ets_dns::record::{RecordData, ResourceRecord};
+use ets_dns::registry::Registration;
+use ets_dns::resolver::{Resolver, ZoneSource};
 use ets_dns::whois::WhoisRecord;
 use ets_dns::zone::Zone;
 use ets_dns::Fqdn;
@@ -31,6 +32,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Registrant archetypes observed in §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -204,8 +206,9 @@ pub const MID_TIER_MX: usize = 40;
 /// The assembled world.
 #[derive(Debug)]
 pub struct World {
-    /// The registry holding every registration and zone.
-    pub registry: Registry,
+    /// The registry: a read-only view that derives every registration
+    /// and zone on lookup from the ctypo columns and `config`.
+    pub registry: RegistryView,
     /// Popularity list of targets (and benign filler sites).
     pub popularity: PopularityList,
     /// The target domains, most popular first.
@@ -227,16 +230,6 @@ pub struct World {
     pub ns_customer_base: Vec<(Fqdn, usize)>,
     /// Config used to build this world.
     pub config: PopulationConfig,
-    /// Per-ctypo registration draws, index-aligned with `ctypos`: the
-    /// compact struct-of-arrays record of every RNG roll each
-    /// registration consumed. Together with `ctypos` this is the entire
-    /// non-derivable state of the world — exactly what the snapshot
-    /// persists (everything else is a pure function of `config`).
-    pub(crate) ctypo_meta: Vec<CtypoMeta>,
-    /// Interned ctypo names, id-aligned with `ctypos` (interned in the
-    /// final sorted order), so ownership and SMTP-profile queries are a
-    /// hash probe over arena slices instead of a linear scan.
-    ctypo_index: DomainInterner,
     /// Reverse DL-1 index over the targets: answers "which targets is
     /// this domain a typo of?" in O(len) without regenerating any
     /// candidate set.
@@ -259,11 +252,6 @@ const MAX_BAND_TARGETS: usize = 65_536;
 /// Bucket bounds for the `world.band_pending_bytes` histogram (1 MiB to
 /// 256 MiB, ×4 steps).
 const BAND_BYTES_BOUNDS: [u64; 5] = [1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28];
-/// Snapshot-rebuild band: records materialized per commit round. Sized so
-/// the pending registrations (~1 KiB each) stay within a few MiB — hot in
-/// cache when the sequential commit consumes them, and bounding peak
-/// memory the same way the fresh build's band budget does.
-const SNAPSHOT_COMMIT_BAND: usize = 8_192;
 /// Bucket bounds for the `world.dl1_fanout` histogram.
 const DL1_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
@@ -280,14 +268,16 @@ impl World {
     /// customer, a target's gtypo band, an NS customer base — draws from
     /// its own RNG stream derived from `(config.seed, stream, unit id)`,
     /// so the expensive phases run data-parallel and the result is
-    /// byte-identical for any thread count. Registry commits stay
-    /// sequential in canonical (target-rank, generation) order because
-    /// first-registration-wins must resolve cross-target name collisions
-    /// the same way every run.
+    /// byte-identical for any thread count. First-registration-wins is a
+    /// name check: a gtypo winner is kept only if no filler, background
+    /// customer, or earlier winner in canonical (target-rank, generation)
+    /// order holds its name, so cross-target name collisions resolve the
+    /// same way every run. Nothing is committed anywhere: the registry
+    /// derives every row on lookup (see [`RegistryView`]).
     ///
     /// The gtypo phase is **sharded**: targets are processed in
     /// rank-ordered bands, each band fanned out over the worker pool and
-    /// committed before the next band starts, so the transient pending
+    /// checked before the next band starts, so the transient pending
     /// payload stays near `band_budget_bytes` regardless of scale. Band
     /// geometry adapts only to deterministic payload-byte counts (never
     /// to wall clock or thread count), and per-unit RNG streams depend
@@ -307,17 +297,21 @@ impl World {
         let popularity = alexa::synthetic_top(config.n_targets);
         let targets: Vec<DomainName> = popularity.iter().map(|e| e.domain.clone()).collect();
         ets_obs::metrics::counter_add("world.targets", targets.len() as u64);
-        let registry = Registry::new();
         let ns_providers = make_ns_providers(&config);
         let mx_providers = make_mx_providers();
-        let mx_hosts = mx_hosts_of(&mx_providers);
 
         // --- registrants with Zipf-sized portfolios -------------------
         let registrant_span = ets_obs::span!("world.registrants", ets_obs::Level::Debug);
         let registrants = make_registrants(&config);
         drop(registrant_span);
 
-        register_background(&config, &registry, &targets, &ns_providers);
+        let columns = Columns::new(
+            &config,
+            &targets,
+            &registrants,
+            &ns_providers,
+            &mx_providers,
+        );
 
         // --- the registration process over gtypos ----------------------
         // Portfolio assignment: Zipf over registrants (registrant 0 has
@@ -330,8 +324,6 @@ impl World {
             appetite_total: appetite.iter().sum(),
             appetite: &appetite,
             registrants: &registrants,
-            ns_providers: &ns_providers,
-            mx_hosts: &mx_hosts,
         };
 
         // The registration probability decays monotonically with rank, so
@@ -343,10 +335,9 @@ impl World {
             .unwrap_or(targets.len());
 
         // Parallel compute per band: each target draws its gtypo band
-        // from its own stream and prepares registrations without touching
-        // the registry; the sequential commit between bands keeps
-        // first-registration-wins in canonical rank order and bounds the
-        // pending payload to roughly one band.
+        // from its own stream, and going band by band bounds the pending
+        // payload to roughly one band. Between bands, winners whose name
+        // a filler or background customer holds are dropped.
         let pending_span = ets_obs::span!("world.ctypo_pending", ets_obs::Level::Debug);
         let mut pairs: Vec<(CtypoInfo, CtypoMeta)> = Vec::new();
         let mut pending_total: u64 = 0;
@@ -357,7 +348,7 @@ impl World {
             let pending: Vec<Vec<PendingCtypo>> = par_map(&targets[start..end], |i, target| {
                 roll.target(start + i, target)
             });
-            // Account the band's transient payload before committing it:
+            // Account the band's transient payload before checking it:
             // the budget histogram is a pure function of (seed, scale,
             // budget), while the mem gauge feeds the wall-clock-side peak
             // reports.
@@ -374,11 +365,12 @@ impl World {
             ets_obs::mem::add(band_bytes);
             for batch in pending {
                 pending_total += batch.len() as u64;
-                for p in batch {
-                    if registry.register(p.registration, p.zone) {
-                        pairs.push((p.info, p.meta));
-                    }
-                }
+                pairs.extend(
+                    batch
+                        .into_iter()
+                        .filter(|p| columns.row(p.info.candidate.domain.as_str()).is_none())
+                        .map(|p| (p.info, p.meta)),
+                );
             }
             ets_obs::mem::sub(band_bytes);
             ets_obs::metrics::counter_add("world.bands", 1);
@@ -396,12 +388,15 @@ impl World {
         ets_obs::metrics::counter_add("world.ctypo_pending", pending_total);
         drop(pending_span);
         let commit_span = ets_obs::span!("world.commit", ets_obs::Level::Debug);
+        // `sort_by` is stable, so equal names stay in canonical (rank,
+        // generation) order and the dedup keeps the earliest winner.
         pairs.sort_by(|a, b| a.0.candidate.domain.cmp(&b.0.candidate.domain));
+        pairs.dedup_by(|later, earlier| later.0.candidate.domain == earlier.0.candidate.domain);
         let (ctypos, ctypo_meta): (Vec<CtypoInfo>, Vec<CtypoMeta>) = pairs.into_iter().unzip();
         drop(commit_span);
         Self::finish(
             config,
-            registry,
+            columns,
             popularity,
             targets,
             ctypos,
@@ -413,15 +408,16 @@ impl World {
     }
 
     /// Rebuilds a world from snapshot records: every derivable phase
-    /// (popularity, registrants, fillers, background, indices, NS
-    /// customer bases) is recomputed from `config`'s RNG streams exactly
-    /// as a fresh build would, and each persisted ctypo is materialized
-    /// purely from its stored draws — no registration roll is ever
-    /// re-drawn, which is why the result is byte-identical to the build
-    /// that produced the snapshot. Records arrive in the world's sorted
-    /// ctypo order. Any inconsistency (out-of-range index, unparsable
-    /// name, unsorted or colliding records) is an error, never a panic:
-    /// the caller falls back to a fresh build.
+    /// (popularity, registrants, indices, NS customer bases) is
+    /// recomputed from `config`'s RNG streams exactly as a fresh build
+    /// would, and the records are decoded straight into the ctypo
+    /// columns — no registration roll is ever re-drawn, which is why the
+    /// result is byte-identical to the build that produced the snapshot.
+    /// Records arrive in the world's sorted ctypo order. Any
+    /// inconsistency (out-of-range index, unparsable name, unregistered
+    /// class, unsorted or duplicated records, a name a filler or
+    /// background customer holds) is an error, never a panic: the caller
+    /// falls back to a fresh build.
     pub(crate) fn from_snapshot_records(
         config: PopulationConfig,
         records: Vec<CtypoRecord>,
@@ -431,93 +427,34 @@ impl World {
         let popularity = alexa::synthetic_top(config.n_targets);
         let targets: Vec<DomainName> = popularity.iter().map(|e| e.domain.clone()).collect();
         ets_obs::metrics::counter_add("world.targets", targets.len() as u64);
-        let registry = Registry::new();
-        registry.reserve(targets.len() + records.len());
         let ns_providers = make_ns_providers(&config);
         let mx_providers = make_mx_providers();
-        let mx_hosts = mx_hosts_of(&mx_providers);
         let registrants = make_registrants(&config);
-        register_background(&config, &registry, &targets, &ns_providers);
+        let columns = Columns::new(
+            &config,
+            &targets,
+            &registrants,
+            &ns_providers,
+            &mx_providers,
+        );
 
-        // Materialization is pure per record, so it fans out; the
-        // registry commit stays sequential in stored (sorted) order.
-        // Both run band-by-band: a bounded pending buffer keeps the
-        // transient registrations cache-hot when they are committed and
-        // caps peak memory exactly like the fresh build's band budget.
-        let mut ctypos: Vec<CtypoInfo> = Vec::with_capacity(records.len());
-        let mut ctypo_meta: Vec<CtypoMeta> = Vec::with_capacity(records.len());
-        for band in records.chunks(SNAPSHOT_COMMIT_BAND) {
-            let materialized: Vec<Result<PendingCtypo, String>> = par_map(band, |_, rec| {
-                let rank = rec.target_rank as usize;
-                let target = targets
-                    .get(rank)
-                    .ok_or_else(|| format!("target rank {rank} out of range"))?;
-                let domain = DomainName::from_sld_tld(&rec.sld, target.tld())
-                    .map_err(|e| format!("bad ctypo name {:?}: {e}", rec.sld))?;
-                if rec.class == DomainClass::Typosquatting && rec.owner >= registrants.len() {
-                    return Err(format!("owner {} out of range", rec.owner));
+        let decoded = par_map(&records, |_, rec| columns.decode(rec));
+        drop(records);
+        let mut ctypos: Vec<CtypoInfo> = Vec::with_capacity(decoded.len());
+        let mut ctypo_meta: Vec<CtypoMeta> = Vec::with_capacity(decoded.len());
+        for row in decoded {
+            let (info, meta) = row?;
+            if let Some(prev) = ctypos.last() {
+                if prev.candidate.domain >= info.candidate.domain {
+                    return Err("snapshot records not in sorted order".to_owned());
                 }
-                if (rec.draw.ns as usize) >= ns_providers.len() {
-                    return Err(format!("ns provider {} out of range", rec.draw.ns));
-                }
-                if let Some(mi) = rec.draw.mx {
-                    if (mi as usize) >= mx_providers.len() {
-                        return Err(format!("mx provider {mi} out of range"));
-                    }
-                }
-                let cand = TypoCandidate {
-                    domain,
-                    target: target.clone(),
-                    kind: rec.kind,
-                    position: rec.position as usize,
-                    fat_finger: rec.fat_finger,
-                    visual: rec.visual,
-                };
-                materialize_ctypo(
-                    cand,
-                    rec.class,
-                    rec.owner,
-                    &rec.draw,
-                    rec.target_rank,
-                    &registrants,
-                    &ns_providers,
-                    &mx_hosts,
-                )
-                .ok_or_else(|| "unregistered class in snapshot".to_owned())
-            });
-            // Same transient-payload accounting as the fresh build's
-            // band loop, so the two paths report comparable peaks.
-            let band_bytes: u64 = materialized
-                .iter()
-                .filter_map(|p| p.as_ref().ok())
-                .map(PendingCtypo::approx_bytes)
-                .sum();
-            ets_obs::mem::add(band_bytes);
-            let committed = (|| {
-                for p in materialized {
-                    let p = p?;
-                    if let Some(prev) = ctypos.last() {
-                        if prev.candidate.domain >= p.info.candidate.domain {
-                            return Err("snapshot records not in sorted order".to_owned());
-                        }
-                    }
-                    if !registry.register(p.registration, p.zone) {
-                        return Err(format!(
-                            "snapshot ctypo {} collides with an existing registration",
-                            p.info.candidate.domain
-                        ));
-                    }
-                    ctypos.push(p.info);
-                    ctypo_meta.push(p.meta);
-                }
-                Ok(())
-            })();
-            ets_obs::mem::sub(band_bytes);
-            committed?;
+            }
+            ctypos.push(info);
+            ctypo_meta.push(meta);
         }
         Ok(Self::finish(
             config,
-            registry,
+            columns,
             popularity,
             targets,
             ctypos,
@@ -529,13 +466,13 @@ impl World {
     }
 
     /// The shared tail of a fresh build and a snapshot rebuild: workload
-    /// counters, the interned ctypo index, the reverse DL-1 index with
-    /// its fan-out histogram, and the NS customer bases. `ctypos` must
-    /// already be in sorted order.
+    /// counters, the registry view over the ctypo columns, the reverse
+    /// DL-1 index with its fan-out histogram, and the NS customer bases.
+    /// `ctypos` must already be in sorted order, with unique names.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         config: PopulationConfig,
-        registry: Registry,
+        mut columns: Columns,
         popularity: PopularityList,
         targets: Vec<DomainName>,
         ctypos: Vec<CtypoInfo>,
@@ -545,13 +482,7 @@ impl World {
         mx_providers: Vec<Fqdn>,
     ) -> World {
         ets_obs::metrics::counter_add("world.ctypos", ctypos.len() as u64);
-        // Registry first-registration-wins guarantees ctypo names are
-        // unique, so interning in sorted order makes `id.index()` the
-        // position in `ctypos`.
-        let mut ctypo_index = DomainInterner::with_capacity(ctypos.len(), 16);
-        for c in &ctypos {
-            ctypo_index.intern(&c.candidate.domain);
-        }
+        columns.set_ctypos(&ctypos, ctypo_meta);
         let index_span = ets_obs::span!("world.index", ets_obs::Level::Debug);
         let typo_index = ReverseDl1Index::build(&targets);
         // The DL-1 fan-out distribution: how many targets share each
@@ -579,7 +510,7 @@ impl World {
             })
             .collect();
         World {
-            registry,
+            registry: RegistryView(Arc::new(columns)),
             popularity,
             targets,
             ctypos,
@@ -588,8 +519,6 @@ impl World {
             mx_providers,
             ns_customer_base,
             config,
-            ctypo_meta,
-            ctypo_index,
             typo_index,
         }
     }
@@ -608,14 +537,20 @@ impl World {
 
     /// The SMTP behaviour profile of a domain, if it is a known ctypo.
     pub fn smtp_profile(&self, domain: &DomainName) -> Option<SmtpProfile> {
-        let id = self.ctypo_index.lookup(domain.as_str())?;
+        let id = self.registry.0.ctypo_names.lookup(domain.as_str())?;
         Some(self.ctypos[id.index()].smtp)
     }
 
     /// The registrant who owns a ctypo (ground truth), if any.
     pub fn owner_of(&self, domain: &DomainName) -> Option<&Registrant> {
-        let id = self.ctypo_index.lookup(domain.as_str())?;
+        let id = self.registry.0.ctypo_names.lookup(domain.as_str())?;
         self.registrants.get(self.ctypos[id.index()].owner)
+    }
+
+    /// Per-ctypo registration draws, index-aligned with `ctypos`:
+    /// together with `ctypos`, everything the snapshot persists.
+    pub(crate) fn ctypo_meta(&self) -> impl Iterator<Item = &CtypoMeta> {
+        self.registry.0.ctypos.iter().map(|row| &row.meta)
     }
 
     /// Indices into [`World::targets`] of every target `domain` is a DL-1
@@ -630,11 +565,331 @@ impl World {
     }
 }
 
+/// The world's registry, as a read-only view. Nothing is stored per
+/// registration: a lookup finds the row a name belongs to — a ctypo, a
+/// filler (a target itself), or a name-server provider's background
+/// customer `biz-{provider}-{customer}.com` — and derives its
+/// [`Registration`] and [`Zone`] from the world's columns and config,
+/// with the same pure functions the build draws them with. Clones share
+/// one `Arc`.
+#[derive(Debug, Clone)]
+pub struct RegistryView(Arc<Columns>);
+
+impl RegistryView {
+    /// Whether `domain` is registered.
+    pub fn is_registered(&self, domain: &Fqdn) -> bool {
+        self.0.row(domain.as_str()).is_some()
+    }
+
+    /// The registration of `domain`, derived on lookup.
+    pub fn registration(&self, domain: &Fqdn) -> Option<Registration> {
+        let row = self.0.row(domain.as_str())?;
+        self.0.registration(row, domain)
+    }
+
+    /// The authoritative zone published for `domain`, derived on lookup.
+    pub fn zone(&self, domain: &Fqdn) -> Option<Zone> {
+        let row = self.0.row(domain.as_str())?;
+        self.0.zone(row, domain)
+    }
+
+    /// The zone-file view used by §5.1's name-server analysis: one
+    /// `(domain, nameserver)` row per registration, sorted. Fillers are
+    /// walked in rank order, background customers in `(provider,
+    /// customer)` order and ctypos in name order before the sort.
+    pub fn zone_file(&self) -> Vec<(Fqdn, Fqdn)> {
+        let c = &*self.0;
+        let mut rows: Vec<(Fqdn, Fqdn)> =
+            Vec::with_capacity(c.targets.len() + c.ctypos.len() + 30 * c.ns_providers.len());
+        for id in c.targets.ids() {
+            let ns = &c.ns_providers[id.index() % c.config.n_ns_providers.max(1)];
+            rows.push((Fqdn::from_domain(&c.targets.domain(id)), ns.clone()));
+        }
+        for (pi, ns) in c.ns_providers.iter().enumerate() {
+            for j in 0..benign_customers(&c.config, pi) {
+                // A filler of the same name registered first.
+                let name = background_name(pi, j);
+                if c.targets.lookup(&name).is_none() {
+                    rows.push((name.parse().expect("generated names are valid"), ns.clone()));
+                }
+            }
+        }
+        for (id, row) in c.ctypo_names.ids().zip(&c.ctypos) {
+            let ns = &c.ns_providers[row.meta.draw.ns as usize];
+            rows.push((Fqdn::from_domain(&c.ctypo_names.domain(id)), ns.clone()));
+        }
+        // Every name appears once, so ordering by name alone is the
+        // `(domain, nameserver)` order and the unstable sort is
+        // deterministic.
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+}
+
+impl ZoneSource for RegistryView {
+    fn zone(&self, domain: &Fqdn) -> Option<Zone> {
+        RegistryView::zone(self, domain)
+    }
+}
+
+/// What [`RegistryView`] derives its rows from: the config, the names,
+/// and the per-ctypo columns.
+#[derive(Debug)]
+struct Columns {
+    config: PopulationConfig,
+    /// Target names interned in rank order: `id.index()` is the
+    /// zero-based rank.
+    targets: DomainInterner,
+    /// The registrants whose WHOIS typosquatting registrations reuse.
+    registrants: Vec<Registrant>,
+    /// Name-server provider hosts, index-aligned with
+    /// [`CtypoDraw::ns`].
+    ns_providers: Vec<Fqdn>,
+    /// Hosted-mail MX hosts, index-aligned with [`CtypoDraw::mx`].
+    mx_hosts: Vec<Fqdn>,
+    /// Ctypo names interned in sorted order: `id.index()` is the
+    /// position in [`World::ctypos`] and in `ctypos`.
+    ctypo_names: DomainInterner,
+    /// Per-ctypo columns, id-aligned with `ctypo_names`.
+    ctypos: Vec<CtypoRow>,
+}
+
+/// What one ctypo's registration and zone derive from besides its name.
+/// With [`World::ctypos`], these rows are the world's entire
+/// non-derivable state — exactly what the snapshot persists (everything
+/// else is a pure function of the config).
+#[derive(Debug, Clone, Copy)]
+struct CtypoRow {
+    class: DomainClass,
+    owner: usize,
+    meta: CtypoMeta,
+}
+
+/// The row a registered name belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    /// Index into the ctypo columns.
+    Ctypo(usize),
+    /// Zero-based rank of the target.
+    Filler(usize),
+    /// `(provider, customer)` of a background customer.
+    Background(usize, usize),
+}
+
+impl Columns {
+    /// The columns of a world with no ctypos yet: fillers and background
+    /// customers only.
+    fn new(
+        config: &PopulationConfig,
+        targets: &[DomainName],
+        registrants: &[Registrant],
+        ns_providers: &[Fqdn],
+        mx_providers: &[Fqdn],
+    ) -> Columns {
+        let mut target_names = DomainInterner::with_capacity(targets.len(), 16);
+        for t in targets {
+            target_names.intern(t);
+        }
+        Columns {
+            config: config.clone(),
+            targets: target_names,
+            registrants: registrants.to_vec(),
+            ns_providers: ns_providers.to_vec(),
+            mx_hosts: mx_hosts_of(mx_providers),
+            ctypo_names: DomainInterner::new(),
+            ctypos: Vec::new(),
+        }
+    }
+
+    /// Adds the ctypo columns; `ctypos` is sorted, with unique names.
+    fn set_ctypos(&mut self, ctypos: &[CtypoInfo], meta: Vec<CtypoMeta>) {
+        let mut names = DomainInterner::with_capacity(ctypos.len(), 16);
+        for c in ctypos {
+            names.intern(&c.candidate.domain);
+        }
+        self.ctypo_names = names;
+        self.ctypos = ctypos
+            .iter()
+            .zip(meta)
+            .map(|(c, meta)| CtypoRow {
+                class: c.class,
+                owner: c.owner,
+                meta,
+            })
+            .collect();
+    }
+
+    /// The row holding `name`, if any. The build and the reload keep
+    /// ctypo names apart from every filler and background name, so at
+    /// most one source matches; a background name a filler also holds
+    /// is the filler's, as it was registered first.
+    fn row(&self, name: &str) -> Option<Row> {
+        if let Some(id) = self.ctypo_names.lookup(name) {
+            return Some(Row::Ctypo(id.index()));
+        }
+        if let Some(id) = self.targets.lookup(name) {
+            return Some(Row::Filler(id.index()));
+        }
+        let (pi, j) = background_unit(&self.config, name)?;
+        Some(Row::Background(pi, j))
+    }
+
+    fn registration(&self, row: Row, domain: &Fqdn) -> Option<Registration> {
+        let config = &self.config;
+        match row {
+            Row::Ctypo(i) => {
+                let c = &self.ctypos[i];
+                let target = self.targets.id_at(c.meta.target_rank as usize)?;
+                ctypo_registration(
+                    domain.clone(),
+                    self.targets.name(target),
+                    c.class,
+                    c.owner,
+                    &c.meta.draw,
+                    &self.registrants,
+                    &self.ns_providers,
+                )
+            }
+            Row::Filler(rank) => {
+                let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, rank as u64);
+                let ns = &self.ns_providers[rank % config.n_ns_providers.max(1)];
+                Some(legit_registration(
+                    domain.clone(),
+                    synth_whois(1_000_000 + rank, &mut rng),
+                    ns,
+                ))
+            }
+            Row::Background(pi, j) => {
+                // Background units share the filler stream domain, offset
+                // far past any filler rank so unit ids never collide.
+                let unit = (1u64 << 32) | (pi as u64 * 1000 + j as u64);
+                let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, unit);
+                Some(legit_registration(
+                    domain.clone(),
+                    synth_whois(4_000_000 + pi * 1000 + j, &mut rng),
+                    &self.ns_providers[pi],
+                ))
+            }
+        }
+    }
+
+    fn zone(&self, row: Row, domain: &Fqdn) -> Option<Zone> {
+        match row {
+            Row::Ctypo(i) => ctypo_zone(domain, &self.ctypos[i].meta.draw, &self.mx_hosts),
+            Row::Filler(rank) => {
+                let rank = rank as u64;
+                let mx = domain.child("mx").expect("target names take an mx child");
+                let mut zone = Zone::hosted_mail(domain, &mx, Some(ip_for(rank, 1)), 300);
+                zone.add(ResourceRecord::new(mx, 300, RecordData::A(ip_for(rank, 2))));
+                Some(zone)
+            }
+            Row::Background(pi, j) => {
+                Some(Zone::parked(domain, ip_for((pi * 1000 + j) as u64, 9), 300))
+            }
+        }
+    }
+
+    /// Decodes one snapshot record into the ctypo columns, checking
+    /// every index against the world it claims to belong to.
+    fn decode(&self, rec: &CtypoRecord) -> Result<(CtypoInfo, CtypoMeta), String> {
+        let rank = rec.target_rank as usize;
+        let target = self
+            .targets
+            .id_at(rank)
+            .ok_or_else(|| format!("target rank {rank} out of range"))?;
+        let domain = DomainName::from_sld_tld(&rec.sld, self.targets.tld(target))
+            .map_err(|e| format!("bad ctypo name {:?}: {e}", rec.sld))?;
+        match rec.class {
+            DomainClass::Unregistered => return Err("unregistered class in snapshot".to_owned()),
+            DomainClass::Typosquatting if rec.owner >= self.registrants.len() => {
+                return Err(format!("owner {} out of range", rec.owner));
+            }
+            _ => {}
+        }
+        if (rec.draw.ns as usize) >= self.ns_providers.len() {
+            return Err(format!("ns provider {} out of range", rec.draw.ns));
+        }
+        if let Some(mi) = rec.draw.mx {
+            if (mi as usize) >= self.mx_hosts.len() {
+                return Err(format!("mx provider {mi} out of range"));
+            }
+        }
+        if self.row(domain.as_str()).is_some() {
+            return Err(format!(
+                "snapshot ctypo {domain} collides with an existing registration"
+            ));
+        }
+        let info = CtypoInfo {
+            candidate: TypoCandidate {
+                domain,
+                target: self.targets.domain(target),
+                kind: rec.kind,
+                position: rec.position as usize,
+                fat_finger: rec.fat_finger,
+                visual: rec.visual,
+            },
+            owner: rec.owner,
+            class: rec.class,
+            private: rec.draw.private,
+            smtp: rec.draw.smtp,
+            has_zone: rec.draw.has_zone,
+        };
+        let meta = CtypoMeta {
+            target_rank: rec.target_rank,
+            draw: rec.draw,
+        };
+        Ok((info, meta))
+    }
+}
+
+/// Number of background customers of name-server provider `pi`: §5.2's
+/// ratios only make sense against each provider's ordinary customer
+/// base, and clean providers host many unrelated businesses where
+/// cesspools host few.
+fn benign_customers(config: &PopulationConfig, pi: usize) -> usize {
+    if pi < config.n_cesspool_ns {
+        4
+    } else {
+        30
+    }
+}
+
+/// The name of background customer `j` of provider `pi`.
+fn background_name(pi: usize, j: usize) -> String {
+    format!("biz-{pi}-{j}.com")
+}
+
+/// The `(provider, customer)` unit `name` is the background name of, if
+/// any under `config`.
+fn background_unit(config: &PopulationConfig, name: &str) -> Option<(usize, usize)> {
+    let (pi, j) = name
+        .strip_prefix("biz-")?
+        .strip_suffix(".com")?
+        .split_once('-')?;
+    let (pi, j) = (pi.parse().ok()?, j.parse().ok()?);
+    // The round trip rejects non-canonical spellings such as `biz-01-2`.
+    let listed = pi < config.n_ns_providers && j < benign_customers(config, pi);
+    (listed && background_name(pi, j) == name).then_some((pi, j))
+}
+
+/// A filler's or background customer's registration: a legitimate
+/// registrar, no proxy, registered on day 0.
+fn legit_registration(domain: Fqdn, whois: WhoisRecord, ns: &Fqdn) -> Registration {
+    Registration {
+        domain,
+        registrar: "registrar-legit".to_owned(),
+        whois,
+        privacy_proxy: None,
+        nameservers: vec![ns.clone()],
+        created_day: 0,
+    }
+}
+
 /// The complete record of every RNG roll one ctypo registration
-/// consumed, in stream order. [`materialize_ctypo`] turns a draw into
-/// the actual registration *purely*, which is what makes the snapshot a
-/// faithful stand-in for a fresh build: persist the draws, re-run the
-/// pure part.
+/// consumed, in stream order. [`ctypo_registration`] and [`ctypo_zone`]
+/// turn a draw into the actual registration and zone *purely*, which is
+/// what makes the snapshot a faithful stand-in for a fresh build: persist
+/// the draws, re-run the pure part on lookup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CtypoDraw {
     /// WHOIS field-drop bits (see `WHOIS_DROP_*`); unused for
@@ -699,13 +954,11 @@ struct GtypoRoll<'a> {
     appetite: &'a [f64],
     appetite_total: f64,
     registrants: &'a [Registrant],
-    ns_providers: &'a [Fqdn],
-    mx_hosts: &'a [Fqdn],
 }
 
 impl GtypoRoll<'_> {
     /// Rolls every gtypo of the target at zero-based `rank0` from the
-    /// target's own stream and prepares the winners' registrations.
+    /// target's own stream and records the winners' draws.
     ///
     /// Roll first, score later: each variant rolls against its
     /// visual-free bound, and only a variant that passes runs the visual
@@ -746,28 +999,29 @@ impl GtypoRoll<'_> {
                 }
                 (DomainClass::Typosquatting, owner)
             };
-            let prepared = draw_ctypo(
+            let Some(draw) = draw_ctypo(
                 self.registrants,
                 config.n_ns_providers,
                 class,
                 owner,
                 &mut rng,
-            )
-            .and_then(|draw| {
-                materialize_ctypo(
-                    v.candidate(),
-                    class,
+            ) else {
+                return;
+            };
+            out.push(PendingCtypo {
+                info: CtypoInfo {
+                    candidate: v.candidate(),
                     owner,
-                    &draw,
-                    rank0 as u32,
-                    self.registrants,
-                    self.ns_providers,
-                    self.mx_hosts,
-                )
+                    class,
+                    private: draw.private,
+                    smtp: draw.smtp,
+                    has_zone: draw.has_zone,
+                },
+                meta: CtypoMeta {
+                    target_rank: rank0 as u32,
+                    draw,
+                },
             });
-            if let Some(p) = prepared {
-                out.push(p);
-            }
         });
         ets_obs::metrics::counter_add("world.gtypos", gtypos);
         ets_obs::metrics::counter_add("world.gtypos_scored", scored);
@@ -775,27 +1029,22 @@ impl GtypoRoll<'_> {
     }
 }
 
-/// A ctypo registration prepared off-registry during the parallel compute
-/// phase; committed (or dropped on name collision) sequentially.
+/// A gtypo winner rolled during the parallel compute phase; kept (or
+/// dropped on a name collision) sequentially.
 struct PendingCtypo {
-    registration: Registration,
-    zone: Option<Zone>,
     info: CtypoInfo,
     meta: CtypoMeta,
 }
 
 impl PendingCtypo {
-    /// Deterministic estimate of this pending registration's payload
-    /// bytes (names, synthetic WHOIS text, zone records). Drives the
-    /// band-size adaptation and the `world.band_pending_bytes`
-    /// histogram; precision matters less than being a pure function of
-    /// the data.
+    /// Deterministic estimate of this pending winner's payload bytes (the
+    /// row plus its two names). Drives the band-size adaptation and the
+    /// `world.band_pending_bytes` histogram; precision matters less than
+    /// being a pure function of the data.
     fn approx_bytes(&self) -> u64 {
         let names =
             self.info.candidate.domain.as_str().len() + self.info.candidate.target.as_str().len();
-        let whois = 160;
-        let zone = if self.zone.is_some() { 256 } else { 0 };
-        (std::mem::size_of::<PendingCtypo>() + names + whois + zone + 64) as u64
+        (std::mem::size_of::<PendingCtypo>() + names) as u64
     }
 }
 
@@ -918,89 +1167,6 @@ fn make_registrants(config: &PopulationConfig) -> Vec<Registrant> {
     })
 }
 
-/// Registers the benign filler sites (the targets themselves) and each
-/// name-server provider's background customer base — the derivable,
-/// non-ctypo registry content shared by fresh builds and snapshot
-/// rebuilds.
-fn register_background(
-    config: &PopulationConfig,
-    registry: &Registry,
-    targets: &[DomainName],
-    ns_providers: &[Fqdn],
-) {
-    // --- register benign filler sites (the targets themselves) ----
-    let filler_span = ets_obs::span!("world.fillers", ets_obs::Level::Debug);
-    registry.reserve(targets.len());
-    let fillers: Vec<(Registration, Zone)> = par_map(targets, |rank, t| {
-        let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, rank as u64);
-        let fq = Fqdn::from_domain(t);
-        let zone = Zone::hosted_mail(
-            &fq,
-            &fq.child("mx").expect("valid"),
-            Some(ip_for(rank as u64, 1)),
-            300,
-        );
-        let mut full_zone = zone;
-        full_zone.add(ets_dns::record::ResourceRecord::a(
-            &format!("mx.{fq}"),
-            300,
-            ip_for(rank as u64, 2),
-        ));
-        (
-            Registration {
-                domain: fq,
-                registrar: "registrar-legit".to_owned(),
-                whois: synth_whois(1_000_000 + rank, &mut rng),
-                privacy_proxy: None,
-                nameservers: vec![ns_providers[rank % config.n_ns_providers.max(1)].clone()],
-                created_day: 0,
-            },
-            full_zone,
-        )
-    });
-    for (reg, zone) in fillers {
-        registry.register(reg, Some(zone));
-    }
-    drop(filler_span);
-    let background_span = ets_obs::span!("world.background", ets_obs::Level::Debug);
-
-    // --- benign background per name-server provider ----------------
-    // §5.2's ratios only make sense against each provider's ordinary
-    // customer base: clean providers host many unrelated businesses,
-    // cesspools host few.
-    let bg_units: Vec<(usize, usize)> = ns_providers
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, _)| {
-            let benign_customers = if pi < config.n_cesspool_ns { 4 } else { 30 };
-            (0..benign_customers).map(move |j| (pi, j))
-        })
-        .collect();
-    let background: Vec<(Registration, Zone)> = par_map(&bg_units, |_, &(pi, j)| {
-        // Background units share the filler stream domain; offset far
-        // past any filler rank so unit ids never collide.
-        let unit = (1u64 << 32) | (pi as u64 * 1000 + j as u64);
-        let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, unit);
-        let ns = &ns_providers[pi];
-        let name: Fqdn = format!("biz-{pi}-{j}.com").parse().expect("valid");
-        (
-            Registration {
-                domain: name.clone(),
-                registrar: "registrar-legit".to_owned(),
-                whois: synth_whois(4_000_000 + pi * 1000 + j, &mut rng),
-                privacy_proxy: None,
-                nameservers: vec![ns.clone()],
-                created_day: 0,
-            },
-            Zone::parked(&name, ip_for((pi * 1000 + j) as u64, 9), 300),
-        )
-    });
-    for (reg, zone) in background {
-        registry.register(reg, Some(zone));
-    }
-    drop(background_span);
-}
-
 /// Consumes a ctypo registration's RNG rolls — and nothing else. The
 /// draw order is load-bearing: it must match what the historical
 /// `prepare_ctypo` consumed per class, or every world built since the
@@ -1072,26 +1238,24 @@ fn draw_ctypo(
     })
 }
 
-/// Turns a candidate plus its draws into the actual registration, zone,
-/// and ground-truth record — a pure function (registrar, WHOIS ids, and
-/// IPs are `owner_hash`-derived), shared verbatim by the fresh build and
-/// the snapshot rebuild. Returns `None` only for the unregistered class.
-#[allow(clippy::too_many_arguments)]
-fn materialize_ctypo(
-    cand: TypoCandidate,
+/// The registration half of a ctypo row: registrar, WHOIS, proxy and
+/// name server are a pure function of the name, the target's name, the
+/// ground-truth class and owner, and the draws (registrar, WHOIS ids and
+/// IPs are `owner_hash`-derived). `None` only for the unregistered
+/// class.
+fn ctypo_registration(
+    domain: Fqdn,
+    target: &str,
     class: DomainClass,
     owner: usize,
     draw: &CtypoDraw,
-    target_rank: u32,
     registrants: &[Registrant],
     ns_providers: &[Fqdn],
-    mx_hosts: &[Fqdn],
-) -> Option<PendingCtypo> {
-    let fq = Fqdn::from_domain(&cand.domain);
-    let domain_hash = owner_hash(&cand.domain);
+) -> Option<Registration> {
+    let domain_hash = owner_hash(domain.as_str());
     let whois: WhoisRecord = match class {
         DomainClass::Defensive => synth_whois_masked(
-            2_000_000 + (owner_hash(&cand.target) % 100_000) as usize,
+            2_000_000 + (owner_hash(target) % 100_000) as usize,
             draw.whois_mask,
         ),
         DomainClass::BenignCollision => synth_whois_masked(
@@ -1100,27 +1264,6 @@ fn materialize_ctypo(
         ),
         DomainClass::Typosquatting => registrants[owner].whois.clone(),
         DomainClass::Unregistered => return None,
-    };
-    let zone = if !draw.has_zone {
-        None
-    } else {
-        match draw.mx {
-            None if draw.smtp == SmtpProfile::NoListener => {
-                // Web-only parking or nothing at all.
-                if draw.parked {
-                    Some(Zone::parked(&fq, ip_for(domain_hash, 3), 300))
-                } else {
-                    Some(Zone::new(fq.clone())) // neither MX nor A
-                }
-            }
-            Some(mi) => Some(Zone::hosted_mail(
-                &fq,
-                &mx_hosts[mi as usize],
-                Some(ip_for(domain_hash, 4)),
-                300,
-            )),
-            None => Some(Zone::catch_all(&fq, ip_for(domain_hash, 5), 300)),
-        }
     };
     let private_svc = draw.private.then(|| "privacy-guard.example".to_owned());
     // The ten registrar identities, preformatted: `format!` per
@@ -1137,28 +1280,39 @@ fn materialize_ctypo(
         "registrar-8",
         "registrar-9",
     ];
-    Some(PendingCtypo {
-        registration: Registration {
-            domain: fq,
-            registrar: REGISTRARS[(domain_hash % 10) as usize].to_owned(),
-            whois,
-            privacy_proxy: private_svc,
-            nameservers: vec![ns_providers[draw.ns as usize].clone()],
-            created_day: draw.created_day as u32,
-        },
-        zone,
-        info: CtypoInfo {
-            candidate: cand,
-            owner,
-            class,
-            private: draw.private,
-            smtp: draw.smtp,
-            has_zone: draw.has_zone,
-        },
-        meta: CtypoMeta {
-            target_rank,
-            draw: *draw,
-        },
+    Some(Registration {
+        domain,
+        registrar: REGISTRARS[(domain_hash % 10) as usize].to_owned(),
+        whois,
+        privacy_proxy: private_svc,
+        nameservers: vec![ns_providers[draw.ns as usize].clone()],
+        created_day: draw.created_day as u32,
+    })
+}
+
+/// The zone half of a ctypo row: a pure function of the name and the
+/// draws. `None` for a lame delegation.
+fn ctypo_zone(domain: &Fqdn, draw: &CtypoDraw, mx_hosts: &[Fqdn]) -> Option<Zone> {
+    if !draw.has_zone {
+        return None;
+    }
+    let domain_hash = owner_hash(domain.as_str());
+    Some(match draw.mx {
+        None if draw.smtp == SmtpProfile::NoListener => {
+            // Web-only parking or nothing at all.
+            if draw.parked {
+                Zone::parked(domain, ip_for(domain_hash, 3), 300)
+            } else {
+                Zone::new(domain.clone()) // neither MX nor A
+            }
+        }
+        Some(mi) => Zone::hosted_mail(
+            domain,
+            &mx_hosts[mi as usize],
+            Some(ip_for(domain_hash, 4)),
+            300,
+        ),
+        None => Zone::catch_all(domain, ip_for(domain_hash, 5), 300),
     })
 }
 
@@ -1274,7 +1428,7 @@ fn whois_field_mask(rng: &mut ChaCha8Rng) -> u8 {
 }
 
 /// Builds the synthetic WHOIS record for `id` with the given field-drop
-/// mask — the pure half of `synth_whois`, reused by the snapshot rebuild.
+/// mask — the pure half of `synth_whois`, reused by derived ctypo rows.
 fn synth_whois_masked(id: usize, mask: u8) -> WhoisRecord {
     // Most registrants fill most fields (with plausibly fake data); some
     // leave fields blank so they can never cluster.
@@ -1308,7 +1462,7 @@ fn synth_whois(id: usize, rng: &mut ChaCha8Rng) -> WhoisRecord {
 fn owner_hash(d: impl std::fmt::Display) -> u64 {
     // FNV-1a folded straight off the `Display` stream: same bytes (and so
     // the same hash) as hashing `d.to_string()`, without the allocation —
-    // this runs several times per materialized registration.
+    // this runs on every derived ctypo registration and zone.
     struct Fnv(u64);
     impl std::fmt::Write for Fnv {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -1327,7 +1481,7 @@ fn owner_hash(d: impl std::fmt::Display) -> u64 {
 }
 
 /// Hosted-mail MX targets: one `mx1` child per provider, built once per
-/// world build instead of re-deriving the child name per ctypo.
+/// world instead of re-deriving the child name per ctypo.
 fn mx_hosts_of(mx_providers: &[Fqdn]) -> Vec<Fqdn> {
     mx_providers
         .iter()
@@ -1343,6 +1497,7 @@ fn ip_for(seed: u64, salt: u64) -> Ipv4Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ets_dns::Registry;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -1520,7 +1675,7 @@ mod tests {
             serde_json::to_string(&w.ctypos).expect("serializable"),
             serde_json::to_string(&w.registrants).expect("serializable"),
             w.ns_customer_base,
-            w.ctypo_meta,
+            w.ctypo_meta().collect::<Vec<_>>(),
         )
     }
 
@@ -1604,6 +1759,245 @@ mod tests {
         let world = World::build(PopulationConfig::tiny(11));
         let reloaded = crate::snapshot::roundtrip_in_memory(&world).expect("roundtrip");
         assert_eq!(world_fingerprint(&reloaded), world_fingerprint(&world));
+    }
+
+    // --- the committed registry: oracle of the derived view ------------
+
+    /// A ctypo's registration and zone, materialized through both halves
+    /// of the derivation.
+    fn materialize_ctypo(
+        p: &PendingCtypo,
+        registrants: &[Registrant],
+        ns_providers: &[Fqdn],
+        mx_hosts: &[Fqdn],
+    ) -> (Registration, Option<Zone>) {
+        let fq = Fqdn::from_domain(&p.info.candidate.domain);
+        let registration = ctypo_registration(
+            fq.clone(),
+            p.info.candidate.target.as_str(),
+            p.info.class,
+            p.info.owner,
+            &p.meta.draw,
+            registrants,
+            ns_providers,
+        )
+        .expect("rolled classes register");
+        (registration, ctypo_zone(&fq, &p.meta.draw, mx_hosts))
+    }
+
+    /// Commits the filler sites (the targets themselves) in rank order,
+    /// then each name-server provider's background customers; the
+    /// registry drops a name already taken.
+    fn register_background(
+        config: &PopulationConfig,
+        registry: &Registry,
+        targets: &[DomainName],
+        ns_providers: &[Fqdn],
+    ) {
+        for (rank, t) in targets.iter().enumerate() {
+            let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, rank as u64);
+            let fq = Fqdn::from_domain(t);
+            let mut zone = Zone::hosted_mail(
+                &fq,
+                &fq.child("mx").expect("valid"),
+                Some(ip_for(rank as u64, 1)),
+                300,
+            );
+            zone.add(ResourceRecord::a(
+                &format!("mx.{fq}"),
+                300,
+                ip_for(rank as u64, 2),
+            ));
+            let registration = Registration {
+                domain: fq,
+                registrar: "registrar-legit".to_owned(),
+                whois: synth_whois(1_000_000 + rank, &mut rng),
+                privacy_proxy: None,
+                nameservers: vec![ns_providers[rank % config.n_ns_providers.max(1)].clone()],
+                created_day: 0,
+            };
+            registry.register(registration, Some(zone));
+        }
+        for (pi, ns) in ns_providers.iter().enumerate() {
+            let benign_customers = if pi < config.n_cesspool_ns { 4 } else { 30 };
+            for j in 0..benign_customers {
+                let unit = (1u64 << 32) | (pi as u64 * 1000 + j as u64);
+                let mut rng = derive_rng(config.seed, stream::POPULATION_BACKGROUND, unit);
+                let name: Fqdn = format!("biz-{pi}-{j}.com").parse().expect("valid");
+                let registration = Registration {
+                    domain: name.clone(),
+                    registrar: "registrar-legit".to_owned(),
+                    whois: synth_whois(4_000_000 + pi * 1000 + j, &mut rng),
+                    privacy_proxy: None,
+                    nameservers: vec![ns.clone()],
+                    created_day: 0,
+                };
+                let zone = Zone::parked(&name, ip_for((pi * 1000 + j) as u64, 9), 300);
+                registry.register(registration, Some(zone));
+            }
+        }
+    }
+
+    /// The materialize-and-commit build: a registry holding every
+    /// filler, background and ctypo row of `config`'s world, committed in
+    /// canonical order, and the number of gtypo winners its
+    /// first-registration-wins rejected.
+    fn committed_oracle(config: &PopulationConfig) -> (Registry, usize) {
+        let targets: Vec<DomainName> = alexa::synthetic_top(config.n_targets)
+            .iter()
+            .map(|e| e.domain.clone())
+            .collect();
+        let registry = Registry::new();
+        let ns_providers = make_ns_providers(config);
+        let mx_hosts = mx_hosts_of(&make_mx_providers());
+        let registrants = make_registrants(config);
+        register_background(config, &registry, &targets, &ns_providers);
+        let appetite: Vec<f64> = (0..config.n_registrants)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(0.7))
+            .collect();
+        let roll = GtypoRoll {
+            config,
+            appetite_total: appetite.iter().sum(),
+            appetite: &appetite,
+            registrants: &registrants,
+        };
+        let mut rejected = 0;
+        for (rank0, target) in targets.iter().enumerate() {
+            if target_registration_p(config, rank0) < 0.01 {
+                break;
+            }
+            for p in roll.target(rank0, target) {
+                let (registration, zone) =
+                    materialize_ctypo(&p, &registrants, &ns_providers, &mx_hosts);
+                if !registry.register(registration, zone) {
+                    rejected += 1;
+                }
+            }
+        }
+        (registry, rejected)
+    }
+
+    /// Asserts `view` equals `oracle` on every registered name and on
+    /// the zone file.
+    fn assert_rows_match(view: &RegistryView, oracle: &Registry, label: &str) {
+        let zone_file = oracle.zone_file();
+        assert!(view.zone_file() == zone_file, "{label}: zone files differ");
+        for (name, _) in &zone_file {
+            assert!(view.is_registered(name), "{label}: {name}");
+            assert_eq!(
+                view.registration(name),
+                oracle.registration(name),
+                "{label}: {name}"
+            );
+            assert_eq!(view.zone(name), oracle.zone(name), "{label}: {name}");
+        }
+    }
+
+    /// Asserts a world's derived registry equals the committed oracle:
+    /// every row, the zone file, lookups that miss, and mail resolution
+    /// of every ctypo and filler.
+    fn assert_world_matches(w: &World, oracle: &Registry, label: &str) {
+        assert_rows_match(&w.registry, oracle, label);
+        let mut lost = None;
+        typogen::for_each_dl1(&w.targets[0], |mut v| {
+            let fq = Fqdn::from_domain(&v.candidate().domain);
+            if lost.is_none() && !oracle.is_registered(&fq) {
+                lost = Some(fq);
+            }
+        });
+        let misses = lost
+            .into_iter()
+            .chain(w.targets.iter().map(|t| {
+                Fqdn::from_domain(t)
+                    .child("mx")
+                    .expect("target names take an mx child")
+            }))
+            .chain(
+                w.mx_providers
+                    .iter()
+                    .map(|p| p.child("mx1").expect("valid")),
+            );
+        let mut n_misses = 0;
+        for name in misses {
+            n_misses += 1;
+            assert!(!oracle.is_registered(&name), "{label}: {name}");
+            assert!(!w.registry.is_registered(&name), "{label}: {name}");
+            assert_eq!(w.registry.registration(&name), None, "{label}: {name}");
+        }
+        assert_eq!(n_misses, 1 + w.targets.len() + w.mx_providers.len());
+        let (derived, committed) = (w.resolver(), Resolver::new(oracle.clone()));
+        let ctypos = w.ctypos.iter().map(|c| &c.candidate.domain);
+        for d in ctypos.chain(&w.targets) {
+            let fq = Fqdn::from_domain(d);
+            assert_eq!(
+                derived.resolve_mail(&fq),
+                committed.resolve_mail(&fq),
+                "{label}: {fq}"
+            );
+            assert_eq!(
+                derived.mx_domain(&fq),
+                committed.mx_domain(&fq),
+                "{label}: {fq}"
+            );
+        }
+    }
+
+    #[test]
+    fn derived_view_matches_committed_oracle() {
+        let configs = [
+            PopulationConfig::tiny(7),
+            PopulationConfig::tiny(11),
+            PopulationConfig::tiny(20170401),
+            PopulationConfig::at_scale(2_000, 5),
+        ];
+        for config in configs {
+            let (oracle, rejected) = committed_oracle(&config);
+            if config.n_targets == 2_000 {
+                // `site1.com` is a typo of `site12.com`, among others: a
+                // filler takes a name a winner rolled.
+                assert!(rejected > 0, "no winner lost its name");
+            }
+            for threads in [1, 4] {
+                ets_parallel::set_threads(threads);
+                let fresh = World::build(config.clone());
+                let label = format!("seed {} threads {threads}", config.seed);
+                assert_world_matches(&fresh, &oracle, &format!("{label} fresh"));
+                let reloaded = crate::snapshot::roundtrip_in_memory(&fresh).expect("roundtrip");
+                assert_world_matches(&reloaded, &oracle, &format!("{label} reloaded"));
+            }
+        }
+        ets_parallel::set_threads(0);
+    }
+
+    /// No synthetic target is named like a background customer, so this
+    /// plants one: the filler, registered first, keeps the name, and the
+    /// background row it shadows is listed nowhere.
+    #[test]
+    fn filler_shadows_its_background_namesake() {
+        let config = PopulationConfig::tiny(7);
+        let mut targets: Vec<DomainName> = alexa::synthetic_top(config.n_targets)
+            .iter()
+            .map(|e| e.domain.clone())
+            .collect();
+        targets[30] = "biz-0-0.com".parse().expect("valid");
+        let ns_providers = make_ns_providers(&config);
+        let oracle = Registry::new();
+        register_background(&config, &oracle, &targets, &ns_providers);
+        let registrants = make_registrants(&config);
+        let view = RegistryView(Arc::new(Columns::new(
+            &config,
+            &targets,
+            &registrants,
+            &ns_providers,
+            &make_mx_providers(),
+        )));
+        assert_rows_match(&view, &oracle, "planted biz-0-0.com");
+        let shadowed: Fqdn = "biz-0-0.com".parse().expect("valid");
+        let row = view.registration(&shadowed).expect("the filler's");
+        assert_eq!(
+            row.whois.registrant_name.as_deref(),
+            Some("Registrant 1000030")
+        );
     }
 
     #[test]

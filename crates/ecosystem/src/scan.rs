@@ -130,8 +130,7 @@ impl SupportCensus {
 ///
 /// Convenience wrapper that builds a throwaway resolver; bulk callers
 /// should build one [`World::resolver`] and use
-/// [`classify_with_resolver`], since constructing a resolver clones the
-/// registry.
+/// [`classify_with_resolver`].
 pub fn classify_domain(
     world: &World,
     domain: &Fqdn,

@@ -8,10 +8,12 @@
 //! snapshot stores: one compact struct-of-arrays record per ctypo (SLD
 //! arena, target rank, mistake metadata, bit-exact visual distance, and
 //! the full [`CtypoDraw`](crate::population) column set). On load the
-//! derivable phases are recomputed from the same streams and each ctypo
-//! is materialized purely from its stored draws, which makes the loaded
-//! world **byte-identical** to the one that wrote the snapshot — every
-//! `results/*.json` matches, at any thread count.
+//! derivable phases are recomputed from the same streams and the records
+//! are decoded straight back into the world's ctypo columns, from which
+//! every registration and zone is derived on lookup exactly as in a
+//! fresh build. That makes the loaded world **byte-identical** to the
+//! one that wrote the snapshot — every `results/*.json` matches, at any
+//! thread count.
 //!
 //! Invalidation is strict: the store layer rejects structural damage
 //! (bad magic, truncation, checksum mismatches), and this layer rejects
@@ -26,6 +28,7 @@ use ets_core::MistakeKind;
 use ets_store::{SectionBuf, Snapshot, SnapshotWriter, StoreError};
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version of the *world section schema*. Bump whenever the per-ctypo
 /// columns or their meaning change; old snapshots then fail with
@@ -206,8 +209,7 @@ pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
     let mut created = SectionBuf::with_capacity(n * 2 + 8);
     target_rank.put_u32s(
         &world
-            .ctypo_meta
-            .iter()
+            .ctypo_meta()
             .map(|m| m.target_rank)
             .collect::<Vec<u32>>(),
     );
@@ -229,7 +231,7 @@ pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
         &world
             .ctypos
             .iter()
-            .zip(&world.ctypo_meta)
+            .zip(world.ctypo_meta())
             .map(|(c, m)| {
                 let mut f = 0;
                 if c.candidate.fat_finger {
@@ -278,29 +280,20 @@ pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
     );
     whois_mask.put_u8s(
         &world
-            .ctypo_meta
-            .iter()
+            .ctypo_meta()
             .map(|m| m.draw.whois_mask)
             .collect::<Vec<u8>>(),
     );
-    ns.put_u16s(
-        &world
-            .ctypo_meta
-            .iter()
-            .map(|m| m.draw.ns)
-            .collect::<Vec<u16>>(),
-    );
+    ns.put_u16s(&world.ctypo_meta().map(|m| m.draw.ns).collect::<Vec<u16>>());
     mx.put_u16s(
         &world
-            .ctypo_meta
-            .iter()
+            .ctypo_meta()
             .map(|m| m.draw.mx.unwrap_or(MX_NONE))
             .collect::<Vec<u16>>(),
     );
     created.put_u16s(
         &world
-            .ctypo_meta
-            .iter()
+            .ctypo_meta()
             .map(|m| m.draw.created_day)
             .collect::<Vec<u16>>(),
     );
@@ -444,11 +437,15 @@ pub fn load(path: &Path, config: &PopulationConfig) -> Result<World, LoadError> 
 /// Round-trips `world` through the snapshot encoding in memory (tests
 /// and tooling; the file path goes through [`save`]/[`load`]).
 pub fn roundtrip_in_memory(world: &World) -> Result<World, LoadError> {
+    // One file per call, so concurrent round trips of the same seed
+    // never share a path.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir();
     let path = dir.join(format!(
-        "ets-world-roundtrip-{}-{}.ets",
+        "ets-world-roundtrip-{}-{}-{}.ets",
         std::process::id(),
-        world.config.seed
+        world.config.seed,
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     save(world, &path)?;
     let out = load(&path, &world.config);
@@ -464,6 +461,7 @@ pub fn roundtrip_in_memory(world: &World) -> Result<World, LoadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::{MID_TIER_MX, MX_PROVIDERS};
 
     #[test]
     fn owner_sentinels_survive_narrowing() {
@@ -498,5 +496,90 @@ mod tests {
         assert!(decode_kind(9).is_err());
         assert!(decode_class(3).is_err()); // unregistered is never stored
         assert!(decode_smtp(7).is_err());
+    }
+
+    /// A world's ctypos as `load` decodes them from its snapshot.
+    fn records_of(world: &World) -> Vec<CtypoRecord> {
+        world
+            .ctypos
+            .iter()
+            .zip(world.ctypo_meta())
+            .map(|(c, m)| CtypoRecord {
+                sld: c.candidate.domain.sld().to_owned(),
+                target_rank: m.target_rank,
+                kind: c.candidate.kind,
+                position: c.candidate.position as u32,
+                fat_finger: c.candidate.fat_finger,
+                visual: c.candidate.visual,
+                owner: c.owner,
+                class: c.class,
+                draw: m.draw,
+            })
+            .collect()
+    }
+
+    /// The rebuild's own checks, past the store's checksums: each edit
+    /// of a tiny world's records is an error naming its cause, never a
+    /// panic and never a world.
+    #[test]
+    fn edited_records_are_rejected() {
+        let config = PopulationConfig::tiny(7);
+        let records = records_of(&World::build(config.clone()));
+        let squat = records
+            .iter()
+            .position(|r| r.class == DomainClass::Typosquatting)
+            .expect("a tiny world has typosquatters");
+        assert!(World::from_snapshot_records(config.clone(), records.clone()).is_ok());
+        type Edit = fn(&mut Vec<CtypoRecord>, &PopulationConfig, usize);
+        let cases: [(&str, &str, Edit); 10] = [
+            ("two records swapped", "sorted order", |r, _, _| {
+                r.swap(3, 4)
+            }),
+            ("a duplicated record", "sorted order", |r, _, _| {
+                let dup = r[3].clone();
+                r.insert(4, dup);
+            }),
+            ("a filler's name", "collides", |r, _, _| {
+                // Rank 0 is gmail.com; alone, the record is in order.
+                r.truncate(1);
+                r[0].sld = "gmail".to_owned();
+                r[0].target_rank = 0;
+            }),
+            ("a background name", "collides", |r, _, _| {
+                r.truncate(1);
+                r[0].sld = "biz-0-0".to_owned();
+                r[0].target_rank = 0;
+            }),
+            ("an unparsable name", "bad ctypo name", |r, _, _| {
+                r[0].sld = String::new()
+            }),
+            (
+                "a target rank past the targets",
+                "target rank",
+                |r, c, _| {
+                    r[0].target_rank = c.n_targets as u32;
+                },
+            ),
+            ("an owner past the registrants", "owner", |r, c, i| {
+                r[i].owner = c.n_registrants;
+            }),
+            ("an ns past the providers", "ns provider", |r, c, _| {
+                r[0].draw.ns = c.n_ns_providers as u16;
+            }),
+            ("an mx past the providers", "mx provider", |r, _, _| {
+                r[0].draw.mx = Some((MX_PROVIDERS.len() + MID_TIER_MX) as u16);
+            }),
+            ("the unregistered class", "unregistered", |r, _, _| {
+                r[0].class = DomainClass::Unregistered;
+            }),
+        ];
+        for (what, cause, edit) in cases {
+            let mut edited = records.clone();
+            edit(&mut edited, &config, squat);
+            match World::from_snapshot_records(config.clone(), edited) {
+                Ok(_) => panic!("{what}: loaded"),
+                Err(e) => assert!(e.contains(cause), "{what}: {e}"),
+            }
+        }
     }
 }
