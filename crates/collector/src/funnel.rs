@@ -25,6 +25,7 @@
 
 use crate::infra::{CollectedEmail, CollectionInfra};
 use crate::spamscore::SpamScorer;
+use ets_mail::EmailAddress;
 use ets_parallel::{par_fold, par_map};
 use ets_scan::{PatternSet, TokenStream};
 use serde::{Deserialize, Serialize};
@@ -201,21 +202,11 @@ pub struct Funnel<'a> {
     config: FunnelConfig,
     scorer: SpamScorer,
     /// Study-domain names for O(1) "at one of ours?" checks. Every study
-    /// domain is a two-label registrable, so membership of a host's last
-    /// two labels is exactly the suffix scan it replaces (the label
+    /// domain is a two-label registrable, so membership of an address's
+    /// [`registrable_domain`](EmailAddress::registrable_domain) (its last
+    /// two labels) is exactly the suffix scan it replaces (the label
     /// boundary is the dot we split at).
     study_set: HashSet<String>,
-}
-
-/// The last two labels of `host`, or `host` itself when it has fewer.
-fn registrable_suffix(host: &str) -> &str {
-    match host.rfind('.') {
-        Some(last) => match host[..last].rfind('.') {
-            Some(prev) => &host[prev + 1..],
-            None => host,
-        },
-        None => host,
-    }
 }
 
 impl<'a> Funnel<'a> {
@@ -244,12 +235,12 @@ impl<'a> Funnel<'a> {
 
     /// Whether the recipient is at (a subdomain of) a study domain.
     fn rcpt_is_ours(&self, email: &CollectedEmail) -> bool {
-        self.study_set
-            .contains(registrable_suffix(email.rcpt_to.domain()))
+        self.study_set.contains(email.rcpt_to.registrable_domain())
     }
 
-    /// Layer 1: header sanity. Returns `true` when spam.
-    fn layer1_spam(&self, email: &CollectedEmail) -> bool {
+    /// Layer 1: header sanity, given the parsed header `From`. Returns
+    /// `true` when spam.
+    fn layer1_spam(&self, email: &CollectedEmail, from: Option<&EmailAddress>) -> bool {
         // The relaying VPS must be the one assigned to the domain.
         match self.infra.vps_map.get(&email.domain) {
             Some(&ip) if ip == email.vps_ip => {}
@@ -257,14 +248,14 @@ impl<'a> Funnel<'a> {
         }
         // The sender must not be one of our domains: we never send email,
         // and spammers love posing as the recipient's domain.
-        if let Some(from) = email.mail_from.as_ref() {
-            if self.study_set.contains(registrable_suffix(from.domain())) {
+        if let Some(sender) = email.mail_from.as_ref() {
+            if self.study_set.contains(sender.registrable_domain()) {
                 return true;
             }
         }
         // Header From posing as us (or any subdomain of us) is equally
         // disqualifying.
-        if let Some(from) = email.message.from_addr() {
+        if let Some(from) = from {
             let fd = from.domain();
             let o = email.domain.as_str();
             if fd == o || (fd.ends_with(o) && fd.as_bytes()[fd.len() - o.len() - 1] == b'.') {
@@ -274,27 +265,26 @@ impl<'a> Funnel<'a> {
         false
     }
 
-    /// Layer 2: spam scorer + archive rule. Returns `true` when spam.
-    fn layer2_spam(&self, email: &CollectedEmail) -> bool {
+    /// Layer 2: spam scorer + archive rule, given the parsed header
+    /// `From`. Returns `true` when spam.
+    fn layer2_spam(&self, email: &CollectedEmail, from: Option<&EmailAddress>) -> bool {
         if email.message.has_attachment_ext(&["zip", "rar"]) {
             return true;
         }
-        self.scorer.is_spam(&email.message)
-    }
-
-    /// Layer 4: automated reflection mail. Returns `true` for reflections.
-    fn layer4_reflection(&self, email: &CollectedEmail) -> bool {
-        reflection_mail(email)
+        self.scorer.score_with_from(&email.message, from).is_spam()
     }
 
     /// Extracts one email's [`EmailFeatures`] — a pure per-email function
     /// of the email alone, so extraction can run on any shard in any
     /// order. Layers 1–2 are decided here; the layer-4 predicate is
-    /// evaluated only for their survivors.
+    /// evaluated only for their survivors. The header `From` is parsed
+    /// once, for all three.
     pub fn features(&self, email: &CollectedEmail) -> EmailFeatures {
-        let verdict12 = if self.layer1_spam(email) {
+        let from = email.message.from_addr();
+        let from = from.as_ref();
+        let verdict12 = if self.layer1_spam(email, from) {
             Some(FunnelVerdict::SpamHeader)
-        } else if self.layer2_spam(email) {
+        } else if self.layer2_spam(email, from) {
             Some(FunnelVerdict::SpamScore)
         } else {
             None
@@ -302,13 +292,12 @@ impl<'a> Funnel<'a> {
         EmailFeatures {
             verdict12,
             // Sender identity is the FNV of the canonical `local@domain`
-            // rendering (hashed in place, no per-email string) — the same
-            // keying scheme the body table uses.
-            sender: email.mail_from.as_ref().map(fnv_addr),
+            // rendering — the same keying scheme the body table uses.
+            sender: email.mail_from.as_ref().map(|a| fnv(a.as_str().as_bytes())),
             bag: bag_of_words(&email.message.body, self.config.bow_min_words),
-            rcpt_key: fnv_addr(&email.rcpt_to),
+            rcpt_key: fnv(email.rcpt_to.as_str().as_bytes()),
             body_hash: fnv(email.message.body.trim().as_bytes()),
-            reflection: verdict12.is_none() && self.layer4_reflection(email),
+            reflection: verdict12.is_none() && reflection_with_from(email, from),
             rcpt_ours: self.rcpt_is_ours(email),
             body_bytes: email.message.body.len() as u64,
         }
@@ -544,6 +533,11 @@ fn header_cue_set() -> &'static PatternSet<()> {
 /// lowercased copies. The lowercase-and-`contains` form it replaced is
 /// the oracle of this module's unit tests.
 pub fn reflection_mail(email: &CollectedEmail) -> bool {
+    reflection_with_from(email, email.message.from_addr().as_ref())
+}
+
+/// [`reflection_mail`] with the header `From` already parsed.
+fn reflection_with_from(email: &CollectedEmail, from: Option<&EmailAddress>) -> bool {
     let m = &email.message;
     if m.headers.contains("List-Unsubscribe") {
         return true;
@@ -555,22 +549,24 @@ pub fn reflection_mail(email: &CollectedEmail) -> bool {
             }
         }
     }
-    // Any two of From / Reply-To / Return-Path disagreeing.
-    let addrs: Vec<String> = [m.from_addr(), m.reply_to_addr(), m.return_path_addr()]
+    // Any two of From / Reply-To / Return-Path disagreeing, byte for
+    // byte: the local part's case counts here, unlike in `==`.
+    let (reply_to, return_path) = (m.reply_to_addr(), m.return_path_addr());
+    let mut addrs = [from, reply_to.as_ref(), return_path.as_ref()]
         .into_iter()
-        .flatten()
-        .map(|a| a.to_string())
-        .collect();
-    if addrs.len() >= 2 && addrs.iter().any(|a| a != &addrs[0]) {
-        return true;
+        .flatten();
+    if let Some(first) = addrs.next() {
+        if addrs.any(|a| a.as_str() != first.as_str()) {
+            return true;
+        }
     }
     // Body phrases.
     if reflection_phrase_set().any_match(&m.body) {
         return true;
     }
     // System-user senders.
-    if let Some(from) = m.from_addr().or_else(|| email.mail_from.clone()) {
-        if from.is_system_user() {
+    if let Some(sender) = from.or(email.mail_from.as_ref()) {
+        if sender.is_system_user() {
             return true;
         }
     }
@@ -601,23 +597,6 @@ pub fn bag_of_words(body: &str, min_words: usize) -> Option<u64> {
 fn fnv(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// FNV-1a over an address's canonical `local@domain` rendering, hashed
-/// in place — the sender/recipient frequency tables key on this the way
-/// the body table keys on `fnv(body)`, so no per-email `to_string()`.
-fn fnv_addr(a: &ets_mail::EmailAddress) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let bytes = a
-        .local()
-        .bytes()
-        .chain(std::iter::once(b'@'))
-        .chain(a.domain().bytes());
-    for b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -667,6 +646,154 @@ mod tests {
             }
         }
         false
+    }
+
+    /// `Funnel::features` as it was before the header `From` was parsed
+    /// once: each layer parses `From` itself, layer 2 runs the legacy
+    /// scorer and layer 4 is [`reflection_mail_legacy`]. The oracle of the
+    /// `features_match_the_oracle_*` tests.
+    fn features_oracle(funnel: &Funnel<'_>, email: &CollectedEmail) -> EmailFeatures {
+        let layer1 = || {
+            match funnel.infra.vps_map.get(&email.domain) {
+                Some(&ip) if ip == email.vps_ip => {}
+                _ => return true,
+            }
+            if let Some(sender) = email.mail_from.as_ref() {
+                if funnel.study_set.contains(sender.registrable_domain()) {
+                    return true;
+                }
+            }
+            if let Some(from) = email.message.from_addr() {
+                let fd = from.domain();
+                let o = email.domain.as_str();
+                if fd == o || (fd.ends_with(o) && fd.as_bytes()[fd.len() - o.len() - 1] == b'.') {
+                    return true;
+                }
+            }
+            false
+        };
+        let layer2 = || {
+            email.message.has_attachment_ext(&["zip", "rar"])
+                || funnel.scorer.score_legacy(&email.message).is_spam()
+        };
+        let verdict12 = if layer1() {
+            Some(FunnelVerdict::SpamHeader)
+        } else if layer2() {
+            Some(FunnelVerdict::SpamScore)
+        } else {
+            None
+        };
+        EmailFeatures {
+            verdict12,
+            sender: email
+                .mail_from
+                .as_ref()
+                .map(|a| fnv(a.to_string().as_bytes())),
+            bag: bag_of_words(&email.message.body, funnel.config.bow_min_words),
+            rcpt_key: fnv(email.rcpt_to.to_string().as_bytes()),
+            body_hash: fnv(email.message.body.trim().as_bytes()),
+            reflection: verdict12.is_none() && reflection_mail_legacy(email),
+            rcpt_ours: funnel
+                .study_set
+                .contains(email.rcpt_to.registrable_domain()),
+            body_bytes: email.message.body.len() as u64,
+        }
+    }
+
+    #[test]
+    fn features_match_the_oracle_on_generated_traffic() {
+        let infra = CollectionInfra::build();
+        let funnel = Funnel::new(&infra);
+        for seed in 11..=15 {
+            let gen = TrafficGenerator::new(&infra, TrafficConfig::test_scale(seed));
+            for e in gen.generate() {
+                assert_eq!(
+                    funnel.features(&e.collected),
+                    features_oracle(&funnel, &e.collected),
+                    "seed {seed}: {:?}",
+                    e.collected.message.headers
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn features_match_the_oracle_on_edge_cases() {
+        let infra = CollectionInfra::build();
+        let funnel = Funnel::new(&infra);
+        let domain: ets_core::DomainName = "gmaiql.com".parse().unwrap();
+        let email = |mail_from: &str, message: ets_mail::MessageBuilder| CollectedEmail {
+            domain: domain.clone(),
+            vps_ip: infra.vps_map[&domain],
+            date: crate::time::SimDate(0),
+            client_helo: "mail.friend.example".to_owned(),
+            mail_from: Some(mail_from.parse().unwrap()),
+            rcpt_to: "victim@gmaiql.com".parse().unwrap(),
+            message: message.build(),
+            smtp_submission: false,
+        };
+        // Passes layers 1 and 2 and shows layer 4 no cue of its own.
+        let plain = || {
+            ets_mail::MessageBuilder::new()
+                .raw_to("victim@gmaiql.com")
+                .subject("lunch")
+                .date("Thu, 9 Jun 2016 00:00:00 +0000")
+                .message_id("<m1@friend.example>")
+                .body("see you at noon")
+        };
+        let cases = [
+            (
+                "a From forging the study domain",
+                email("bob@friend.example", plain().raw_from("admin@gmaiql.com")),
+                Some(FunnelVerdict::SpamHeader),
+                false,
+            ),
+            (
+                "From and Reply-To differing only in the local part's case",
+                email(
+                    "bob@friend.example",
+                    plain()
+                        .raw_from("Bob@friend.example")
+                        .reply_to("bob@friend.example"),
+                ),
+                None,
+                true,
+            ),
+            (
+                "no From, a system-user envelope sender",
+                email("Postmaster+x@friend.example", plain()),
+                None,
+                true,
+            ),
+            (
+                "an upper-case archive extension",
+                email(
+                    "bob@friend.example",
+                    plain().raw_from("bob@friend.example").attach(
+                        "OFFER.ZIP",
+                        "application/zip",
+                        vec![0x50, 0x4b],
+                    ),
+                ),
+                Some(FunnelVerdict::SpamScore),
+                false,
+            ),
+            (
+                "an unparsable From, a system-user envelope sender",
+                email("noreply@friend.example", plain().raw_from("<<<forged>>>")),
+                None,
+                true,
+            ),
+        ];
+        for (what, email, verdict12, reflection) in &cases {
+            let f = funnel.features(email);
+            assert_eq!(f, features_oracle(&funnel, email), "{what}");
+            assert_eq!(
+                (f.verdict12, f.reflection),
+                (*verdict12, *reflection),
+                "{what}"
+            );
+        }
     }
 
     fn run(seed: u64) -> (Vec<crate::traffic::GenEmail>, Vec<FunnelVerdict>) {

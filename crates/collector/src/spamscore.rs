@@ -19,7 +19,7 @@
 //! letters and never fires, and the committed Table 3 results were
 //! measured without it.
 
-use ets_mail::Message;
+use ets_mail::{EmailAddress, Message};
 use ets_scan::PatternSet;
 use std::sync::OnceLock;
 
@@ -163,6 +163,12 @@ impl SpamScorer {
     /// counts. Verdicts are byte-identical with
     /// [`SpamScorer::score_legacy`].
     pub fn score(&self, msg: &Message) -> SpamScore {
+        self.score_with_from(msg, msg.from_addr().as_ref())
+    }
+
+    /// [`SpamScorer::score`] with `msg`'s `From` address already parsed,
+    /// so a caller that needs it too parses it once.
+    pub(crate) fn score_with_from(&self, msg: &Message, from: Option<&EmailAddress>) -> SpamScore {
         let mut rules: Vec<FiredRule> = Vec::new();
         let mut fire = |name: &'static str, score: f64| rules.push(FiredRule { name, score });
 
@@ -180,7 +186,7 @@ impl SpamScorer {
         let cue = |hits: &[u32; N_PATTERNS], c: usize| hits[N_TOKENS + c];
 
         // Header rules.
-        if msg.from_addr().is_none() {
+        if from.is_none() {
             fire("MISSING_OR_BAD_FROM", 1.2);
         }
         if !msg.headers.contains("Message-ID") {
@@ -189,7 +195,7 @@ impl SpamScorer {
         if !msg.headers.contains("Date") {
             fire("MISSING_DATE", 0.6);
         }
-        if let (Some(from), Some(reply)) = (msg.from_addr(), msg.reply_to_addr()) {
+        if let (Some(from), Some(reply)) = (from, msg.reply_to_addr()) {
             if from.registrable_domain() != reply.registrable_domain() {
                 fire("REPLYTO_DIFFERS", 0.7);
             }

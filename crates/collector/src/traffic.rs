@@ -376,7 +376,7 @@ impl<'a> TrafficGenerator<'a> {
             rng.gen_range(0..1000)
         );
         let to = EmailAddress::new(&local, domain.as_str()).expect("valid recipient");
-        msg.headers.set("To", to.to_string());
+        msg.headers.set("To", to.as_str());
         // The ham corpus occasionally carries its own notes.txt; Figure 7's
         // distribution is drawn explicitly below instead.
         msg.attachments.clear();
@@ -506,7 +506,7 @@ impl<'a> TrafficGenerator<'a> {
         }
         let msg = MessageBuilder::new()
             .raw_from(&format!("{service} <noreply@{service}.example>"))
-            .raw_to(&to.to_string())
+            .raw_to(to.as_str())
             .reply_to(&format!("bounce+{local}@{service}.example"))
             .return_path(&format!("bounce@{service}.example"))
             .subject(&format!("Welcome to {service}"))
@@ -598,8 +598,8 @@ impl<'a> TrafficGenerator<'a> {
                 let corpus = crate::corpus::enron_like(1, 0.3, rng.gen());
                 let labeled = corpus.into_iter().next().expect("one");
                 let mut msg = labeled.message;
-                msg.headers.set("From", sender.to_string());
-                msg.headers.set("To", to.to_string());
+                msg.headers.set("From", sender.as_str());
+                msg.headers.set("To", to.as_str());
                 out.push(GenEmail {
                     collected: CollectedEmail {
                         domain: u.domain.clone(),
@@ -641,8 +641,8 @@ impl<'a> TrafficGenerator<'a> {
                         .expect("valid");
                 let to = EmailAddress::new("ops", "monitoring.example").expect("valid");
                 let msg = MessageBuilder::new()
-                    .raw_from(&sender.to_string())
-                    .raw_to(&to.to_string())
+                    .raw_from(sender.as_str())
+                    .raw_to(to.as_str())
                     .subject(&format!("status report device {agent}"))
                     .body(&format!(
                         "automated status report from device {agent}: all services nominal"
@@ -700,7 +700,8 @@ struct SmtpUser {
 /// collaborative layer can connect to the campaign.
 #[derive(Debug, Clone)]
 struct SpamCampaign {
-    sender: String,
+    /// Parsed once here; every email clones it.
+    sender: EmailAddress,
     subject: String,
     body: String,
     subtle_body: String,
@@ -715,7 +716,7 @@ impl SpamCampaign {
         let blatant = crate::corpus::BLATANT_BODIES_FOR_CAMPAIGNS;
         let body = blatant[rng.gen_range(0..blatant.len())];
         SpamCampaign {
-            sender: format!("promo{}@bulk{}.example", i, rng.gen_range(0..20)),
+            sender: spam_sender(&format!("promo{}@bulk{}.example", i, rng.gen_range(0..20))),
             subject: pick(
                 rng,
                 &[
@@ -766,7 +767,7 @@ impl SpamCampaign {
         let from = if self.forge_recipient_domain {
             // Spammers pose as the recipient's own domain (Layer 1 catches
             // this: we never send mail).
-            format!("admin@{domain}")
+            spam_sender(&format!("admin@{domain}"))
         } else {
             self.sender.clone()
         };
@@ -775,8 +776,8 @@ impl SpamCampaign {
         // email is flagged.
         let subtle = rng.gen_bool(self.subtle_share);
         let mut b = MessageBuilder::new()
-            .raw_from(&from)
-            .raw_to(&to.to_string())
+            .raw_from(from.as_str())
+            .raw_to(to.as_str())
             .subject(if subtle {
                 "quick update"
             } else {
@@ -800,10 +801,7 @@ impl SpamCampaign {
                 vps_ip: infra.vps_map[domain],
                 date,
                 client_helo: self.helo.clone(),
-                mail_from: Some(
-                    EmailAddress::parse(&from)
-                        .unwrap_or_else(|_| "x@bulk.example".parse().expect("valid")),
-                ),
+                mail_from: Some(from),
                 rcpt_to: to,
                 message: b.build(),
                 smtp_submission: relay_probe,
@@ -812,6 +810,12 @@ impl SpamCampaign {
             sensitive: Vec::new(),
         }
     }
+}
+
+/// A spam campaign's sender address, or a fixed bulk address should the
+/// generated one not parse.
+fn spam_sender(addr: &str) -> EmailAddress {
+    EmailAddress::parse(addr).unwrap_or_else(|_| "x@bulk.example".parse().expect("valid"))
 }
 
 fn pick<'x, T: ?Sized>(rng: &mut ChaCha8Rng, items: &'x [&'x T]) -> &'x T {

@@ -5,39 +5,47 @@
 //! `List-Unsubscribe`, ...), so the map supports repeated fields and
 //! preserves insertion order, like real RFC 5322 header blocks.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A header field name; compares and hashes case-insensitively but
-/// remembers the spelling it was created with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeaderName(String);
+/// remembers the spelling it was created with. A name spelled exactly
+/// like one of [`names`] borrows that constant instead of allocating.
+#[derive(Debug, Clone)]
+pub struct HeaderName(Cow<'static, str>);
 
 impl HeaderName {
     /// Creates a header name. Panics if the name contains characters
     /// outside RFC 5322 `ftext` (printable ASCII except `:`).
     pub fn new(name: &str) -> Self {
-        assert!(
-            !name.is_empty() && name.bytes().all(|b| (33..=126).contains(&b) && b != b':'),
-            "invalid header name {name:?}"
-        );
-        HeaderName(name.to_owned())
+        assert!(valid_name(name), "invalid header name {name:?}");
+        HeaderName::spelled(name)
     }
 
     /// Creates a header name, returning `None` instead of panicking on an
     /// invalid one — the form the parser uses on untrusted input.
     pub fn try_new(name: &str) -> Option<Self> {
-        if !name.is_empty() && name.bytes().all(|b| (33..=126).contains(&b) && b != b':') {
-            Some(HeaderName(name.to_owned()))
-        } else {
-            None
-        }
+        valid_name(name).then(|| HeaderName::spelled(name))
+    }
+
+    /// `name` as spelled: borrowed when it is one of [`names`], owned
+    /// otherwise (another case of a known name included).
+    fn spelled(name: &str) -> Self {
+        HeaderName(match names::ALL.iter().find(|known| **known == name) {
+            Some(known) => Cow::Borrowed(known),
+            None => Cow::Owned(name.to_owned()),
+        })
     }
 
     /// The original spelling.
     pub fn as_str(&self) -> &str {
         &self.0
     }
+}
+
+fn valid_name(name: &str) -> bool {
+    !name.is_empty() && name.bytes().all(|b| (33..=126).contains(&b) && b != b':')
 }
 
 impl PartialEq for HeaderName {
@@ -73,6 +81,20 @@ impl From<&str> for HeaderName {
     }
 }
 
+/// The spelling, as a plain string.
+impl Serialize for HeaderName {
+    fn to_value(&self) -> Value {
+        Value::String(self.as_str().to_owned())
+    }
+}
+
+/// Any string, as spelled, without re-validating it.
+impl Deserialize for HeaderName {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(HeaderName::spelled(&String::from_value(v)?))
+    }
+}
+
 /// Well-known header names used throughout the pipeline.
 pub mod names {
     /// `From`
@@ -105,6 +127,26 @@ pub mod names {
     pub const MIME_VERSION: &str = "MIME-Version";
     /// `X-Spam-Flag` (added by the pipeline, mirroring SpamAssassin)
     pub const X_SPAM_FLAG: &str = "X-Spam-Flag";
+
+    /// Every name above: the spellings a [`HeaderName`](super::HeaderName)
+    /// borrows instead of allocating.
+    pub(super) const ALL: [&str; 15] = [
+        FROM,
+        TO,
+        SENDER,
+        REPLY_TO,
+        RETURN_PATH,
+        SUBJECT,
+        DATE,
+        MESSAGE_ID,
+        LIST_UNSUBSCRIBE,
+        RECEIVED,
+        CONTENT_TYPE,
+        CONTENT_TRANSFER_ENCODING,
+        CONTENT_DISPOSITION,
+        MIME_VERSION,
+        X_SPAM_FLAG,
+    ];
 }
 
 /// An insertion-ordered multimap of header fields.
@@ -266,6 +308,28 @@ mod tests {
     fn names_compare_case_insensitively() {
         assert_eq!(HeaderName::new("From"), HeaderName::new("FROM"));
         assert_eq!(HeaderName::new("reply-to"), "Reply-To");
+    }
+
+    #[test]
+    fn known_spellings_borrow_the_constants() {
+        assert!(matches!(HeaderName::new("From").0, Cow::Borrowed(_)));
+        assert!(matches!(HeaderName::new("FROM").0, Cow::Owned(_)));
+        assert!(matches!(HeaderName::new("x-custom").0, Cow::Owned(_)));
+    }
+
+    #[test]
+    fn spellings_survive_wire_and_json() {
+        for spelling in ["From", "FROM", "x-custom"] {
+            let mut h = HeaderMap::new();
+            h.append(spelling, "v");
+            let parsed = HeaderMap::parse(&h.to_wire()).unwrap();
+            let (name, _) = parsed.iter().next().unwrap();
+            assert_eq!(name.as_str(), spelling);
+            assert_eq!(format!("{name:?}"), format!("HeaderName({spelling:?})"));
+            let value = name.to_value();
+            assert_eq!(value, Value::String(spelling.to_owned()));
+            assert_eq!(HeaderName::from_value(&value).unwrap().as_str(), spelling);
+        }
     }
 
     #[test]

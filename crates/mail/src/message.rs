@@ -30,12 +30,17 @@ impl Attachment {
     ///
     /// Figure 7 tallies these; Layer 2 drops `zip`/`rar` outright.
     pub fn extension(&self) -> Option<String> {
+        self.extension_as_written().map(str::to_ascii_lowercase)
+    }
+
+    /// The file extension in its original case.
+    fn extension_as_written(&self) -> Option<&str> {
         let name = self.filename.rsplit('/').next().unwrap_or(&self.filename);
         let (stem, ext) = name.rsplit_once('.')?;
         if stem.is_empty() || ext.is_empty() {
             return None;
         }
-        Some(ext.to_ascii_lowercase())
+        Some(ext)
     }
 
     /// A stable content hash (FNV-1a, 64-bit) used to key VirusTotal-style
@@ -145,12 +150,13 @@ impl Message {
         self.body.len() + self.attachments.iter().map(|a| a.data.len()).sum::<usize>()
     }
 
-    /// Whether any attachment has one of the given (lower-case) extensions.
+    /// Whether any attachment has one of the given (lower-case)
+    /// extensions, in any case (`OFFER.ZIP` has `zip`).
     pub fn has_attachment_ext(&self, exts: &[&str]) -> bool {
         self.attachments
             .iter()
-            .filter_map(Attachment::extension)
-            .any(|e| exts.contains(&e.as_str()))
+            .filter_map(Attachment::extension_as_written)
+            .any(|e| exts.iter().any(|x| x.eq_ignore_ascii_case(e)))
     }
 }
 
@@ -218,6 +224,47 @@ mod tests {
         let m = sample();
         assert!(m.has_attachment_ext(&["pdf", "doc"]));
         assert!(!m.has_attachment_ext(&["zip", "rar"]));
+    }
+
+    /// The allocating form `has_attachment_ext` replaced.
+    fn has_attachment_ext_legacy(m: &Message, exts: &[&str]) -> bool {
+        m.attachments
+            .iter()
+            .filter_map(Attachment::extension)
+            .any(|e| exts.contains(&e.as_str()))
+    }
+
+    #[test]
+    fn attachment_ext_query_matches_the_allocating_form() {
+        let queries: [&[&str]; 4] = [
+            &["zip", "rar"],
+            &["exe", "scr", "js", "docm", "xlsm"],
+            &["gz", "tar"],
+            &["hidden", "noext", ""],
+        ];
+        for filename in [
+            "OFFER.ZIP",
+            "offer.zip",
+            "Report.Rar",
+            "a.ZiP",
+            "CV.DocM",
+            "noext",
+            ".hidden",
+            "dir/a.tar.gz",
+            "dir.v2/noext",
+            "trailing.",
+        ] {
+            let mut m = Message::new();
+            m.attachments
+                .push(Attachment::new(filename, "x/y", Vec::new()));
+            for exts in queries {
+                assert_eq!(
+                    m.has_attachment_ext(exts),
+                    has_attachment_ext_legacy(&m, exts),
+                    "{filename} {exts:?}"
+                );
+            }
+        }
     }
 
     #[test]
