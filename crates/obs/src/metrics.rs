@@ -97,9 +97,17 @@ pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
 }
 
 /// Sets the named gauge (last write wins). Gauges may carry wall-clock
-/// derived values and are excluded from the deterministic snapshot.
+/// derived values and are excluded from the deterministic snapshot. An
+/// existing gauge is updated in place, so only the first set of a name
+/// allocates its key.
 pub fn gauge_set(name: &str, value: f64) {
-    lock().gauges.insert(name.to_owned(), value);
+    let mut inner = lock();
+    match inner.gauges.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            inner.gauges.insert(name.to_owned(), value);
+        }
+    }
 }
 
 /// Current gauges, sorted by name.
@@ -273,6 +281,19 @@ mod tests {
                     ("traffic_emails".to_owned(), 20),
                     ("world_targets".to_owned(), 10)
                 ]
+            );
+        });
+    }
+
+    #[test]
+    fn gauge_set_keeps_the_last_value() {
+        locked(|| {
+            gauge_set("t.g", 1.0);
+            gauge_set("t.g", 2.5);
+            gauge_set("t.other", 7.0);
+            assert_eq!(
+                gauges_with_prefix("t"),
+                vec![("g".to_owned(), 2.5), ("other".to_owned(), 7.0)]
             );
         });
     }

@@ -56,6 +56,10 @@ enum Mode {
 pub struct LineCodec {
     buf: BytesMut,
     mode: Mode,
+    /// Where the next search for the DATA terminator starts. No
+    /// terminator begins before it, so each byte of a payload is
+    /// searched a bounded number of times however it is split.
+    data_scan: usize,
     /// Reusable decode target; the most recent frame borrows from it.
     scratch: String,
 }
@@ -76,6 +80,7 @@ impl LineCodec {
         LineCodec {
             buf: BytesMut::with_capacity(1024),
             mode: Mode::Line,
+            data_scan: 0,
             scratch: String::new(),
         }
     }
@@ -88,6 +93,7 @@ impl LineCodec {
     /// Switches to DATA framing (after the server answers 354).
     pub fn enter_data_mode(&mut self) {
         self.mode = Mode::Data;
+        self.data_scan = 0;
     }
 
     /// Whether the codec is framing a DATA payload.
@@ -129,13 +135,17 @@ impl LineCodec {
             return Ok(Some(Frame::Data(&self.scratch)));
         }
         let term = b"\r\n.\r\n";
-        if let Some(pos) = find_subslice(&self.buf, term) {
+        let from = self.data_scan;
+        if let Some(pos) = find_subslice(&self.buf[from..], term).map(|p| from + p) {
             // Keep the final CRLF of the body; `unstuff_into` strips it.
             unstuff_into(&self.buf[..pos + 2], &mut self.scratch);
             self.buf.advance(pos + term.len());
             self.mode = Mode::Line;
+            self.data_scan = 0;
             return Ok(Some(Frame::Data(&self.scratch)));
         }
+        // A terminator the next bytes complete starts in the last 4.
+        self.data_scan = self.buf.len().saturating_sub(term.len() - 1);
         if self.buf.len() > MAX_DATA_LEN {
             return Err(CodecError::DataTooLong);
         }
@@ -359,24 +369,35 @@ mod tests {
         }
 
         #[test]
-        fn feed_in_chunks_equals_feed_at_once(body in "[a-z\r\n.]{0,200}", split in 0usize..200) {
+        fn feed_in_chunks_equals_feed_at_once(
+            body in "[a-z\r\n.]{0,200}",
+            chunks in proptest::collection::vec(1usize..64, 1..64),
+        ) {
+            // Chunk sizes cycle until the payload is fed, so the
+            // terminator is split at every offset across the cases.
             let stuffed = stuff(&body);
             let bytes = stuffed.as_bytes();
-            let cut = split.min(bytes.len());
             let mut c1 = LineCodec::new();
             c1.enter_data_mode();
             c1.feed(bytes);
+            let f1 = owned(c1.next_frame().unwrap());
             let mut c2 = LineCodec::new();
             c2.enter_data_mode();
-            c2.feed(&bytes[..cut]);
-            let early = owned(c2.next_frame().unwrap());
-            c2.feed(&bytes[cut..]);
-            let f1 = owned(c1.next_frame().unwrap());
-            let f2 = match early {
-                Some(f) => Some(f),
-                None => owned(c2.next_frame().unwrap()),
-            };
+            let mut f2 = None;
+            let mut rest = bytes;
+            for &size in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                c2.feed(chunk);
+                rest = tail;
+                if f2.is_none() {
+                    f2 = owned(c2.next_frame().unwrap());
+                }
+            }
             prop_assert_eq!(f1, f2);
+            prop_assert_eq!(c1.pending(), c2.pending());
         }
     }
 }

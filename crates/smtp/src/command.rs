@@ -54,62 +54,57 @@ impl Command {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
-        let upper = verb.to_ascii_uppercase();
-        match upper.as_str() {
-            "HELO" => {
-                if rest.is_empty() {
-                    Err(CommandParseError::BadArgument(line.to_owned()))
-                } else {
-                    Ok(Command::Helo(rest.to_owned()))
-                }
+        let is = |name: &str| verb.eq_ignore_ascii_case(name);
+        if is("HELO") || is("EHLO") {
+            if rest.is_empty() {
+                Err(CommandParseError::BadArgument(line.to_owned()))
+            } else if is("HELO") {
+                Ok(Command::Helo(rest.to_owned()))
+            } else {
+                Ok(Command::Ehlo(rest.to_owned()))
             }
-            "EHLO" => {
-                if rest.is_empty() {
-                    Err(CommandParseError::BadArgument(line.to_owned()))
-                } else {
-                    Ok(Command::Ehlo(rest.to_owned()))
-                }
-            }
-            "MAIL" => {
-                let path = strip_path_keyword(rest, "FROM")
-                    .ok_or_else(|| CommandParseError::BadArgument(line.to_owned()))?;
-                if path.is_empty() {
-                    Ok(Command::MailFrom(None))
-                } else {
-                    let addr = EmailAddress::parse(path)
-                        .map_err(|_| CommandParseError::BadArgument(line.to_owned()))?;
-                    Ok(Command::MailFrom(Some(addr)))
-                }
-            }
-            "RCPT" => {
-                let path = strip_path_keyword(rest, "TO")
-                    .ok_or_else(|| CommandParseError::BadArgument(line.to_owned()))?;
+        } else if is("MAIL") {
+            let path = strip_path_keyword(rest, "FROM:")
+                .ok_or_else(|| CommandParseError::BadArgument(line.to_owned()))?;
+            if path.is_empty() {
+                Ok(Command::MailFrom(None))
+            } else {
                 let addr = EmailAddress::parse(path)
                     .map_err(|_| CommandParseError::BadArgument(line.to_owned()))?;
-                Ok(Command::RcptTo(addr))
+                Ok(Command::MailFrom(Some(addr)))
             }
-            "DATA" => Ok(Command::Data),
-            "STARTTLS" => Ok(Command::StartTls),
-            "RSET" => Ok(Command::Rset),
-            "NOOP" => Ok(Command::Noop),
-            "QUIT" => Ok(Command::Quit),
-            _ => Err(CommandParseError::UnknownVerb(verb.to_owned())),
+        } else if is("RCPT") {
+            let path = strip_path_keyword(rest, "TO:")
+                .ok_or_else(|| CommandParseError::BadArgument(line.to_owned()))?;
+            let addr = EmailAddress::parse(path)
+                .map_err(|_| CommandParseError::BadArgument(line.to_owned()))?;
+            Ok(Command::RcptTo(addr))
+        } else if is("DATA") {
+            Ok(Command::Data)
+        } else if is("STARTTLS") {
+            Ok(Command::StartTls)
+        } else if is("RSET") {
+            Ok(Command::Rset)
+        } else if is("NOOP") {
+            Ok(Command::Noop)
+        } else if is("QUIT") {
+            Ok(Command::Quit)
+        } else {
+            Err(CommandParseError::UnknownVerb(verb.to_owned()))
         }
     }
 }
 
-/// Extracts the path from `FROM:<a@b>` / `TO:<a@b>` syntax; empty `<>`
-/// yields an empty string.
+/// Extracts the path from `FROM:<a@b>` / `TO:<a@b>` syntax; `keyword`
+/// (colon included) matches case-insensitively. Empty `<>` yields an
+/// empty string.
 fn strip_path_keyword<'a>(rest: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = rest.trim();
-    let lower = rest.to_ascii_lowercase();
-    let kw = format!("{}:", keyword.to_ascii_lowercase());
-    if !lower.starts_with(&kw) {
+    let head = rest.get(..keyword.len())?;
+    if !head.eq_ignore_ascii_case(keyword) {
         return None;
     }
-    let path = rest[kw.len()..].trim();
-    let path = path.strip_prefix('<')?.strip_suffix('>')?;
-    Some(path)
+    let path = rest[keyword.len()..].trim();
+    path.strip_prefix('<')?.strip_suffix('>')
 }
 
 impl fmt::Display for Command {

@@ -45,16 +45,26 @@ pub fn send_email(
     use_starttls: bool,
     timeout: Duration,
 ) -> Result<ClientOutcome, SendError> {
-    let mut stream = TcpStream::connect(addr)?;
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
-    let mut session = ClientSession::new(email, helo_name, use_starttls);
+    exchange(stream, ClientSession::new(email, helo_name, use_starttls))
+}
+
+/// Runs `session` to its outcome over `stream`. Each command goes out
+/// as one write: on a `TCP_NODELAY` socket a line and its CRLF written
+/// apart leave as two segments, and the server wakes for each.
+fn exchange<S: Read + Write>(
+    mut stream: S,
+    mut session: ClientSession,
+) -> Result<ClientOutcome, SendError> {
     let mut framer = LineCodec::new();
     let mut buf = [0u8; 4096];
-    // One reply-line buffer reused across the whole exchange: the frame
-    // borrows the codec's scratch, so it is copied out before the next
-    // read can invalidate it.
+    // One line buffer, reused for every reply read and every command
+    // written. The frame borrows the codec's scratch, so a reply is
+    // copied out before the next read can invalidate it; the parsed
+    // reply owns its text, so the buffer is free again for the answer.
     let mut line = String::new();
     loop {
         // Read one complete reply line.
@@ -79,14 +89,16 @@ pub fn send_email(
             }
         }
         // Multiline replies: consume continuation lines (code-dash).
-        if line.len() >= 4 && &line[3..4] == "-" {
+        if line.as_bytes().get(3) == Some(&b'-') {
             continue;
         }
         let reply = Reply::parse(&line).ok_or_else(|| SendError::ProtocolGarbage(line.clone()))?;
         match session.on_reply(&reply) {
             ClientAction::SendLine(l) => {
-                stream.write_all(l.as_bytes())?;
-                stream.write_all(b"\r\n")?;
+                line.clear();
+                line.push_str(&l);
+                line.push_str("\r\n");
+                stream.write_all(line.as_bytes())?;
                 stream.flush()?;
             }
             ClientAction::SendData(payload) => {
@@ -207,22 +219,107 @@ mod tests {
 
     #[test]
     fn garbage_server_is_protocol_error() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let t = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let _ = s.write_all(b"NOT SMTP AT ALL\r\n");
-        });
-        let email = Email::new(None, vec!["a@b.com".parse().unwrap()], "x".to_owned());
-        let r = send_email(
-            &addr.to_string(),
-            email,
-            "c",
-            false,
-            Duration::from_millis(1000),
+        // The second banner puts a two-byte character across byte 3.
+        for banner in ["NOT SMTP AT ALL\r\n", "22é ok\r\n"] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let t = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let _ = s.write_all(banner.as_bytes());
+            });
+            let email = Email::new(None, vec!["a@b.com".parse().unwrap()], "x".to_owned());
+            let r = send_email(
+                &addr.to_string(),
+                email,
+                "c",
+                false,
+                Duration::from_millis(1000),
+            );
+            assert!(matches!(r, Err(SendError::ProtocolGarbage(_))), "{r:?}");
+            t.join().unwrap();
+        }
+    }
+
+    /// A peer that answers from a script and records every write call.
+    struct Scripted {
+        replies: &'static [u8],
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.replies.len());
+            buf[..n].copy_from_slice(&self.replies[..n]);
+            self.replies = &self.replies[n..];
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The writes `send_email` makes against `replies`, and its result.
+    fn scripted(replies: &'static str) -> (Result<ClientOutcome, SendError>, Vec<String>) {
+        let mut peer = Scripted {
+            replies: replies.as_bytes(),
+            writes: Vec::new(),
+        };
+        let email = Email::new(
+            Some("alice@gmail.com".parse().unwrap()),
+            vec!["bob@gmial.com".parse().unwrap()],
+            "Subject: hi\r\n\r\nbody".to_owned(),
         );
-        assert!(matches!(r, Err(SendError::ProtocolGarbage(_))));
-        t.join().unwrap();
+        let r = exchange(&mut peer, ClientSession::new(email, "c.example", false));
+        let writes = peer
+            .writes
+            .into_iter()
+            .map(|w| String::from_utf8(w).unwrap());
+        (r, writes.collect())
+    }
+
+    #[test]
+    fn each_command_is_one_write() {
+        let (r, writes) = scripted("220 mx\r\n250 mx\r\n250 OK\r\n550 no\r\n");
+        assert!(matches!(r, Ok(ClientOutcome::Rejected { code: 550, .. })));
+        assert_eq!(
+            writes,
+            [
+                "EHLO c.example\r\n",
+                "MAIL FROM:<alice@gmail.com>\r\n",
+                "RCPT TO:<bob@gmial.com>\r\n",
+                "QUIT\r\n",
+            ]
+        );
+        let (r, writes) = scripted("220 mx\r\n250 mx\r\n250 OK\r\n250 OK\r\n354 go\r\n250 OK\r\n");
+        assert_eq!(r.unwrap(), ClientOutcome::Accepted);
+        assert_eq!(
+            writes,
+            [
+                "EHLO c.example\r\n",
+                "MAIL FROM:<alice@gmail.com>\r\n",
+                "RCPT TO:<bob@gmial.com>\r\n",
+                "DATA\r\n",
+                "Subject: hi\r\n\r\nbody\r\n.\r\n",
+                "QUIT\r\n",
+            ]
+        );
+    }
+
+    #[test]
+    fn multibyte_after_the_code_never_panics() {
+        // Byte 3 opens a two-byte character, so slicing `[3..4]` would
+        // panic; the banner parses, and the peer then hangs up.
+        let (r, writes) = scripted("220é ok\r\n");
+        assert!(matches!(r, Err(SendError::ConnectionClosed)), "{r:?}");
+        assert_eq!(writes, ["EHLO c.example\r\n"]);
     }
 
     #[test]

@@ -114,18 +114,19 @@ impl Reply {
         (500..600).contains(&self.code)
     }
 
-    /// Parses a single-line reply (`250 OK`).
+    /// Parses a single-line reply (`250 OK`). Any line a peer can send
+    /// returns `None` rather than panicking: the code is sliced with
+    /// `str::get`, so a multi-byte character in the first three bytes
+    /// is just not a code.
     pub fn parse(line: &str) -> Option<Reply> {
         let line = line.trim_end_matches(['\r', '\n']);
-        if line.len() < 3 {
-            return None;
-        }
-        let code: u16 = line[..3].parse().ok()?;
+        let code: u16 = line.get(..3)?.parse().ok()?;
         if !(200..600).contains(&code) {
             return None;
         }
-        let rest = line[3..].strip_prefix([' ', '-']).unwrap_or(&line[3..]);
-        Some(Reply::new(code, rest))
+        let rest = line.get(3..)?;
+        let text = rest.strip_prefix([' ', '-']).unwrap_or(rest);
+        Some(Reply::new(code, text))
     }
 }
 
@@ -193,5 +194,22 @@ mod tests {
         assert!(Reply::parse("999 nope").is_none());
         assert!(Reply::parse("abc hello").is_none());
         assert!(Reply::parse("100 too low").is_none());
+        assert!(Reply::parse("22é ok").is_none());
+        assert!(Reply::parse("é").is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics(
+            code in "[0-9é€😀]{0,4}",
+            rest in "[ a-z0-9é€😀\r\n-]{0,6}",
+            any_line: String,
+        ) {
+            for line in [format!("{code}{rest}"), any_line] {
+                if let Some(r) = Reply::parse(&line) {
+                    proptest::prop_assert!((200..600).contains(&r.code), "{line:?}");
+                }
+            }
+        }
     }
 }

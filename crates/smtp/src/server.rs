@@ -79,8 +79,9 @@ pub struct SmtpServer {
 
 impl SmtpServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting connections with the given policy.
-    pub fn bind(addr: &str, policy: ServerPolicy) -> std::io::Result<SmtpServer> {
+    /// accepting connections with the given policy. Every session of the
+    /// server shares the one policy.
+    pub fn bind(addr: &str, policy: impl Into<Arc<ServerPolicy>>) -> std::io::Result<SmtpServer> {
         SmtpServer::bind_with(addr, policy, ServerOptions::default())
     }
 
@@ -88,9 +89,10 @@ impl SmtpServer {
     /// pool options.
     pub fn bind_with(
         addr: &str,
-        policy: ServerPolicy,
+        policy: impl Into<Arc<ServerPolicy>>,
         options: ServerOptions,
     ) -> std::io::Result<SmtpServer> {
+        let policy = policy.into();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -173,7 +175,7 @@ impl Drop for SmtpServer {
 /// `options.workers` long-lived session threads.
 fn accept_loop(
     listener: TcpListener,
-    policy: ServerPolicy,
+    policy: Arc<ServerPolicy>,
     tx: Sender<ReceivedEmail>,
     shutdown: Arc<AtomicBool>,
     telemetry: Arc<SmtpTelemetry>,
@@ -186,7 +188,7 @@ fn accept_loop(
     for _ in 0..workers {
         let conn_rx = conn_rx.clone();
         let tx = tx.clone();
-        let policy = policy.clone();
+        let policy = Arc::clone(&policy);
         let tm = telemetry.clone();
         pool.push(std::thread::spawn(move || {
             // `iter()` drains the queue to empty even after the accept
@@ -221,7 +223,7 @@ fn accept_loop(
 /// Runs one accepted socket through a full observed session.
 fn serve_connection(
     stream: TcpStream,
-    policy: &ServerPolicy,
+    policy: &Arc<ServerPolicy>,
     tx: &Sender<ReceivedEmail>,
     read_timeout: Duration,
     telemetry: &Arc<SmtpTelemetry>,
@@ -251,7 +253,7 @@ enum Step {
 
 fn handle_connection(
     mut stream: TcpStream,
-    policy: &ServerPolicy,
+    policy: &Arc<ServerPolicy>,
     tx: &Sender<ReceivedEmail>,
     read_timeout: Duration,
     observer: &mut SessionObserver,
@@ -259,7 +261,7 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(read_timeout))?;
     stream.set_nodelay(true)?;
-    let mut session = ServerSession::new(policy.clone());
+    let mut session = ServerSession::new(Arc::clone(policy));
     let mut framer = LineCodec::new();
     // Replies are rendered into one reusable buffer and written with a
     // single syscall; the per-reply `to_string` + split writes of the
@@ -398,6 +400,30 @@ mod tests {
         assert_eq!((o.conn_queue, o.owner_queue), (256, 1024));
         assert_eq!(o.read_timeout, Duration::from_secs(30));
         assert_eq!(o.telemetry.sample_every, 16);
+    }
+
+    #[test]
+    fn sessions_of_one_server_share_one_policy() {
+        // With both workers holding a live session, the policy has six
+        // owners: this test, the accept loop, two workers, two sessions.
+        // A session that copied the policy would own a fresh one instead.
+        let shared = Arc::new(policy());
+        let server =
+            SmtpServer::bind_with("127.0.0.1:0", Arc::clone(&shared), pool_options(2, 4, 16))
+                .unwrap();
+        let addr = server.addr().to_string();
+        let mut held = Vec::new();
+        for _ in 0..2 {
+            let mut raw = RawSession::connect(&addr, Duration::from_secs(5)).unwrap();
+            assert_eq!(raw.read_code().unwrap(), 220); // its session exists
+            held.push(raw);
+        }
+        assert_eq!(Arc::strong_count(&shared), 6);
+        for mut raw in held {
+            raw.write_raw(b"QUIT\r\n").unwrap();
+        }
+        assert!(server.shutdown().is_empty());
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

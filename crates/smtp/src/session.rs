@@ -8,6 +8,7 @@
 use crate::command::{Command, CommandParseError};
 use crate::reply::Reply;
 use ets_mail::EmailAddress;
+use std::sync::Arc;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -141,7 +142,7 @@ enum State {
 /// [`ServerSession::on_data`].
 #[derive(Debug)]
 pub struct ServerSession {
-    policy: ServerPolicy,
+    policy: Arc<ServerPolicy>,
     state: State,
     helo: String,
     mail_from: Option<EmailAddress>,
@@ -151,10 +152,12 @@ pub struct ServerSession {
 
 impl ServerSession {
     /// Creates a session; the driver should send [`ServerSession::greeting`]
-    /// immediately.
-    pub fn new(policy: ServerPolicy) -> Self {
+    /// immediately. A server passes one `Arc` that all its sessions
+    /// share, so a connection costs no copy of the policy; a
+    /// `ServerPolicy` by value is wrapped for this session alone.
+    pub fn new(policy: impl Into<Arc<ServerPolicy>>) -> Self {
         ServerSession {
-            policy,
+            policy: policy.into(),
             state: State::Start,
             helo: String::new(),
             mail_from: None,
@@ -330,6 +333,15 @@ mod tests {
         assert_eq!(e.mail_from.unwrap().domain(), "gmail.com");
         assert_eq!(e.rcpt_to[0].local(), "anything.random");
         assert!(e.data.contains("hello"));
+    }
+
+    #[test]
+    fn sessions_share_the_policy_they_are_given() {
+        let policy = Arc::new(ServerPolicy::catch_all("mx.gmial.com", &[]));
+        let a = ServerSession::new(Arc::clone(&policy));
+        let b = ServerSession::new(Arc::clone(&policy));
+        assert!(Arc::ptr_eq(&a.policy, &policy));
+        assert!(Arc::ptr_eq(&b.policy, &policy));
     }
 
     #[test]

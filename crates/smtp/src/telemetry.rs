@@ -95,16 +95,33 @@ pub struct SmtpTelemetry {
     ring: Arc<Mutex<VecDeque<SessionSample>>>,
 }
 
-/// The Prometheus-friendly label of one taxonomy row.
-pub fn outcome_label(outcome: DeliveryOutcome) -> &'static str {
+/// The `smtp.session_outcome.<label>` counter of one taxonomy row,
+/// spelled out so that closing a session formats nothing.
+fn outcome_counter(outcome: DeliveryOutcome) -> &'static str {
     match outcome {
-        DeliveryOutcome::NoError => "no_error",
-        DeliveryOutcome::Bounce => "bounce",
-        DeliveryOutcome::Timeout => "timeout",
-        DeliveryOutcome::NetworkError => "network_error",
-        DeliveryOutcome::OtherError => "other_error",
+        DeliveryOutcome::NoError => "smtp.session_outcome.no_error",
+        DeliveryOutcome::Bounce => "smtp.session_outcome.bounce",
+        DeliveryOutcome::Timeout => "smtp.session_outcome.timeout",
+        DeliveryOutcome::NetworkError => "smtp.session_outcome.network_error",
+        DeliveryOutcome::OtherError => "smtp.session_outcome.other_error",
     }
 }
+
+/// The Prometheus-friendly label of one taxonomy row.
+pub fn outcome_label(outcome: DeliveryOutcome) -> &'static str {
+    let counter = outcome_counter(outcome);
+    counter
+        .strip_prefix("smtp.session_outcome.")
+        .unwrap_or(counter)
+}
+
+/// The `smtp.replies.<class>xx` counters, indexed by reply class − 2.
+const REPLY_COUNTERS: [&str; 4] = [
+    "smtp.replies.2xx",
+    "smtp.replies.3xx",
+    "smtp.replies.4xx",
+    "smtp.replies.5xx",
+];
 
 impl SmtpTelemetry {
     /// Builds the plane, pre-registers the full Table 5 counter family,
@@ -112,10 +129,7 @@ impl SmtpTelemetry {
     /// section of `/snapshot.json`.
     pub fn new(config: &TelemetryConfig) -> Arc<SmtpTelemetry> {
         for outcome in DeliveryOutcome::ALL {
-            metrics::counter_add(
-                &format!("smtp.session_outcome.{}", outcome_label(outcome)),
-                0,
-            );
+            metrics::counter_add(outcome_counter(outcome), 0);
         }
         metrics::counter_add("smtp.connections", 0);
         metrics::counter_add("smtp.commands", 0);
@@ -188,10 +202,7 @@ impl SmtpTelemetry {
         let total_us = monotonic_micros().saturating_sub(observer.start_us);
         self.session_us.record(total_us);
         let outcome = observer.classify(err);
-        metrics::counter_add(
-            &format!("smtp.session_outcome.{}", outcome_label(outcome)),
-            1,
-        );
+        metrics::counter_add(outcome_counter(outcome), 1);
         self.note_closed();
         let idx = self.sessions.fetch_add(1, Ordering::Relaxed);
         if self.sample_every > 0 && idx.is_multiple_of(self.sample_every) {
@@ -260,7 +271,7 @@ impl SessionObserver {
         self.commands += 1;
         self.telemetry.command_us.record(us);
         metrics::counter_add("smtp.commands", 1);
-        metrics::counter_add(&format!("smtp.replies.{}xx", (code / 100).clamp(2, 5)), 1);
+        metrics::counter_add(REPLY_COUNTERS[usize::from(code / 100).clamp(2, 5) - 2], 1);
         if is_rcpt {
             self.telemetry.policy_us.record(us);
             self.push_phase("policy", us);
@@ -431,6 +442,28 @@ mod tests {
         obs.framing_error();
         assert_eq!(obs.classify(None), DeliveryOutcome::OtherError);
         drop(obs);
+    }
+
+    #[test]
+    fn counter_names_are_the_formatted_ones() {
+        let labels = DeliveryOutcome::ALL.map(outcome_label);
+        assert_eq!(
+            labels,
+            [
+                "no_error",
+                "bounce",
+                "timeout",
+                "network_error",
+                "other_error"
+            ]
+        );
+        for outcome in DeliveryOutcome::ALL {
+            let name = format!("smtp.session_outcome.{}", outcome_label(outcome));
+            assert_eq!(outcome_counter(outcome), name);
+        }
+        for (i, name) in REPLY_COUNTERS.iter().enumerate() {
+            assert_eq!(*name, format!("smtp.replies.{}xx", i + 2));
+        }
     }
 
     #[test]
