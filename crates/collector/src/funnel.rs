@@ -32,32 +32,17 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
-/// Thresholds of Layer 5 (§4.3: 20 / 10 / 10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FunnelConfig {
-    /// Recipient-address frequency threshold.
-    pub recipient_freq: usize,
-    /// Sender-address frequency threshold.
-    pub sender_freq: usize,
-    /// Body-content frequency threshold.
-    pub content_freq: usize,
-    /// Bag-of-words minimum size for Layer 3.
-    pub bow_min_words: usize,
-    /// Spam-scorer threshold for Layer 2.
-    pub spam_threshold: f64,
-}
-
-impl Default for FunnelConfig {
-    fn default() -> Self {
-        FunnelConfig {
-            recipient_freq: 20,
-            sender_freq: 10,
-            content_freq: 10,
-            bow_min_words: 20,
-            spam_threshold: crate::spamscore::DEFAULT_THRESHOLD,
-        }
-    }
-}
+/// Layer 5 (§4.3): a recipient address seen this many times is too
+/// common to be a unique human mistake.
+const RECIPIENT_FREQ: usize = 20;
+/// Layer 5 (§4.3): the sender-address threshold.
+const SENDER_FREQ: usize = 10;
+/// Layer 5 (§4.3): the body-content threshold. Relay submissions, which
+/// skip the receiver thresholds, are filtered at four times it.
+const CONTENT_FREQ: usize = 10;
+/// Layer 3 (§4.3): a body's bag of words flags other emails only when it
+/// has more than this many distinct words.
+const BOW_MIN_WORDS: usize = 20;
 
 /// Final classification of one email.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -199,7 +184,6 @@ pub struct FeatureBatch {
 /// The funnel, bound to the study infrastructure.
 pub struct Funnel<'a> {
     infra: &'a CollectionInfra,
-    config: FunnelConfig,
     scorer: SpamScorer,
     /// Study-domain names for O(1) "at one of ours?" checks. Every study
     /// domain is a two-label registrable, so membership of an address's
@@ -212,14 +196,6 @@ pub struct Funnel<'a> {
 impl<'a> Funnel<'a> {
     /// Creates a funnel with the paper's thresholds.
     pub fn new(infra: &'a CollectionInfra) -> Self {
-        Funnel::with_config(infra, FunnelConfig::default())
-    }
-
-    /// Creates a funnel with custom thresholds (ablations).
-    pub fn with_config(infra: &'a CollectionInfra, config: FunnelConfig) -> Self {
-        let scorer = SpamScorer {
-            threshold: config.spam_threshold,
-        };
         let study_set = infra
             .domains
             .iter()
@@ -227,8 +203,7 @@ impl<'a> Funnel<'a> {
             .collect();
         Funnel {
             infra,
-            config,
-            scorer,
+            scorer: SpamScorer::new(),
             study_set,
         }
     }
@@ -294,7 +269,7 @@ impl<'a> Funnel<'a> {
             // Sender identity is the FNV of the canonical `local@domain`
             // rendering — the same keying scheme the body table uses.
             sender: email.mail_from.as_ref().map(|a| fnv(a.as_str().as_bytes())),
-            bag: bag_of_words(&email.message.body, self.config.bow_min_words),
+            bag: bag_of_words(&email.message.body),
             rcpt_key: fnv(email.rcpt_to.as_str().as_bytes()),
             body_hash: fnv(email.message.body.trim().as_bytes()),
             reflection: verdict12.is_none() && reflection_with_from(email, from),
@@ -407,12 +382,11 @@ impl<'a> Funnel<'a> {
                 return None;
             }
             if f.rcpt_ours {
-                let too_frequent = freq.rcpt_freq[&f.rcpt_key] as usize
-                    >= self.config.recipient_freq
+                let too_frequent = freq.rcpt_freq[&f.rcpt_key] as usize >= RECIPIENT_FREQ
                     || f.sender
-                        .map(|s| freq.sender_freq[&s] as usize >= self.config.sender_freq)
+                        .map(|s| freq.sender_freq[&s] as usize >= SENDER_FREQ)
                         .unwrap_or(false)
-                    || freq.body_freq[&f.body_hash] as usize >= self.config.content_freq;
+                    || freq.body_freq[&f.body_hash] as usize >= CONTENT_FREQ;
                 Some(if too_frequent {
                     FunnelVerdict::FrequencyFiltered
                 } else {
@@ -423,8 +397,7 @@ impl<'a> Funnel<'a> {
                 // legitimately repeats, so the receiver thresholds do not
                 // disqualify it (§4.3: Layer 5 exempts SMTP typos); but
                 // machine-frequency bodies are still filtered.
-                let automated =
-                    freq.body_freq[&f.body_hash] as usize >= self.config.content_freq * 4;
+                let automated = freq.body_freq[&f.body_hash] as usize >= CONTENT_FREQ * 4;
                 Some(if automated {
                     FunnelVerdict::FrequencyFiltered
                 } else {
@@ -573,13 +546,13 @@ fn reflection_with_from(email: &CollectedEmail, from: Option<&EmailAddress>) -> 
     false
 }
 
-/// Order-insensitive bag-of-words fingerprint, `None` when the body has
-/// fewer than `min_words` distinct words.
-pub fn bag_of_words(body: &str, min_words: usize) -> Option<u64> {
+/// Order-insensitive bag-of-words fingerprint, `None` unless the body
+/// has more than [`BOW_MIN_WORDS`] distinct words.
+fn bag_of_words(body: &str) -> Option<u64> {
     let mut words: Vec<&str> = TokenStream::alnum(body).map(|t| t.text).collect();
     words.sort_unstable();
     words.dedup();
-    if words.len() <= min_words {
+    if words.len() <= BOW_MIN_WORDS {
         return None;
     }
     let mut h: u64 = 0xcbf29ce484222325;
@@ -689,7 +662,7 @@ mod tests {
                 .mail_from
                 .as_ref()
                 .map(|a| fnv(a.to_string().as_bytes())),
-            bag: bag_of_words(&email.message.body, funnel.config.bow_min_words),
+            bag: bag_of_words(&email.message.body),
             rcpt_key: fnv(email.rcpt_to.to_string().as_bytes()),
             body_hash: fnv(email.message.body.trim().as_bytes()),
             reflection: verdict12.is_none() && reflection_mail_legacy(email),
@@ -979,12 +952,9 @@ mod tests {
         let words: Vec<String> = (0..25).map(|i| format!("word{i}")).collect();
         let a = words.join(" ");
         let b: String = words.iter().rev().cloned().collect::<Vec<_>>().join(" ");
-        assert_eq!(bag_of_words(&a, 20), bag_of_words(&b, 20));
-        assert!(bag_of_words("short body", 20).is_none());
-        assert_ne!(
-            bag_of_words(&a, 20),
-            bag_of_words(&format!("{a} extraword"), 20)
-        );
+        assert_eq!(bag_of_words(&a), bag_of_words(&b));
+        assert!(bag_of_words("short body").is_none());
+        assert_ne!(bag_of_words(&a), bag_of_words(&format!("{a} extraword")));
     }
 
     #[test]

@@ -178,11 +178,6 @@ pub fn neighbors(c: char) -> Vec<char> {
     out
 }
 
-/// Whether a character may appear inside a domain label.
-pub fn domain_char(c: char) -> bool {
-    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'
-}
-
 /// The full domain-label alphabet in a stable order: `a..z`, `0..9`, `-`.
 pub fn alphabet() -> impl Iterator<Item = char> {
     ('a'..='z').chain('0'..='9').chain(std::iter::once('-'))

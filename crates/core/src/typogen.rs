@@ -532,51 +532,6 @@ fn classify_slds(s: &[u8], t: &[u8]) -> Option<(MistakeKind, usize)> {
     }
 }
 
-/// Generates only the fat-finger-distance-one subset (the registration
-/// strategy of §4.2.1: "most of the typo domains we generated have a
-/// fat-finger distance of one").
-pub fn generate_ff1(target: &DomainName) -> Vec<TypoCandidate> {
-    let table = TypoTable::generate(target);
-    (0..table.len())
-        .filter(|&i| table.fat_finger(i))
-        .map(|i| table.candidate(i))
-        .collect()
-}
-
-/// Generates gtypos for a whole target list, deduplicating candidates that
-/// are DL-1 from several targets (kept once, attributed to the target whose
-/// visual distance is smallest — the most plausible victim).
-///
-/// The per-target DL-1 fan-out (the expensive part — millions of
-/// candidates for the Alexa top-10,000) runs data-parallel; the dedup
-/// merge walks the per-target result vectors in target order, so ties
-/// between equally-distant attributions resolve exactly as the
-/// sequential loop did and the output is identical for any thread count.
-pub fn generate_for_targets(targets: &[DomainName]) -> Vec<TypoCandidate> {
-    let per_target: Vec<Vec<TypoCandidate>> =
-        ets_parallel::par_map(targets, |_, t| generate_dl1(t));
-    let mut best: std::collections::HashMap<DomainName, TypoCandidate> =
-        std::collections::HashMap::new();
-    let target_set: HashSet<&DomainName> = targets.iter().collect();
-    for cands in per_target {
-        for cand in cands {
-            // A gtypo that is itself a target is not a typo domain.
-            if target_set.contains(&cand.domain) {
-                continue;
-            }
-            match best.get(&cand.domain) {
-                Some(prev) if prev.visual <= cand.visual => {}
-                _ => {
-                    best.insert(cand.domain.clone(), cand);
-                }
-            }
-        }
-    }
-    let mut out: Vec<TypoCandidate> = best.into_values().collect();
-    out.sort_by(|a, b| a.domain.cmp(&b.domain));
-    out
-}
-
 /// Count of DL-1 candidates of a label of length `n` over an alphabet of
 /// size `a`, before deduplication: `n` deletions + `n-1` transpositions +
 /// `n(a-1)` substitutions + `(n+1)a` additions.
@@ -698,19 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn ff1_subset_is_consistent() {
-        let t = d("outlook.com");
-        let ff = generate_ff1(&t);
-        assert!(!ff.is_empty());
-        for c in &ff {
-            assert!(c.fat_finger);
-            assert_eq!(distance::fat_finger(t.sld(), c.domain.sld()), Some(1));
-        }
-        let all = generate_dl1(&t);
-        assert!(ff.len() < all.len());
-    }
-
-    #[test]
     fn hyphen_edges_excluded() {
         let typos = generate_dl1(&d("gmail.com"));
         for c in &typos {
@@ -781,23 +723,6 @@ mod tests {
             i += 1;
         });
         assert_eq!(i, table.len());
-    }
-
-    #[test]
-    fn multi_target_dedup_prefers_visually_closer() {
-        // "gmsil.com" is DL-1 of gmail; also check a candidate reachable from
-        // two targets is kept once.
-        let targets = [d("gmail.com"), d("gmal.com")];
-        let typos = generate_for_targets(&targets);
-        let mut counts = std::collections::HashMap::new();
-        for t in &typos {
-            *counts.entry(t.domain.as_str()).or_insert(0usize) += 1;
-        }
-        assert!(counts.values().all(|&v| v == 1));
-        // neither target appears as a candidate of the other
-        assert!(typos
-            .iter()
-            .all(|t| t.domain != targets[0] && t.domain != targets[1]));
     }
 
     #[test]

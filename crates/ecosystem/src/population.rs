@@ -553,12 +553,6 @@ impl World {
         self.registry.0.ctypos.iter().map(|row| &row.meta)
     }
 
-    /// Indices into [`World::targets`] of every target `domain` is a DL-1
-    /// typo of, ascending — answered by the reverse index in O(len).
-    pub fn typo_targets_of(&self, domain: &DomainName) -> Vec<usize> {
-        self.typo_index.matches(domain)
-    }
-
     /// The reverse DL-1 index over this world's targets.
     pub fn typo_index(&self) -> &ReverseDl1Index {
         &self.typo_index

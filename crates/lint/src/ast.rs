@@ -127,16 +127,6 @@ pub struct Ast {
     pub calls: Vec<CallInfo>,
 }
 
-impl Ast {
-    /// The innermost `fn` whose body contains token `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnInfo> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| idx >= s && idx < e))
-            .min_by_key(|f| f.body.map(|(s, e)| e - s).unwrap_or(usize::MAX))
-    }
-}
-
 /// Which phase of the parallel-compute / sequential-commit discipline a
 /// closure argument runs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,7 +12,7 @@
 //! | rule | tier | what it catches |
 //! |------|------|-----------------|
 //! | `unordered-iteration` | deny | `HashMap`/`HashSet` iteration in non-test code of analytical crates without an adjacent sort / ordered re-collection |
-//! | `nondeterministic-source` | deny | `Instant::now` / `SystemTime` / `thread_rng` / `RandomState` outside the timing-only allowlist (`ets-bench`, `crates/obs/src/clock.rs`) |
+//! | `nondeterministic-source` | deny | `Instant::now` / `SystemTime` / `thread_rng` / `RandomState` anywhere but the timing-only allowlist, `crates/obs/src/clock.rs` |
 //! | `float-reduction-order` | deny | floating-point accumulation inside `ets-parallel` fan-out closures (chunk boundaries depend on the worker count, so FP reduction there is thread-dependent) |
 //! | `panic-in-library` | warn | `unwrap()` / `expect()` / `panic!` in library crates, ratcheted down by a per-crate budget file |
 //! | `crate-hygiene` | deny | crate roots missing `#![forbid(unsafe_code)]` |

@@ -29,8 +29,6 @@ pub const ANALYTICAL_CRATES: &[&str] = &[
     "ets-store",
 ];
 
-/// Crates allowed to read the wall clock everywhere: `ets-bench`.
-pub const TIMING_ALLOWLIST_CRATES: &[&str] = &["ets-bench"];
 /// Workspace-relative paths allowed to read the wall clock. Path-exact on
 /// purpose: `crates/obs/src/clock.rs` is the *only* wall-clock source
 /// for everything else (the experiment driver, the serving plane's
@@ -157,8 +155,7 @@ pub fn file_meta(root: &Path, krate: &Crate, path: &Path) -> FileMeta {
         analytical: ANALYTICAL_CRATES.contains(&krate.name.as_str()),
         // Binary entry points may panic on bad usage; library code may not.
         library: krate.has_lib && rel_to_src != "main.rs",
-        timing_allowed: TIMING_ALLOWLIST_CRATES.contains(&krate.name.as_str())
-            || TIMING_ALLOWLIST_PATHS.contains(&display_path.as_str()),
+        timing_allowed: TIMING_ALLOWLIST_PATHS.contains(&display_path.as_str()),
         crate_name: krate.name.clone(),
         display_path,
         file_name,

@@ -260,6 +260,8 @@ fn timing_allowlist_is_path_exact_for_obs_clock() {
         "src/microbench.rs"
     ));
     assert!(!timing_allowed_for("ets-core", "core", "src/microbench.rs"));
+    // The ratchet compares reports; it never reads the clock itself.
+    assert!(!timing_allowed_for("ets-bench", "bench", "src/main.rs"));
 
     // And a denied meta really does fire on wall-clock reads.
     let src = std::fs::read_to_string(fixture_path("nondet.rs")).unwrap();

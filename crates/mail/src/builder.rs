@@ -42,12 +42,6 @@ impl MessageBuilder {
         Ok(self)
     }
 
-    /// Sets `Sender:` without validation (spam forges this freely).
-    pub fn raw_sender(mut self, value: &str) -> Self {
-        self.msg.headers.set(names::SENDER, value);
-        self
-    }
-
     /// Sets `From:` without validation (spam forges this freely).
     pub fn raw_from(mut self, value: &str) -> Self {
         self.msg.headers.set(names::FROM, value);

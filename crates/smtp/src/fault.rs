@@ -1,10 +1,10 @@
-//! Fault injection: the failure taxonomy of Table 5.
+//! The failure taxonomy of Table 5.
 //!
 //! When the study probed 50,995 typosquatting domains it observed five
 //! outcomes: acceptance without error, bounce, timeout, network error, and
-//! "other error". [`FaultPlan`] assigns one of these behaviours to a
-//! delivery attempt — deterministically per target domain, so campaigns
-//! are reproducible — and the drivers enact it.
+//! "other error". [`DeliveryOutcome`] names them. The honey campaign
+//! derives one per probed domain from its simulated `SmtpProfile`, and
+//! `ets-loadgen` scenarios enact each against the live server.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,157 +48,9 @@ impl fmt::Display for DeliveryOutcome {
     }
 }
 
-/// A probability mix over outcomes, sampled deterministically per key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Probability of each outcome, Table 5 row order
-    /// (no-error, bounce, timeout, network-error, other). Must sum to ~1.
-    pub weights: [f64; 5],
-    /// Seed mixed into the per-key hash.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// A plan that always delivers.
-    pub fn always_ok() -> Self {
-        FaultPlan {
-            weights: [1.0, 0.0, 0.0, 0.0, 0.0],
-            seed: 0,
-        }
-    }
-
-    /// A plan with explicit weights. Panics unless the weights are
-    /// non-negative and sum to 1 (±1e-6).
-    pub fn new(weights: [f64; 5], seed: u64) -> Self {
-        let sum: f64 = weights.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-6 && weights.iter().all(|&w| w >= 0.0),
-            "weights must be a distribution, got {weights:?}"
-        );
-        FaultPlan { weights, seed }
-    }
-
-    /// The outcome mix of Table 5's *publicly registered* population
-    /// (1,170 no-error / 1,567 bounce / 17,923 timeout / 7,901 network /
-    /// 93 other, of 28,654).
-    pub fn table5_public(seed: u64) -> Self {
-        FaultPlan::from_counts([1_170.0, 1_567.0, 17_923.0, 7_901.0, 93.0], seed)
-    }
-
-    /// The outcome mix of Table 5's *privately registered* population
-    /// (6,099 / 1,160 / 6,976 / 6,584 / 1,522 of 22,341).
-    pub fn table5_private(seed: u64) -> Self {
-        FaultPlan::from_counts([6_099.0, 1_160.0, 6_976.0, 6_584.0, 1_522.0], seed)
-    }
-
-    /// Builds a plan from raw counts.
-    pub fn from_counts(counts: [f64; 5], seed: u64) -> Self {
-        let total: f64 = counts.iter().sum();
-        assert!(total > 0.0);
-        let mut weights = [0.0; 5];
-        for (w, c) in weights.iter_mut().zip(counts) {
-            *w = c / total;
-        }
-        FaultPlan { weights, seed }
-    }
-
-    /// The outcome assigned to `key` (typically the target domain name).
-    /// Deterministic: the same key always fails the same way, as a real
-    /// misconfigured server would.
-    pub fn outcome_for(&self, key: &str) -> DeliveryOutcome {
-        let h = splitmix(fnv(key) ^ self.seed);
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64; // uniform [0,1)
-        let mut acc = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            acc += w;
-            if u < acc {
-                return DeliveryOutcome::ALL[i];
-            }
-        }
-        DeliveryOutcome::OtherError
-    }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deterministic_per_key() {
-        let plan = FaultPlan::table5_public(42);
-        for key in ["outfook.com", "uutlook.com", "gmial.com"] {
-            assert_eq!(plan.outcome_for(key), plan.outcome_for(key));
-        }
-    }
-
-    #[test]
-    fn seed_changes_assignment() {
-        let a = FaultPlan::table5_public(1);
-        let b = FaultPlan::table5_public(2);
-        let keys: Vec<String> = (0..200).map(|i| format!("domain{i}.com")).collect();
-        let differs = keys
-            .iter()
-            .filter(|k| a.outcome_for(k) != b.outcome_for(k))
-            .count();
-        assert!(differs > 20, "only {differs} differ");
-    }
-
-    #[test]
-    fn always_ok_is_always_ok() {
-        let plan = FaultPlan::always_ok();
-        for i in 0..100 {
-            assert_eq!(
-                plan.outcome_for(&format!("d{i}.com")),
-                DeliveryOutcome::NoError
-            );
-        }
-    }
-
-    #[test]
-    fn empirical_mix_matches_weights() {
-        let plan = FaultPlan::table5_public(7);
-        let n = 50_000;
-        let mut counts = [0usize; 5];
-        for i in 0..n {
-            let o = plan.outcome_for(&format!("domain{i}.com"));
-            let idx = DeliveryOutcome::ALL.iter().position(|&x| x == o).unwrap();
-            counts[idx] += 1;
-        }
-        for (i, &w) in plan.weights.iter().enumerate() {
-            let got = counts[i] as f64 / n as f64;
-            assert!(
-                (got - w).abs() < 0.01,
-                "category {i}: got {got:.4}, want {w:.4}"
-            );
-        }
-        // Timeout should dominate, as in Table 5.
-        assert_eq!(
-            counts.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0,
-            2
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "distribution")]
-    fn bad_weights_panic() {
-        FaultPlan::new([0.5, 0.5, 0.5, 0.0, 0.0], 0);
-    }
 
     #[test]
     fn display_matches_table5_rows() {

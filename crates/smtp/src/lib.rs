@@ -16,8 +16,10 @@
 //!   integration tests and the standalone `ets-smtp` binary use to prove
 //!   the state machines speak real SMTP over real sockets.
 //!
-//! [`fault`] injects the failure modes of Table 5 (bounce, timeout,
-//! network error, other error) into either driver.
+//! [`fault`] names the five delivery outcomes of Table 5. The honey
+//! campaign derives them from each domain's simulated `SmtpProfile`
+//! through the in-memory driver; `ets-loadgen` scenarios enact them
+//! against the TCP driver.
 //!
 //! The TCP driver is instrumented by [`telemetry`]: per-phase latency
 //! histograms (accept→banner, command, policy, DATA, whole-session),
@@ -45,6 +47,6 @@ pub mod telemetry;
 pub use client::{ClientSession, Email};
 pub use codec::LineCodec;
 pub use command::Command;
-pub use fault::{DeliveryOutcome, FaultPlan};
+pub use fault::DeliveryOutcome;
 pub use reply::Reply;
 pub use session::{ReceivedEmail, ServerPolicy, ServerSession};

@@ -1,5 +1,5 @@
 //! The in-memory driver: a client session wired straight to a server
-//! session, with fault injection.
+//! session.
 //!
 //! This is how the large-scale campaigns run — delivering ~30,000 honey
 //! emails to 7,269 simulated servers takes milliseconds because no sockets
@@ -8,7 +8,7 @@
 
 use crate::client::{ClientAction, ClientOutcome, ClientSession, Email};
 use crate::codec;
-use crate::fault::{DeliveryOutcome, FaultPlan};
+use crate::fault::DeliveryOutcome;
 use crate::session::{ReceivedEmail, ServerAction, ServerPolicy, ServerSession};
 
 /// The full result of one in-memory delivery.
@@ -128,48 +128,6 @@ pub fn deliver(
     Err(PipeError::Timeout)
 }
 
-/// Delivers one message to a host whose behaviour is drawn from a
-/// [`FaultPlan`] keyed by the first recipient's domain — the one-call
-/// form the Table-5 campaigns use when only the outcome taxonomy (not a
-/// hand-built [`ServerPolicy`]) is known.
-///
-/// `NoError` hosts run a catch-all transaction through the real state
-/// machines; `Bounce` hosts reject every recipient; `OtherError` hosts
-/// advertise broken STARTTLS; `Timeout` and `NetworkError` fail at the
-/// (simulated) transport before any SMTP exchange.
-pub fn deliver_with_faults(
-    email: Email,
-    helo_name: &str,
-    plan: &FaultPlan,
-) -> Result<PipeResult, PipeError> {
-    let rcpt_domain = email
-        .rcpt_to
-        .first()
-        .map(|a| a.domain().to_owned())
-        .unwrap_or_default();
-    match plan.outcome_for(&rcpt_domain) {
-        DeliveryOutcome::Timeout => Err(PipeError::Timeout),
-        DeliveryOutcome::NetworkError => Err(PipeError::ConnectionRefused),
-        DeliveryOutcome::Bounce => deliver(
-            email,
-            helo_name,
-            true,
-            ServerPolicy::bouncing(&format!("mx.{rcpt_domain}")),
-        ),
-        DeliveryOutcome::OtherError => {
-            let mut policy = ServerPolicy::catch_all(&format!("mx.{rcpt_domain}"), &[]);
-            policy.broken_starttls = true;
-            deliver(email, helo_name, true, policy)
-        }
-        DeliveryOutcome::NoError => deliver(
-            email,
-            helo_name,
-            true,
-            ServerPolicy::catch_all(&format!("mx.{rcpt_domain}"), &[]),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,37 +206,6 @@ mod tests {
         assert!(server_lines >= 6, "{:?}", r.transcript);
         assert!(client_lines >= 5);
         assert!(r.transcript[0].1.starts_with("220"));
-    }
-
-    #[test]
-    fn fault_plan_driver_covers_all_outcomes() {
-        // A plan with uniform weights must surface every Table-5 category
-        // across enough distinct target domains.
-        let plan = FaultPlan::new([0.2; 5], 99);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..200 {
-            let to = format!("user@target{i}.com");
-            let outcome = match deliver_with_faults(probe_email(&to), "vps", &plan) {
-                Ok(r) => r.delivery_outcome(),
-                Err(PipeError::Timeout) => DeliveryOutcome::Timeout,
-                Err(PipeError::ConnectionRefused) => DeliveryOutcome::NetworkError,
-                Err(PipeError::ConnectionClosed) => DeliveryOutcome::OtherError,
-            };
-            seen.insert(outcome);
-        }
-        assert_eq!(seen.len(), 5, "missing outcomes: {seen:?}");
-    }
-
-    #[test]
-    fn fault_plan_driver_is_deterministic_per_domain() {
-        let plan = FaultPlan::table5_public(3);
-        let a = deliver_with_faults(probe_email("u@fixed-domain.com"), "vps", &plan);
-        let b = deliver_with_faults(probe_email("u@fixed-domain.com"), "vps", &plan);
-        match (a, b) {
-            (Ok(x), Ok(y)) => assert_eq!(x.delivery_outcome(), y.delivery_outcome()),
-            (Err(x), Err(y)) => assert_eq!(x, y),
-            other => panic!("nondeterministic: {other:?}"),
-        }
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl SectionBuf {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` by bit pattern (exact round-trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends raw bytes with a `u64` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -492,24 +487,9 @@ impl<'a> SectionReader<'a> {
         Ok(self.take_array::<1>()?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take_array::<2>()?))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take_array::<4>()?))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take_array::<8>()?))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn take_f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a length-prefixed byte slice, borrowed (zero-copy).

@@ -94,29 +94,62 @@ proptest! {
         prop_assert_eq!(&received.attachments[0].data, &data);
     }
 
-    /// The server session never panics on arbitrary command lines.
+    /// Arbitrary bytes, fed in arbitrary chunks through the codec and
+    /// the server session the way the TCP driver feeds them: nothing
+    /// panics, every reply code is a real one, the codec holds no more
+    /// than its cap between reads, and the run ends by close (only
+    /// QUIT closes a catch-all session), by a framing error, or when the
+    /// input runs out.
     #[test]
-    fn server_session_total_on_garbage(lines in proptest::collection::vec("[ -~]{0,80}", 0..20)) {
+    fn server_session_total_on_garbage(
+        pieces in proptest::collection::vec(any::<u16>(), 0..48),
+        noise in proptest::collection::vec(any::<u8>(), 1..64),
+        chunks in proptest::collection::vec(1usize..700, 1..12),
+    ) {
+        use ets_smtp::codec::{Frame, LineCodec, MAX_DATA_LEN, MAX_LINE_LEN};
+        let input = garbage_session(&pieces, &noise);
         let policy = ets_smtp::session::ServerPolicy::catch_all("mx.x.com", &[]);
         let mut session = ets_smtp::session::ServerSession::new(policy);
-        let _greeting = session.greeting();
-        let mut in_data = false;
-        for line in &lines {
-            if in_data {
-                // on_data consumes the payload and returns to command mode
-                let action = session.on_data(line);
-                prop_assert!(action.reply.code >= 200);
-                in_data = false;
-                continue;
+        prop_assert_eq!(session.greeting().code, 220);
+        let mut codec = LineCodec::new();
+        let (mut fed, mut frames) = (0usize, 0usize);
+        let mut sizes = chunks.iter().cycle();
+        let end = 'run: loop {
+            // Drain complete frames before feeding more bytes.
+            loop {
+                let action = match codec.next_frame() {
+                    Ok(Some(Frame::Line(line))) => session.on_line(line),
+                    Ok(Some(Frame::Data(payload))) => session.on_data(payload),
+                    Ok(None) => break,
+                    Err(_) => break 'run End::FramingError,
+                };
+                frames += 1;
+                prop_assert!(
+                    (200..600).contains(&action.reply.code),
+                    "reply {:?}",
+                    action.reply
+                );
+                if action.enter_data {
+                    codec.enter_data_mode();
+                }
+                if action.close {
+                    break 'run End::Close(action.reply.code);
+                }
             }
-            let action = session.on_line(line);
-            prop_assert!((200..600).contains(&action.reply.code));
-            if action.enter_data {
-                in_data = true;
+            let cap = if codec.in_data_mode() { MAX_DATA_LEN } else { MAX_LINE_LEN };
+            prop_assert!(codec.pending() <= cap, "{} bytes pending", codec.pending());
+            if fed == input.len() {
+                break End::InputExhausted;
             }
-            if action.close {
-                break;
-            }
+            let n = (*sizes.next().unwrap()).min(input.len() - fed);
+            codec.feed(&input[fed..fed + n]);
+            fed += n;
+        };
+        // Every frame consumes at least its CRLF, so the run was bounded
+        // by its input.
+        prop_assert!(2 * frames <= fed, "{} frames from {} bytes", frames, fed);
+        if let End::Close(code) = end {
+            prop_assert_eq!(code, 221);
         }
     }
 
@@ -144,13 +177,17 @@ proptest! {
         }
     }
 
-    /// Fault plans are total and deterministic over arbitrary keys.
+    /// The serving plane's fault plan is total and deterministic: every
+    /// (connection, request) slot of an arbitrary seed gets a scenario,
+    /// the same one on every call.
     #[test]
-    fn fault_plan_total(key in "[a-z0-9.-]{1,40}", seed: u64) {
-        let plan = ets_smtp::fault::FaultPlan::table5_public(seed);
-        let a = plan.outcome_for(&key);
-        let b = plan.outcome_for(&key);
-        prop_assert_eq!(a, b);
+    fn fault_plan_total(seed: u64, conns in 0usize..24, reqs in 0usize..24) {
+        use ets_loadgen::scenario::{plan, ScenarioMix};
+        let mix = ScenarioMix::paper();
+        let a = plan(&mix, seed, conns, reqs);
+        prop_assert_eq!(a.len(), conns);
+        prop_assert_eq!(a.iter().map(Vec::len).sum::<usize>(), conns * reqs);
+        prop_assert_eq!(a, plan(&mix, seed, conns, reqs));
     }
 }
 
@@ -162,4 +199,54 @@ fn scrub_preserves_nonsensitive_text() {
     let r = ets_collector::scrub::scrub(text);
     assert_eq!(r.text, text);
     assert!(r.findings.is_empty());
+}
+
+/// How a driven session ended.
+#[derive(Debug)]
+enum End {
+    /// The session asked to close, with this reply code.
+    Close(u16),
+    FramingError,
+    InputExhausted,
+}
+
+/// Builds hostile session input from `pieces`: most pieces take the next
+/// step of a valid transaction (EHLO, MAIL, RCPT, DATA, a body, the
+/// terminator), so most runs reach DATA; the rest splice in noise lines,
+/// bare CR, LF and `.`, non-UTF-8 bytes, over-long lines and QUIT.
+fn garbage_session(pieces: &[u16], noise: &[u8]) -> Vec<u8> {
+    const STEPS: [&[u8]; 4] = [
+        b"EHLO client.example\r\n",
+        b"MAIL FROM:<a@b.example>\r\n",
+        b"RCPT TO:<u@x.com>\r\n",
+        b"DATA\r\n",
+    ];
+    let mut out = Vec::new();
+    let mut step = 0;
+    for &p in pieces {
+        let arg = usize::from(p >> 4);
+        let slice = &noise[arg % noise.len()..];
+        match p % 16 {
+            0..=10 => {
+                match step {
+                    0..=3 => out.extend_from_slice(STEPS[step]),
+                    4 => out.extend_from_slice(slice),
+                    _ => out.extend_from_slice(b"\r\n.\r\n"),
+                }
+                step = (step + 1) % 6;
+            }
+            11 => {
+                out.extend_from_slice(slice);
+                out.extend_from_slice(b"\r\n");
+            }
+            12 => out.extend_from_slice(slice),
+            13 => out.push([b'\r', b'\n', b'.', 0xFF, 0xC3][arg % 5]),
+            14 if arg % 4 == 0 => {
+                out.resize(out.len() + ets_smtp::codec::MAX_LINE_LEN + arg % 64, b'x')
+            }
+            15 if arg % 8 == 0 => out.extend_from_slice(b"QUIT\r\n"),
+            _ => out.extend_from_slice(b".\r\n"),
+        }
+    }
+    out
 }
