@@ -36,6 +36,6 @@ pub mod zone;
 pub use name::Fqdn;
 pub use record::{RecordData, RecordType, ResourceRecord};
 pub use registry::{Registration, Registry};
-pub use resolver::{MailTarget, Resolver, ZoneSource};
+pub use resolver::{MailRoute, MailTarget, Resolver, ZoneSource};
 pub use whois::WhoisRecord;
 pub use zone::Zone;

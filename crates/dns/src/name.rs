@@ -237,15 +237,21 @@ impl fmt::Display for Fqdn {
 // Ordering is label-wise, exactly as the former `Vec<String>` layout
 // compared: `a.b` sorts before `a-x.b` because the first *labels* are
 // `a` < `a-x`, even though byte-wise `-` < `.` would say otherwise.
-// Sorted result files depend on this order. The bytes are compared with
-// each dot mapped below every label byte, which orders names exactly as
-// their labels do (the first differing byte, or the shorter name,
-// decides as the first differing label would) without splitting them.
+// Sorted result files depend on this order. The bytes are compared as if
+// each dot were mapped below every label byte, which orders names
+// exactly as their labels do (the first differing byte, or the shorter
+// name, decides as the first differing label would) without splitting
+// them. Only the first differing byte needs the mapping: before it the
+// bytes are equal, and no name holds byte 0, so the mapping never turns
+// a difference into a tie.
 impl Ord for Fqdn {
     fn cmp(&self, other: &Self) -> Ordering {
         let below_labels = |c: u8| if c == b'.' { 0 } else { c };
-        let (a, b) = (self.name.bytes(), other.name.bytes());
-        a.map(below_labels).cmp(b.map(below_labels))
+        let (a, b) = (self.name.as_bytes(), other.name.as_bytes());
+        match a.iter().zip(b).find(|(x, y)| x != y) {
+            Some((&x, &y)) => below_labels(x).cmp(&below_labels(y)),
+            None => a.len().cmp(&b.len()),
+        }
     }
 }
 
@@ -373,7 +379,36 @@ mod tests {
         assert_eq!(v, vec![n("a.com"), n("b.com")]);
     }
 
+    /// The comparator `Ord` replaced: every byte mapped, dots below
+    /// every label byte, then compared as sequences.
+    fn mapped_cmp(a: &Fqdn, b: &Fqdn) -> Ordering {
+        let below_labels = |c: u8| if c == b'.' { 0 } else { c };
+        let (a, b) = (a.as_str().bytes(), b.as_str().bytes());
+        a.map(below_labels).cmp(b.map(below_labels))
+    }
+
     proptest::proptest! {
+        /// `Ord` agrees with the mapped-iterator comparator on names that
+        /// share long prefixes, differ at a dot, a hyphen or a label
+        /// byte, or extend one another, the root included.
+        #[test]
+        fn ordering_matches_mapped_bytes(
+            stem in proptest::collection::vec("[a-c._-]{0,3}", 1..4),
+            tails in proptest::collection::vec("[a-c.9_-]{0,3}", 4..5),
+        ) {
+            let stem: String = stem.concat();
+            let names: Vec<Fqdn> = tails
+                .iter()
+                .filter_map(|t| Fqdn::parse(&format!("{stem}{t}")).ok())
+                .chain([Fqdn::root(), n("a"), n("a.b")])
+                .collect();
+            for p in &names {
+                for q in &names {
+                    proptest::prop_assert!(p.cmp(q) == mapped_cmp(p, q), "{p} vs {q}");
+                }
+            }
+        }
+
         /// `Ord` is the label-wise order, for names that extend a shared
         /// first label with a hyphen (`a.b` vs `a-x.b`, where the bytes
         /// disagree) or with a label byte, and for unrelated names of any

@@ -6,6 +6,11 @@
 //! mail-specific rule of RFC 5321 §5.1 that the study's scan relies on:
 //! *"in the absence of an MX record, the A record of the domain name
 //! should be used as the mail server's address"* (an "implicit MX").
+//!
+//! [`Resolver::resolve_mail`] resolves every exchange's address, as a
+//! sender needs; [`Resolver::mail_route`] stops at the route, which is
+//! all the §5 census reads (Table 4: whether mail has a route; Figure 8:
+//! the most preferred exchange), and so derives one zone per domain.
 
 use crate::name::Fqdn;
 use crate::record::{RecordData, RecordType};
@@ -32,6 +37,21 @@ pub enum MailTarget {
     ImplicitA(Ipv4Addr),
     /// Neither MX nor A — the domain cannot receive mail
     /// (Table 4's "No MX or A record found").
+    Unreachable,
+    /// The domain is not registered at all.
+    NxDomain,
+}
+
+/// Where mail for a domain is routed: a [`MailTarget`] without the
+/// exchange addresses, and with only the exchange a sender tries first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MailRoute {
+    /// Explicit MX records: the most preferred exchange (lowest
+    /// preference, then name).
+    Mx(Fqdn),
+    /// No MX record; RFC 5321 implicit MX via the A record.
+    ImplicitA(Ipv4Addr),
+    /// Neither MX nor A.
     Unreachable,
     /// The domain is not registered at all.
     NxDomain,
@@ -83,45 +103,35 @@ impl Resolver {
     /// (no zone); an empty vec means the zone exists but has no data.
     pub fn lookup(&self, name: &Fqdn, rtype: RecordType) -> Option<Vec<RecordData>> {
         let zone = self.zone_for(name)?;
-        Some(
-            zone.lookup(name, rtype)
-                .into_iter()
-                .map(|r| r.data.clone())
-                .collect(),
-        )
+        Some(zone.lookup(name, rtype).map(|r| r.data.clone()).collect())
     }
 
     /// Resolves the A record of `name` (first address).
     pub fn resolve_a(&self, name: &Fqdn) -> Option<Ipv4Addr> {
-        self.lookup(name, RecordType::A)?
-            .into_iter()
-            .find_map(|d| match d {
-                RecordData::A(ip) => Some(ip),
-                _ => None,
-            })
+        first_a(&self.zone_for(name)?, name)
     }
 
     /// RFC 5321 mail routing for `domain`.
     pub fn resolve_mail(&self, domain: &Fqdn) -> MailTarget {
-        let Some(records) = self.lookup(domain, RecordType::Mx) else {
+        let Some(zone) = self.zone_for(domain) else {
             return MailTarget::NxDomain;
         };
-        let mut mxs: Vec<MxTarget> = records
-            .into_iter()
-            .filter_map(|d| match d {
+        let mut mxs: Vec<MxTarget> = zone
+            .lookup(domain, RecordType::Mx)
+            .filter_map(|r| match &r.data {
                 RecordData::Mx {
                     preference,
                     exchange,
                 } => Some(MxTarget {
-                    preference,
-                    address: self.resolve_a(&exchange),
-                    exchange,
+                    preference: *preference,
+                    address: self.resolve_a(exchange),
+                    exchange: exchange.clone(),
                 }),
                 _ => None,
             })
             .collect();
         if mxs.is_empty() {
-            return match self.resolve_a(domain) {
+            return match first_a(&zone, domain) {
                 Some(ip) => MailTarget::ImplicitA(ip),
                 None => MailTarget::Unreachable,
             };
@@ -132,6 +142,31 @@ impl Resolver {
                 .then_with(|| a.exchange.cmp(&b.exchange))
         });
         MailTarget::Mx(mxs)
+    }
+
+    /// The route [`Resolver::resolve_mail`] finds for `domain`, without
+    /// resolving any exchange: one zone lookup, no collected records.
+    pub fn mail_route(&self, domain: &Fqdn) -> MailRoute {
+        let Some(zone) = self.zone_for(domain) else {
+            return MailRoute::NxDomain;
+        };
+        let best = zone
+            .lookup(domain, RecordType::Mx)
+            .filter_map(|r| match &r.data {
+                RecordData::Mx {
+                    preference,
+                    exchange,
+                } => Some((*preference, exchange)),
+                _ => None,
+            })
+            .min();
+        match best {
+            Some((_, exchange)) => MailRoute::Mx(exchange.clone()),
+            None => match first_a(&zone, domain) {
+                Some(ip) => MailRoute::ImplicitA(ip),
+                None => MailRoute::Unreachable,
+            },
+        }
     }
 
     /// The best delivery address for `domain`, if any: first MX with an
@@ -150,21 +185,12 @@ impl Resolver {
     /// unreachable. When the first MX host has no registrable suffix the
     /// host name itself is returned.
     pub fn mx_domain(&self, domain: &Fqdn) -> Option<Fqdn> {
-        match self.resolve_mail(domain) {
-            MailTarget::Mx(mxs) => {
-                let first = mxs.first()?;
-                Some(
-                    first
-                        .exchange
-                        .registrable()
-                        .unwrap_or_else(|| first.exchange.clone()),
-                )
-            }
-            MailTarget::ImplicitA(_) => {
-                Some(domain.registrable().unwrap_or_else(|| domain.clone()))
-            }
-            _ => None,
-        }
+        let host = match self.mail_route(domain) {
+            MailRoute::Mx(exchange) => exchange,
+            MailRoute::ImplicitA(_) => domain.clone(),
+            MailRoute::Unreachable | MailRoute::NxDomain => return None,
+        };
+        Some(host.registrable().unwrap_or(host))
     }
 
     /// Serves a wire-format query, the way the simulated authoritative
@@ -190,9 +216,18 @@ impl Resolver {
     }
 }
 
+/// The first A record `zone` holds for `name`.
+fn first_a(zone: &Zone, name: &Fqdn) -> Option<Ipv4Addr> {
+    zone.lookup(name, RecordType::A).find_map(|r| match r.data {
+        RecordData::A(ip) => Some(ip),
+        _ => None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ResourceRecord;
     use crate::registry::{Registration, Registry};
     use crate::whois::WhoisRecord;
 
@@ -374,6 +409,140 @@ mod tests {
                 );
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// `resolve_mail` with the addresses dropped and only the first
+    /// exchange kept.
+    fn route_of(target: MailTarget) -> MailRoute {
+        match target {
+            MailTarget::Mx(mxs) => MailRoute::Mx(mxs[0].exchange.clone()),
+            MailTarget::ImplicitA(ip) => MailRoute::ImplicitA(ip),
+            MailTarget::Unreachable => MailRoute::Unreachable,
+            MailTarget::NxDomain => MailRoute::NxDomain,
+        }
+    }
+
+    /// `mx_domain` as it read `resolve_mail`.
+    fn mx_domain_of(target: MailTarget, domain: &Fqdn) -> Option<Fqdn> {
+        match target {
+            MailTarget::Mx(mxs) => {
+                let first = mxs.first()?;
+                Some(
+                    first
+                        .exchange
+                        .registrable()
+                        .unwrap_or_else(|| first.exchange.clone()),
+                )
+            }
+            MailTarget::ImplicitA(_) => {
+                Some(domain.registrable().unwrap_or_else(|| domain.clone()))
+            }
+            _ => None,
+        }
+    }
+
+    fn registration(domain: &Fqdn) -> Registration {
+        Registration {
+            domain: domain.clone(),
+            registrar: "r".into(),
+            whois: WhoisRecord::default(),
+            privacy_proxy: None,
+            nameservers: vec![],
+            created_day: 0,
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random registries — catch-all, parked, hosted, empty and
+        /// lame zones, and zones of several MX records with tied
+        /// preferences, in-zone and wildcard exchanges — `mail_route` is
+        /// `resolve_mail` without the addresses, and `mx_domain` reads
+        /// the same provider from either, at the apex, below it, and for
+        /// names nobody registered.
+        #[test]
+        fn mail_route_is_resolve_mail_without_addresses(
+            kinds in proptest::collection::vec(0usize..6, 1..10),
+            prefs in proptest::collection::vec(0u16..3, 40..41),
+            hosts in proptest::collection::vec(0usize..6, 40..41),
+            apex_a in proptest::collection::vec(0u8..3, 10..11),
+        ) {
+            let registry = Registry::new();
+            // Providers: one whose exchange has an address, one whose
+            // zone is empty; `p2.net` is not registered.
+            let p0 = n("p0.net");
+            let mut z0 = Zone::new(p0.clone());
+            z0.add(ResourceRecord::a("mx1.p0.net", 300, Ipv4Addr::new(10, 9, 0, 1)));
+            registry.register(registration(&p0), Some(z0));
+            let p1 = n("p1.net");
+            registry.register(registration(&p1), Some(Zone::new(p1.clone())));
+            let mut next = 0;
+            for (i, &kind) in kinds.iter().enumerate() {
+                let d = n(&format!("d{i}.com"));
+                let ip = Ipv4Addr::new(10, 0, i as u8, 1);
+                let exchange = |h: usize| match h {
+                    0..=2 => n(&format!("mx1.p{h}.net")),
+                    3 => d.child("mail").expect("valid"),
+                    _ => d.clone(),
+                };
+                let zone = match kind {
+                    0 => Some(Zone::catch_all(&d, ip, 300)),
+                    1 => Some(Zone::parked(&d, ip, 300)),
+                    2 => Some(Zone::hosted_mail(
+                        &d,
+                        &exchange(hosts[i] % 3),
+                        (apex_a[i] == 0).then_some(ip),
+                        300,
+                    )),
+                    3 => Some(Zone::new(d.clone())),
+                    4 => None,
+                    _ => {
+                        let mut z = Zone::new(d.clone());
+                        for _ in 0..=(hosts[i] % 4) {
+                            let owner = if prefs[next] == 2 { d.wildcard() } else { d.clone() };
+                            z.add(ResourceRecord::new(
+                                owner,
+                                300,
+                                RecordData::Mx {
+                                    preference: prefs[next],
+                                    exchange: exchange(hosts[next]),
+                                },
+                            ));
+                            next += 1;
+                        }
+                        let mail = d.child("mail").expect("valid");
+                        z.add(ResourceRecord::new(mail, 300, RecordData::A(ip)));
+                        if apex_a[i] != 2 {
+                            z.add(ResourceRecord::new(d.clone(), 300, RecordData::A(ip)));
+                        }
+                        Some(z)
+                    }
+                };
+                registry.register(registration(&d), zone);
+            }
+            let r = Resolver::new(registry);
+            for i in 0..kinds.len() {
+                for q in [
+                    format!("d{i}.com"),
+                    format!("www.d{i}.com"),
+                    format!("a.mail.d{i}.com"),
+                    format!("mail.d{i}.com"),
+                    format!("nope{i}.org"),
+                ] {
+                    let q = n(&q);
+                    let target = r.resolve_mail(&q);
+                    proptest::prop_assert!(
+                        r.mail_route(&q) == route_of(target.clone()),
+                        "{q}: {:?} vs {target:?}",
+                        r.mail_route(&q)
+                    );
+                    proptest::prop_assert!(
+                        r.mx_domain(&q) == mx_domain_of(target, &q),
+                        "{q}: {:?}",
+                        r.mx_domain(&q)
+                    );
+                }
+            }
         }
     }
 

@@ -40,25 +40,29 @@ impl Zone {
         &self.records
     }
 
-    /// Looks up records of `rtype` for `qname`, applying RFC 4592 wildcard
-    /// semantics: exact matches win; only if *no* record of any type exists
-    /// at the exact name do wildcard owners apply.
-    pub fn lookup(&self, qname: &Fqdn, rtype: RecordType) -> Vec<&ResourceRecord> {
+    /// The records of `rtype` for `qname`, in zone order, applying RFC
+    /// 4592 wildcard semantics: exact matches win; only if *no* record of
+    /// any type exists at the exact name do wildcard owners apply.
+    pub fn lookup<'z, 'q>(
+        &'z self,
+        qname: &'q Fqdn,
+        rtype: RecordType,
+    ) -> impl Iterator<Item = &'z ResourceRecord> + 'q
+    where
+        'z: 'q,
+    {
         let exact_any = self
             .records
             .iter()
             .any(|r| !r.name.is_wildcard() && &r.name == qname);
-        if exact_any {
-            return self
-                .records
-                .iter()
-                .filter(|r| !r.name.is_wildcard() && &r.name == qname && r.record_type() == rtype)
-                .collect();
-        }
-        self.records
-            .iter()
-            .filter(|r| r.name.is_wildcard() && r.name.matches(qname) && r.record_type() == rtype)
-            .collect()
+        self.records.iter().filter(move |r| {
+            let owner = if exact_any {
+                !r.name.is_wildcard() && &r.name == qname
+            } else {
+                r.name.is_wildcard() && r.name.matches(qname)
+            };
+            owner && r.record_type() == rtype
+        })
     }
 
     /// Whether `qname` belongs to this zone.
@@ -160,7 +164,7 @@ mod tests {
     #[test]
     fn apex_lookup_uses_exact_records() {
         let z = Zone::catch_all(&n("exampel.com"), Ipv4Addr::new(1, 1, 1, 1), 300);
-        let mx = z.lookup(&n("exampel.com"), RecordType::Mx);
+        let mx: Vec<_> = z.lookup(&n("exampel.com"), RecordType::Mx).collect();
         assert_eq!(mx.len(), 1);
         assert!(!mx[0].name.is_wildcard());
     }
@@ -175,11 +179,10 @@ mod tests {
             "mail.smtp.exampel.com",
             "xyz.exampel.com",
         ] {
-            let mx = z.lookup(&n(sub), RecordType::Mx);
+            let mx: Vec<_> = z.lookup(&n(sub), RecordType::Mx).collect();
             assert_eq!(mx.len(), 1, "{sub}");
             assert!(mx[0].name.is_wildcard());
-            let a = z.lookup(&n(sub), RecordType::A);
-            assert_eq!(a.len(), 1, "{sub}");
+            assert_eq!(z.lookup(&n(sub), RecordType::A).count(), 1, "{sub}");
         }
     }
 
@@ -193,29 +196,33 @@ mod tests {
             300,
             Ipv4Addr::new(2, 2, 2, 2),
         ));
-        let mx = z.lookup(&n("www.exampel.com"), RecordType::Mx);
-        assert!(mx.is_empty(), "exact A node must shadow the wildcard MX");
-        let a = z.lookup(&n("www.exampel.com"), RecordType::A);
+        let www = n("www.exampel.com");
+        assert!(
+            z.lookup(&www, RecordType::Mx).next().is_none(),
+            "exact A node must shadow the wildcard MX"
+        );
+        let a: Vec<_> = z.lookup(&www, RecordType::A).collect();
+        assert_eq!(a.len(), 1);
         assert_eq!(a[0].data, RecordData::A(Ipv4Addr::new(2, 2, 2, 2)));
     }
 
     #[test]
     fn parked_zone_has_no_mx() {
         let z = Zone::parked(&n("parked.com"), Ipv4Addr::new(9, 9, 9, 9), 300);
-        assert!(z.lookup(&n("parked.com"), RecordType::Mx).is_empty());
-        assert_eq!(z.lookup(&n("parked.com"), RecordType::A).len(), 1);
+        assert_eq!(z.lookup(&n("parked.com"), RecordType::Mx).count(), 0);
+        assert_eq!(z.lookup(&n("parked.com"), RecordType::A).count(), 1);
     }
 
     #[test]
     fn hosted_mail_zone() {
         let z = Zone::hosted_mail(&n("typo.com"), &n("mx1.b-io.co"), None, 300);
-        let mx = z.lookup(&n("typo.com"), RecordType::Mx);
+        let mx: Vec<_> = z.lookup(&n("typo.com"), RecordType::Mx).collect();
         assert_eq!(mx.len(), 1);
         match &mx[0].data {
             RecordData::Mx { exchange, .. } => assert_eq!(exchange, &n("mx1.b-io.co")),
             _ => panic!("not MX"),
         }
-        assert!(z.lookup(&n("typo.com"), RecordType::A).is_empty());
+        assert_eq!(z.lookup(&n("typo.com"), RecordType::A).count(), 0);
     }
 
     #[test]

@@ -48,18 +48,21 @@ impl NsAnalysis {
     /// `ctypos` as candidate typos. Name servers serving fewer than
     /// `min_domains` domains are ignored (tiny denominators make ratios
     /// meaningless).
+    ///
+    /// Duplicate delegation rows count once: the rows are deduplicated
+    /// by sorting references to them, which for a zone file (already
+    /// sorted) is one linear pass.
     pub fn run(
         zone_file: &[(Fqdn, Fqdn)],
         ctypos: &HashSet<Fqdn>,
         min_domains: usize,
     ) -> NsAnalysis {
-        let mut per_ns: HashMap<Fqdn, (usize, usize)> = HashMap::new();
-        let mut seen: HashSet<(Fqdn, Fqdn)> = HashSet::new();
-        for (domain, ns) in zone_file {
-            if !seen.insert((domain.clone(), ns.clone())) {
-                continue; // duplicate delegation rows
-            }
-            let entry = per_ns.entry(ns.clone()).or_insert((0, 0));
+        let mut rows: Vec<&(Fqdn, Fqdn)> = zone_file.iter().collect();
+        rows.sort();
+        rows.dedup();
+        let mut per_ns: HashMap<&Fqdn, (usize, usize)> = HashMap::new();
+        for (domain, ns) in rows {
+            let entry = per_ns.entry(ns).or_insert((0, 0));
             entry.1 += 1;
             if ctypos.contains(domain) {
                 entry.0 += 1;
@@ -69,7 +72,7 @@ impl NsAnalysis {
             .into_iter()
             .filter(|(_, (_, total))| *total >= min_domains)
             .map(|(nameserver, (ctypo_count, total_count))| NsStats {
-                nameserver,
+                nameserver: nameserver.clone(),
                 ctypo_count,
                 total_count,
             })
@@ -240,6 +243,76 @@ mod tests {
         assert!(clean.typo_ratio() < 0.01);
         assert!(a.average_ratio < 0.05, "avg {}", a.average_ratio);
         assert_eq!(a.stats[0].nameserver, n("ns1.dirty.example"));
+    }
+
+    /// The analysis as it was before deduplication sorted: a `HashSet`
+    /// of cloned `(domain, nameserver)` rows, which any row order gets
+    /// right.
+    fn run_with_seen_set(
+        zone_file: &[(Fqdn, Fqdn)],
+        ctypos: &HashSet<Fqdn>,
+        min_domains: usize,
+    ) -> NsAnalysis {
+        let mut per_ns: HashMap<Fqdn, (usize, usize)> = HashMap::new();
+        let mut seen: HashSet<(Fqdn, Fqdn)> = HashSet::new();
+        for (domain, ns) in zone_file {
+            if !seen.insert((domain.clone(), ns.clone())) {
+                continue;
+            }
+            let entry = per_ns.entry(ns.clone()).or_insert((0, 0));
+            entry.1 += 1;
+            if ctypos.contains(domain) {
+                entry.0 += 1;
+            }
+        }
+        let mut stats: Vec<NsStats> = per_ns
+            .into_iter()
+            .filter(|(_, (_, total))| *total >= min_domains)
+            .map(|(nameserver, (ctypo_count, total_count))| NsStats {
+                nameserver,
+                ctypo_count,
+                total_count,
+            })
+            .collect();
+        stats.sort_by(|a, b| {
+            b.typo_ratio()
+                .total_cmp(&a.typo_ratio())
+                .then_with(|| a.nameserver.cmp(&b.nameserver))
+        });
+        let (c, t) = stats.iter().fold((0usize, 0usize), |(c, t), s| {
+            (c + s.ctypo_count, t + s.total_count)
+        });
+        NsAnalysis {
+            stats,
+            average_ratio: if t == 0 { 0.0 } else { c as f64 / t as f64 },
+        }
+    }
+
+    proptest::proptest! {
+        /// Sorting out duplicates counts what the seen-set did, on rows
+        /// in any order: a domain repeated under one name server, a
+        /// domain delegated to several, and ctypos among them.
+        #[test]
+        fn sorted_dedup_matches_seen_set(
+            domains in proptest::collection::vec(0usize..12, 0..80),
+            servers in proptest::collection::vec(0usize..4, 80..81),
+            typo_mask: u16,
+            min_domains in 0usize..4,
+        ) {
+            let rows: Vec<(Fqdn, Fqdn)> = domains
+                .iter()
+                .zip(&servers)
+                .map(|(&d, &s)| (n(&format!("site{d}.com")), n(&format!("ns{s}.host-{s}.example"))))
+                .collect();
+            let ctypos: HashSet<Fqdn> = (0..12)
+                .filter(|d| typo_mask & (1 << d) != 0)
+                .map(|d| n(&format!("site{d}.com")))
+                .collect();
+            let got = NsAnalysis::run(&rows, &ctypos, min_domains);
+            let want = run_with_seen_set(&rows, &ctypos, min_domains);
+            proptest::prop_assert_eq!(&got.stats, &want.stats);
+            proptest::prop_assert_eq!(got.average_ratio.to_bits(), want.average_ratio.to_bits());
+        }
     }
 
     #[test]

@@ -388,11 +388,18 @@ impl World {
         ets_obs::metrics::counter_add("world.ctypo_pending", pending_total);
         drop(pending_span);
         let commit_span = ets_obs::span!("world.commit", ets_obs::Level::Debug);
-        // `sort_by` is stable, so equal names stay in canonical (rank,
-        // generation) order and the dedup keeps the earliest winner.
-        pairs.sort_by(|a, b| a.0.candidate.domain.cmp(&b.0.candidate.domain));
-        pairs.dedup_by(|later, earlier| later.0.candidate.domain == earlier.0.candidate.domain);
-        let (ctypos, ctypo_meta): (Vec<CtypoInfo>, Vec<CtypoMeta>) = pairs.into_iter().unzip();
+        // Sort a permutation, not the rows: `sort_by` is stable, so equal
+        // names stay in canonical (rank, generation) order and the dedup
+        // keeps the earliest winner; then each kept row moves once.
+        let name = |i: u32| &pairs[i as usize].0.candidate.domain;
+        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+        order.sort_by(|&a, &b| name(a).cmp(name(b)));
+        order.dedup_by(|later, earlier| name(*later) == name(*earlier));
+        let mut slots: Vec<Option<(CtypoInfo, CtypoMeta)>> = pairs.into_iter().map(Some).collect();
+        let kept = order.len();
+        let mut sorted = (Vec::with_capacity(kept), Vec::with_capacity(kept));
+        sorted.extend(order.iter().filter_map(|&i| slots[i as usize].take()));
+        let (ctypos, ctypo_meta): (Vec<CtypoInfo>, Vec<CtypoMeta>) = sorted;
         drop(commit_span);
         Self::finish(
             config,
@@ -1889,7 +1896,7 @@ mod tests {
 
     /// Asserts a world's derived registry equals the committed oracle:
     /// every row, the zone file, lookups that miss, and mail resolution
-    /// of every ctypo and filler.
+    /// and routing of every ctypo and filler.
     fn assert_world_matches(w: &World, oracle: &Registry, label: &str) {
         assert_rows_match(&w.registry, oracle, label);
         let mut lost = None;
@@ -1926,6 +1933,11 @@ mod tests {
             assert_eq!(
                 derived.resolve_mail(&fq),
                 committed.resolve_mail(&fq),
+                "{label}: {fq}"
+            );
+            assert_eq!(
+                derived.mail_route(&fq),
+                committed.mail_route(&fq),
                 "{label}: {fq}"
             );
             assert_eq!(

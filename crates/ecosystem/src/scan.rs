@@ -6,7 +6,7 @@
 //! behaves. Table 4's six rows fall out of this decision tree.
 
 use crate::population::{SmtpProfile, World};
-use ets_dns::resolver::{MailTarget, Resolver};
+use ets_dns::resolver::{MailRoute, Resolver};
 use ets_dns::Fqdn;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -151,9 +151,9 @@ pub fn classify_with_resolver(
     if !has_zone {
         return SmtpSupport::NoInfo;
     }
-    match resolver.resolve_mail(domain) {
-        MailTarget::NxDomain | MailTarget::Unreachable => SmtpSupport::NoMxOrA,
-        MailTarget::Mx(_) | MailTarget::ImplicitA(_) => match smtp {
+    match resolver.mail_route(domain) {
+        MailRoute::NxDomain | MailRoute::Unreachable => SmtpSupport::NoMxOrA,
+        MailRoute::Mx(_) | MailRoute::ImplicitA(_) => match smtp {
             SmtpProfile::NoListener | SmtpProfile::SilentTimeout | SmtpProfile::ConnectionReset => {
                 SmtpSupport::NoEmailSupport
             }
