@@ -9,11 +9,10 @@
 //! experiment is reproducible.
 
 use crate::domain::DomainName;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One entry of a popularity list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedDomain {
     /// The domain.
     pub domain: DomainName,
@@ -24,10 +23,9 @@ pub struct RankedDomain {
 }
 
 /// A ranked popularity list with Zipf-distributed traffic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopularityList {
     entries: Vec<RankedDomain>,
-    #[serde(skip)]
     index: HashMap<DomainName, usize>,
     /// Zipf exponent used to derive traffic from rank.
     pub exponent: f64,
@@ -108,16 +106,6 @@ impl PopularityList {
         self.traffic_of(domain)
             .map(|t| t * emails_per_visitor * 12.0)
     }
-
-    /// Restores the name index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.domain.clone(), i))
-            .collect();
-    }
 }
 
 /// The study's top email providers and ISPs (§4.2.1), in a plausible
@@ -152,9 +140,9 @@ pub fn study_targets() -> Vec<DomainName> {
     .collect()
 }
 
-/// Builds a synthetic "top N" list: the study targets first, padded with
-/// generated filler domains (`site<k>.com`), Zipf traffic attached.
-pub fn synthetic_top(n: usize) -> PopularityList {
+/// The names of a synthetic "top N" list, most popular first: the study
+/// targets, padded with generated filler domains (`site<k>.com`).
+pub fn synthetic_targets(n: usize) -> Vec<DomainName> {
     let mut domains = study_targets();
     domains.truncate(n);
     let mut k = 0usize;
@@ -163,7 +151,13 @@ pub fn synthetic_top(n: usize) -> PopularityList {
         domains.push(name.parse().expect("generated names are valid"));
         k += 1;
     }
-    PopularityList::from_ranked(domains, 5.0e8, 0.9)
+    domains
+}
+
+/// Builds a synthetic "top N" list: [`synthetic_targets`] with Zipf
+/// traffic attached.
+pub fn synthetic_top(n: usize) -> PopularityList {
+    PopularityList::from_ranked(synthetic_targets(n), 5.0e8, 0.9)
 }
 
 #[cfg(test)]
@@ -226,15 +220,5 @@ mod tests {
         let t10 = list.iter().nth(9).unwrap().monthly_visitors;
         let ratio = t1 / t10;
         assert!((ratio - 10f64.powf(0.9)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_index() {
-        let list = synthetic_top(20);
-        let json = serde_json::to_string(&list).unwrap();
-        let mut back: PopularityList = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        let gmail: DomainName = "gmail.com".parse().unwrap();
-        assert_eq!(back.rank_of(&gmail), Some(1));
     }
 }

@@ -116,16 +116,6 @@ impl ReverseDl1Index {
         self.targets.is_empty()
     }
 
-    /// Sizes of the deletion-neighborhood buckets, ascending — the DL-1
-    /// fan-out distribution (how many targets share each neighborhood
-    /// key). Sorted so the result is independent of hash-map iteration
-    /// order.
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        let mut sizes: Vec<usize> = self.buckets.values().map(Vec::len).collect();
-        sizes.sort_unstable();
-        sizes
-    }
-
     /// The indexed target at `index`, materialized.
     pub fn target(&self, index: usize) -> Option<DomainName> {
         self.targets.id_at(index).map(|id| self.targets.domain(id))

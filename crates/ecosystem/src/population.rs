@@ -3,7 +3,8 @@
 //! Builds a deterministic world with the statistical skeleton the paper
 //! measured in the wild:
 //!
-//! * targets from a Zipf popularity list, each spawning DL-1 gtypos;
+//! * ranked targets ([`alexa::synthetic_targets`]), each spawning DL-1
+//!   gtypos;
 //! * a registration process in which gtypos of popular targets with low
 //!   visual distance are far likelier to be taken (ctypos);
 //! * registrants drawn from archetypes — bulk domain sellers,
@@ -17,10 +18,10 @@
 //!   anyone ever reads the mailbox) that the scans and honey campaigns
 //!   observe.
 
-use ets_core::alexa::{self, PopularityList};
+use ets_core::alexa;
 use ets_core::taxonomy::DomainClass;
 use ets_core::typogen::{self, TypoCandidate};
-use ets_core::{DomainInterner, DomainName, MistakeKind, ReverseDl1Index};
+use ets_core::{DomainInterner, DomainName, MistakeKind};
 use ets_dns::record::{RecordData, ResourceRecord};
 use ets_dns::registry::Registration;
 use ets_dns::resolver::{Resolver, ZoneSource};
@@ -209,8 +210,6 @@ pub struct World {
     /// The registry: a read-only view that derives every registration
     /// and zone on lookup from the ctypo columns and `config`.
     pub registry: RegistryView,
-    /// Popularity list of targets (and benign filler sites).
-    pub popularity: PopularityList,
     /// The target domains, most popular first.
     pub targets: Vec<DomainName>,
     /// All registered candidate typo domains, sorted by name.
@@ -230,18 +229,14 @@ pub struct World {
     pub ns_customer_base: Vec<(Fqdn, usize)>,
     /// Config used to build this world.
     pub config: PopulationConfig,
-    /// Reverse DL-1 index over the targets: answers "which targets is
-    /// this domain a typo of?" in O(len) without regenerating any
-    /// candidate set.
-    typo_index: ReverseDl1Index,
 }
 
-/// Default transient-payload budget for one gtypo band (bytes). The band
-/// loop shrinks or grows the per-band target count so the pending
+/// Transient-payload budget for one gtypo band (bytes). The band loop
+/// shrinks or grows the per-band target count so the pending
 /// registrations held between compute and commit stay near this bound,
 /// which is what lets a 1M-target world build without materializing its
 /// whole candidate set at once.
-pub const DEFAULT_BAND_BUDGET_BYTES: usize = 256 << 20;
+const BAND_BUDGET_BYTES: usize = 256 << 20;
 
 /// First band size (targets); adapted between bands from measured payload.
 const INITIAL_BAND_TARGETS: usize = 4096;
@@ -252,16 +247,8 @@ const MAX_BAND_TARGETS: usize = 65_536;
 /// Bucket bounds for the `world.band_pending_bytes` histogram (1 MiB to
 /// 256 MiB, ×4 steps).
 const BAND_BYTES_BOUNDS: [u64; 5] = [1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28];
-/// Bucket bounds for the `world.dl1_fanout` histogram.
-const DL1_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 impl World {
-    /// Builds the world deterministically from a config, with the default
-    /// per-band memory budget (see [`World::build_with_budget`]).
-    pub fn build(config: PopulationConfig) -> World {
-        Self::build_with_budget(config, DEFAULT_BAND_BUDGET_BYTES)
-    }
-
     /// Builds the world deterministically from a config.
     ///
     /// Every sampled unit — a registrant, a filler site, a background
@@ -278,13 +265,13 @@ impl World {
     /// The gtypo phase is **sharded**: targets are processed in
     /// rank-ordered bands, each band fanned out over the worker pool and
     /// checked before the next band starts, so the transient pending
-    /// payload stays near `band_budget_bytes` regardless of scale. Band
-    /// geometry adapts only to deterministic payload-byte counts (never
-    /// to wall clock or thread count), and per-unit RNG streams depend
-    /// only on target rank — so any banding produces byte-identical
-    /// worlds.
-    pub fn build_with_budget(config: PopulationConfig, band_budget_bytes: usize) -> World {
-        Self::build_banded(config, band_budget_bytes, INITIAL_BAND_TARGETS)
+    /// payload stays near a fixed budget (`BAND_BUDGET_BYTES`)
+    /// regardless of scale. Band geometry adapts only to deterministic
+    /// payload-byte counts (never to wall clock or thread count), and
+    /// per-unit RNG streams depend only on target rank — so any banding
+    /// produces byte-identical worlds.
+    pub fn build(config: PopulationConfig) -> World {
+        Self::build_banded(config, BAND_BUDGET_BYTES, INITIAL_BAND_TARGETS)
     }
 
     fn build_banded(
@@ -294,8 +281,7 @@ impl World {
     ) -> World {
         let mut build_span = ets_obs::span!("world.build");
         build_span.arg("n_targets", config.n_targets as u64);
-        let popularity = alexa::synthetic_top(config.n_targets);
-        let targets: Vec<DomainName> = popularity.iter().map(|e| e.domain.clone()).collect();
+        let targets = alexa::synthetic_targets(config.n_targets);
         ets_obs::metrics::counter_add("world.targets", targets.len() as u64);
         let ns_providers = make_ns_providers(&config);
         let mx_providers = make_mx_providers();
@@ -404,7 +390,6 @@ impl World {
         Self::finish(
             config,
             columns,
-            popularity,
             targets,
             ctypos,
             ctypo_meta,
@@ -415,11 +400,12 @@ impl World {
     }
 
     /// Rebuilds a world from snapshot records: every derivable phase
-    /// (popularity, registrants, indices, NS customer bases) is
-    /// recomputed from `config`'s RNG streams exactly as a fresh build
-    /// would, and the records are decoded straight into the ctypo
-    /// columns — no registration roll is ever re-drawn, which is why the
-    /// result is byte-identical to the build that produced the snapshot.
+    /// (targets, registrants, filler and background rows, NS customer
+    /// bases) is recomputed from `config`'s RNG streams exactly as a
+    /// fresh build would, and the records are decoded straight into the
+    /// ctypo columns — no registration roll is ever re-drawn, which is
+    /// why the result is byte-identical to the build that produced the
+    /// snapshot.
     /// Records arrive in the world's sorted ctypo order. Any
     /// inconsistency (out-of-range index, unparsable name, unregistered
     /// class, unsorted or duplicated records, a name a filler or
@@ -431,8 +417,7 @@ impl World {
     ) -> Result<World, String> {
         let mut load_span = ets_obs::span!("world.snapshot_rebuild");
         load_span.arg("n_targets", config.n_targets as u64);
-        let popularity = alexa::synthetic_top(config.n_targets);
-        let targets: Vec<DomainName> = popularity.iter().map(|e| e.domain.clone()).collect();
+        let targets = alexa::synthetic_targets(config.n_targets);
         ets_obs::metrics::counter_add("world.targets", targets.len() as u64);
         let ns_providers = make_ns_providers(&config);
         let mx_providers = make_mx_providers();
@@ -462,7 +447,6 @@ impl World {
         Ok(Self::finish(
             config,
             columns,
-            popularity,
             targets,
             ctypos,
             ctypo_meta,
@@ -472,15 +456,14 @@ impl World {
         ))
     }
 
-    /// The shared tail of a fresh build and a snapshot rebuild: workload
-    /// counters, the registry view over the ctypo columns, the reverse
-    /// DL-1 index with its fan-out histogram, and the NS customer bases.
-    /// `ctypos` must already be in sorted order, with unique names.
+    /// The shared tail of a fresh build and a snapshot rebuild: the
+    /// `world.ctypos` counter, the registry view over the ctypo columns,
+    /// and the NS customer bases. `ctypos` must already be in sorted
+    /// order, with unique names.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         config: PopulationConfig,
         mut columns: Columns,
-        popularity: PopularityList,
         targets: Vec<DomainName>,
         ctypos: Vec<CtypoInfo>,
         ctypo_meta: Vec<CtypoMeta>,
@@ -490,15 +473,6 @@ impl World {
     ) -> World {
         ets_obs::metrics::counter_add("world.ctypos", ctypos.len() as u64);
         columns.set_ctypos(&ctypos, ctypo_meta);
-        let index_span = ets_obs::span!("world.index", ets_obs::Level::Debug);
-        let typo_index = ReverseDl1Index::build(&targets);
-        // The DL-1 fan-out distribution: how many targets share each
-        // deletion-neighborhood key. A pure function of the target list,
-        // so it belongs in the deterministic snapshot.
-        for size in typo_index.bucket_sizes() {
-            ets_obs::metrics::histogram_record("world.dl1_fanout", &DL1_BOUNDS, size as u64);
-        }
-        drop(index_span);
         let ns_customer_base: Vec<(Fqdn, usize)> = ns_providers
             .iter()
             .enumerate()
@@ -518,7 +492,6 @@ impl World {
             .collect();
         World {
             registry: RegistryView(Arc::new(columns)),
-            popularity,
             targets,
             ctypos,
             registrants,
@@ -526,7 +499,6 @@ impl World {
             mx_providers,
             ns_customer_base,
             config,
-            typo_index,
         }
     }
 
@@ -558,11 +530,6 @@ impl World {
     /// together with `ctypos`, everything the snapshot persists.
     pub(crate) fn ctypo_meta(&self) -> impl Iterator<Item = &CtypoMeta> {
         self.registry.0.ctypos.iter().map(|row| &row.meta)
-    }
-
-    /// The reverse DL-1 index over this world's targets.
-    pub fn typo_index(&self) -> &ReverseDl1Index {
-        &self.typo_index
     }
 }
 
@@ -1844,10 +1811,7 @@ mod tests {
     /// canonical order, and the number of gtypo winners its
     /// first-registration-wins rejected.
     fn committed_oracle(config: &PopulationConfig) -> (Registry, usize) {
-        let targets: Vec<DomainName> = alexa::synthetic_top(config.n_targets)
-            .iter()
-            .map(|e| e.domain.clone())
-            .collect();
+        let targets = alexa::synthetic_targets(config.n_targets);
         let registry = Registry::new();
         let ns_providers = make_ns_providers(config);
         let mx_hosts = mx_hosts_of(&make_mx_providers());
@@ -1981,10 +1945,7 @@ mod tests {
     #[test]
     fn filler_shadows_its_background_namesake() {
         let config = PopulationConfig::tiny(7);
-        let mut targets: Vec<DomainName> = alexa::synthetic_top(config.n_targets)
-            .iter()
-            .map(|e| e.domain.clone())
-            .collect();
+        let mut targets = alexa::synthetic_targets(config.n_targets);
         targets[30] = "biz-0-0.com".parse().expect("valid");
         let ns_providers = make_ns_providers(&config);
         let oracle = Registry::new();

@@ -1,13 +1,13 @@
 //! Persistent world snapshots over the `ets-store` container.
 //!
-//! The world is almost entirely *derivable*: popularity, targets,
-//! registrants, filler and background registrations, both indices, and
-//! the NS customer bases are pure functions of [`PopulationConfig`]'s
-//! RNG streams. The only non-derivable state is which gtypos won their
-//! registration rolls and what each registration drew — so that is all a
-//! snapshot stores: one compact struct-of-arrays record per ctypo (SLD
-//! arena, target rank, mistake metadata, bit-exact visual distance, and
-//! the full [`CtypoDraw`](crate::population) column set). On load the
+//! The world is almost entirely *derivable*: targets, registrants,
+//! filler and background registrations, and the NS customer bases are
+//! pure functions of [`PopulationConfig`]'s RNG streams. The only
+//! non-derivable state is which gtypos won their registration rolls and
+//! what each registration drew — so that is all a snapshot stores: one
+//! compact struct-of-arrays record per ctypo (SLD arena, target rank,
+//! mistake metadata, bit-exact visual distance, and the full
+//! [`CtypoDraw`](crate::population) column set). On load the
 //! derivable phases are recomputed from the same streams and the records
 //! are decoded straight back into the world's ctypo columns, from which
 //! every registration and zone is derived on lookup exactly as in a
@@ -370,6 +370,15 @@ fn col_f64(snap: &Snapshot, name: &str, expect: usize) -> Result<Vec<f64>, LoadE
 /// world is byte-identical (every derived result file included) to
 /// `World::build(config)`.
 pub fn load(path: &Path, config: &PopulationConfig) -> Result<World, LoadError> {
+    // The records own their names, so the file buffer and the columns
+    // are freed here, before the rebuild allocates the world.
+    let records = read_records(path, config)?;
+    World::from_snapshot_records(config.clone(), records).map_err(LoadError::Corrupt)
+}
+
+/// Reads and checks the snapshot at `path`: its schema version, its
+/// config, and every ctypo record's columns.
+fn read_records(path: &Path, config: &PopulationConfig) -> Result<Vec<CtypoRecord>, LoadError> {
     let snap = Snapshot::open(path)?;
     if snap.app_version() != WORLD_FORMAT_VERSION {
         return Err(LoadError::FormatVersion {
@@ -431,7 +440,7 @@ pub fn load(path: &Path, config: &PopulationConfig) -> Result<World, LoadError> 
             },
         });
     }
-    World::from_snapshot_records(config.clone(), records).map_err(LoadError::Corrupt)
+    Ok(records)
 }
 
 /// Round-trips `world` through the snapshot encoding in memory (tests

@@ -170,12 +170,12 @@ fn trace_artifacts_are_valid_and_deterministic() {
     }
     assert!(
         field(
-            field(field(&metrics, "histograms"), "world.dl1_fanout"),
+            field(field(&metrics, "histograms"), "world.band_pending_bytes"),
             "counts"
         )
         .as_array()
         .is_some(),
-        "dl1 fan-out histogram missing"
+        "band payload histogram missing"
     );
     let counter_names: Vec<&String> = counters
         .as_object()

@@ -11,8 +11,8 @@
 //! slowloris stalls, silent drops), measures per-request latency against
 //! the *scheduled* start time (so queueing delay is charged to the
 //! server, not silently absorbed — the coordinated-omission correction),
-//! and emits a `results/bench_serve.json` artifact with achieved RPS,
-//! latency quantiles, and the observed-vs-expected outcome taxonomy.
+//! and emits a `bench_serve.json` report with achieved RPS, latency
+//! quantiles, and the observed-vs-expected outcome taxonomy.
 //!
 //! Layering mirrors the rest of the workspace:
 //!

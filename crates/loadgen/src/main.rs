@@ -1,5 +1,5 @@
-//! `ets-loadgen` — drive a workload at the SMTP serving path and write
-//! `results/bench_serve.json`.
+//! `ets-loadgen` — drive a workload at the SMTP serving path and, with
+//! `--out PATH`, write its `bench_serve.json` report to `PATH`.
 //!
 //! ```text
 //! ets-loadgen [--target ADDR] [--mix paper|delivery|faults]
@@ -22,6 +22,8 @@
 //!   in-process server, and with `--target` it must match the target's,
 //!   since slowloris requests stall just past it.
 //! * `--max-*` — stop rules; with `--check` any violation fails the run.
+//! * `--out PATH` — write the JSON report there; without it the run
+//!   prints its summary and writes no file.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +45,7 @@ fn main() -> ExitCode {
     let mut spec = ServerSpec::default();
     let mut client_timeout_ms: u64 = 5_000;
     let mut rules = StopRules::default();
-    let mut out = "results/bench_serve.json".to_owned();
+    let mut out: Option<String> = None;
     let mut check = false;
 
     let mut it = args.iter();
@@ -94,7 +96,7 @@ fn main() -> ExitCode {
                 None => return usage("--max-p99-ms needs a number"),
             },
             "--out" => match it.next() {
-                Some(p) => out = p.clone(),
+                Some(p) => out = Some(p.clone()),
                 None => return usage("--out needs a path"),
             },
             "--check" => check = true,
@@ -137,21 +139,23 @@ fn main() -> ExitCode {
         r.delivered.map_or("unknown".to_owned(), |d| d.to_string()),
     );
 
-    let doc = report::render(mix.name, seed, std::slice::from_ref(&r), &rules);
-    let text = report::to_pretty_string(&doc);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
+    if let Some(out) = &out {
+        let doc = report::render(mix.name, seed, std::slice::from_ref(&r), &rules);
+        let text = report::to_pretty_string(&doc);
+        if let Some(dir) = std::path::Path::new(out).parent() {
+            if !dir.as_os_str().is_empty() {
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {e}", dir.display());
+                    return ExitCode::FAILURE;
+                }
             }
         }
+        if let Err(e) = std::fs::write(out, &text) {
+            eprintln!("cannot write {out}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {out}");
     }
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
 
     let violations = rules.violations(&r.stats);
     for v in &violations {

@@ -1,4 +1,4 @@
-//! Renders the `results/bench_serve.json` artifact.
+//! Renders the `bench_serve.json` report that `ets-loadgen --out` writes.
 //!
 //! The report is pure serialization: every number comes from the
 //! [`crate::runner::PhaseResult`]s, keys are sorted (the vendored

@@ -382,7 +382,7 @@ fn generator_targets() -> Vec<DomainName> {
     .iter()
     .map(|s| s.parse().expect("valid name"))
     .collect();
-    targets.extend(alexa::synthetic_top(150).iter().map(|e| e.domain.clone()));
+    targets.extend(alexa::synthetic_targets(150));
     targets
 }
 
