@@ -1,27 +1,29 @@
 //! `ets-bench` — the performance ratchet for both planes.
 //!
-//! Compares a fresh report — `bench_pipeline.json` from `repro` or
-//! `bench_serve.json` from `ets-loadgen` — against the committed
-//! baseline `BENCH_ratchet.json` and fails when a metric regresses. CI
-//! checks one report of each kind on every push; the baseline moves
-//! deliberately with `--update-baseline` when a change is *supposed* to
-//! shift the profile.
+//! Compares a fresh run — the JSONL log of `repro --trace` or the
+//! `bench_serve.json` report of `ets-loadgen --out` — against the
+//! committed baseline `BENCH_ratchet.json` and fails when a metric
+//! regresses. CI checks runs of both planes on every push; the baseline
+//! moves deliberately with `--update-baseline` when a change is
+//! *supposed* to shift the profile.
 //!
 //! ```text
-//! ets-bench --check           [--bench FILE] [--baseline FILE]
-//! ets-bench --update-baseline [--bench FILE] [--baseline FILE] [--commit HEX]
+//! ets-bench --check           --bench FILE [--baseline FILE]
+//! ets-bench --update-baseline --bench FILE [--baseline FILE] [--commit HEX]
 //! ets-bench --report-md       [--baseline FILE] [--readme FILE]
 //! ```
 //!
-//! One adapter per report kind turns a report into rows
-//! `{workload, layer, metric, unit, value}`:
+//! A `--bench` file whose name ends in `.jsonl` is a pipeline run's
+//! trace log; any other is a serve report. One adapter per kind turns
+//! it into rows `{workload, layer, metric, unit, value}`:
 //!
-//! * a pipeline report is one workload `{plane: "pipeline", threads,
-//!   fast, scale, world}` with one `stage.<name>` row (`seconds`) per
-//!   timed stage. `world` is `snapshot` when the run skipped a stage
-//!   (`Lab` skips `world_build` after a `--snapshot` reload) and `build`
-//!   otherwise, so a reload is never compared with a fresh build. A
-//!   report with no `scale` keys as its `fast`/`default` mode;
+//! * a pipeline log is one workload `{plane: "pipeline", threads, fast,
+//!   scale, world}`, keyed by the `run.*` gauges every `repro` run sets
+//!   (`scale` is `fast`/`default` without `--scale`), with one
+//!   `stage.<name>` row (`seconds`) per `stage` line. `world` is
+//!   `snapshot` when the log has a `snapshot_load` stage, which only a
+//!   reload records, and `build` otherwise, so a reload is never
+//!   compared with a fresh build. `ETS_TRACE=off` keeps these lines;
 //! * a serve report is one workload per phase, `{plane: "serve", mix,
 //!   phase, connections, requests_per_conn, target_rps}`, with `session`
 //!   rows `achieved_rps`, `p50_ms`, `p99_ms` and `p999_ms`. Before it
@@ -123,7 +125,7 @@ const TRAJ_END: &str = "<!-- /ets-bench:trajectory -->";
 
 fn main() -> ExitCode {
     let mut mode: Option<String> = None;
-    let mut bench_path = "results/bench_pipeline.json".to_owned();
+    let mut bench_path: Option<String> = None;
     let mut baseline_path = "BENCH_ratchet.json".to_owned();
     let mut commit = "unknown".to_owned();
     let mut readme: Option<String> = None;
@@ -134,7 +136,7 @@ fn main() -> ExitCode {
                 mode = Some(a);
                 continue;
             }
-            "--bench" => &mut bench_path,
+            "--bench" => bench_path.insert(String::new()),
             "--baseline" => &mut baseline_path,
             "--commit" => &mut commit,
             "--readme" => readme.insert(String::new()),
@@ -145,14 +147,17 @@ fn main() -> ExitCode {
             None => return usage(&format!("{a} needs a value")),
         }
     }
+    let bench = bench_path
+        .as_deref()
+        .ok_or_else(|| vec!["--bench FILE is required".to_owned()]);
     let outcome = match mode.as_deref() {
-        Some("--check") => read_json(&bench_path).and_then(|report| {
+        Some("--check") => bench.and_then(read_report).and_then(|report| {
             let compared = check(&report, &load(&baseline_path)?)?;
             Ok(format!(
                 "ratchet holds ({compared} rows checked against {baseline_path})"
             ))
         }),
-        Some("--update-baseline") => read_json(&bench_path).and_then(|report| {
+        Some("--update-baseline") => bench.and_then(read_report).and_then(|report| {
             // Only the update may start a baseline from nothing.
             let prior = if Path::new(&baseline_path).exists() {
                 load(&baseline_path)?
@@ -193,7 +198,7 @@ fn main() -> ExitCode {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!("usage: ets-bench --check|--update-baseline|--report-md [--bench FILE] [--baseline FILE] [--commit HEX] [--readme FILE]");
-    eprintln!("  --bench FILE     fresh bench_pipeline.json or bench_serve.json report (default results/bench_pipeline.json)");
+    eprintln!("  --bench FILE     a repro --trace JSONL log (*.jsonl) or an ets-loadgen bench_serve.json report; required with --check and --update-baseline");
     eprintln!("  --baseline FILE  committed ratchet file (default BENCH_ratchet.json)");
     eprintln!("  --commit HEX     revision recorded with --update-baseline");
     eprintln!("  --readme FILE    with --report-md: splice the trajectory table between the ets-bench:trajectory markers in FILE");
@@ -204,8 +209,27 @@ fn read(path: &str) -> Result<String, Vec<String>> {
     std::fs::read_to_string(path).map_err(|e| vec![format!("cannot read {path}: {e}")])
 }
 
-fn read_json(path: &str) -> Result<Value, Vec<String>> {
-    serde_json::from_str(&read(path)?).map_err(|e| vec![format!("cannot parse {path}: {e}")])
+/// A fresh run to ratchet.
+enum Report {
+    /// The lines of a `repro --trace` JSONL log.
+    Pipeline(Vec<Value>),
+    /// An `ets-loadgen` report.
+    Serve(Value),
+}
+
+/// Reads `--bench`: a `.jsonl` file is a pipeline log, any other a serve
+/// report.
+fn read_report(path: &str) -> Result<Report, Vec<String>> {
+    let text = read(path)?;
+    let report = if path.ends_with(".jsonl") {
+        text.lines()
+            .map(serde_json::from_str)
+            .collect::<Result<_, _>>()
+            .map(Report::Pipeline)
+    } else {
+        serde_json::from_str(&text).map(Report::Serve)
+    };
+    report.map_err(|e| vec![format!("cannot parse {path}: {e}")])
 }
 
 fn load(path: &str) -> Result<Baseline, Vec<String>> {
@@ -226,14 +250,12 @@ fn row(workload: &Value, layer: &str, metric: &str, unit: &str, value: f64) -> R
     }
 }
 
-/// Turns a report into rows: the serve adapter for a report with
-/// `phases`, the pipeline adapter otherwise. A report that yields no row
-/// is an error, since nothing could be ratcheted.
-fn rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
-    let rows = if report.get("phases").is_some() {
-        serve_rows(report)?
-    } else {
-        pipeline_rows(report)?
+/// Turns a report into rows with its kind's adapter. A report that
+/// yields no row is an error, since nothing could be ratcheted.
+fn rows(report: &Report) -> Result<Vec<Row>, Vec<String>> {
+    let rows = match report {
+        Report::Pipeline(log) => pipeline_rows(log)?,
+        Report::Serve(report) => serve_rows(report)?,
     };
     if rows.is_empty() {
         return Err(vec!["report has no timed stage or phase".to_owned()]);
@@ -241,34 +263,54 @@ fn rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
     Ok(rows)
 }
 
-fn pipeline_rows(report: &Value) -> Result<Vec<Row>, Vec<String>> {
-    let stages = report
-        .get("stages")
-        .and_then(Value::as_array)
-        .map_or(&[][..], Vec::as_slice);
-    let fast = report.get("fast").and_then(Value::as_bool).unwrap_or(false);
-    let skipped = |s: &Value| s.get("skipped").is_some();
-    let world = if stages.iter().any(skipped) {
+/// `--scale N` as its preset name (`1k`, `100k`, `1m`), or the raw count.
+fn scale_label(n: u64) -> String {
+    match n {
+        n if n >= 1_000_000 && n % 1_000_000 == 0 => format!("{}m", n / 1_000_000),
+        n if n >= 1_000 && n % 1_000 == 0 => format!("{}k", n / 1_000),
+        n => n.to_string(),
+    }
+}
+
+fn pipeline_rows(log: &[Value]) -> Result<Vec<Row>, Vec<String>> {
+    let lines = |kind: &'static str| {
+        log.iter()
+            .filter(move |l| l.get("type").and_then(Value::as_str) == Some(kind))
+            .map(|l| (l.get("name").and_then(Value::as_str).unwrap_or("?"), l))
+    };
+    let gauge = |name: &str| {
+        lines("gauge")
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, l)| l.get("value").and_then(Value::as_f64))
+    };
+    let (Some(threads), Some(fast)) = (gauge("run.threads"), gauge("run.fast")) else {
+        return Err(vec![
+            "no run.threads or run.fast gauge in the log".to_owned()
+        ]);
+    };
+    let fast = fast != 0.0;
+    let scale = match gauge("run.scale") {
+        Some(n) => scale_label(n as u64),
+        None if fast => "fast".to_owned(),
+        None => "default".to_owned(),
+    };
+    let world = if lines("stage").any(|(n, _)| n == "snapshot_load") {
         "snapshot"
     } else {
         "build"
     };
     let workload = json!({
         "plane": "pipeline",
-        "threads": report.get("threads").and_then(Value::as_u64).unwrap_or(0),
+        "threads": threads as u64,
         "fast": fast,
-        "scale": report
-            .get("scale")
-            .and_then(Value::as_str)
-            .unwrap_or(if fast { "fast" } else { "default" }),
+        "scale": scale,
         "world": world,
     });
     let mut out = Vec::new();
     let mut errors = Vec::new();
-    for s in stages.iter().filter(|s| !skipped(s)) {
-        let name = s.get("stage").and_then(Value::as_str).unwrap_or("?");
+    for (name, l) in lines("stage") {
         let layer = format!("stage.{name}");
-        match s.get("seconds").and_then(Value::as_f64) {
+        match l.get("seconds").and_then(Value::as_f64) {
             Some(secs) => out.push(row(&workload, &layer, "seconds", "s", secs)),
             None => errors.push(format!("{layer}: no seconds")),
         }
@@ -376,7 +418,7 @@ fn judge(metric: &str, base: f64, value: f64) -> (f64, bool) {
 /// `--check`: compares every report row with the baseline row of the same
 /// workload, layer and metric. Returns how many rows were compared, or
 /// every failure.
-fn check(report: &Value, baseline: &Baseline) -> Result<usize, Vec<String>> {
+fn check(report: &Report, baseline: &Baseline) -> Result<usize, Vec<String>> {
     let rows = rows(report)?;
     let mut compared = 0;
     let mut errors = Vec::new();
@@ -432,7 +474,7 @@ fn check(report: &Value, baseline: &Baseline) -> Result<usize, Vec<String>> {
 
 /// `--update-baseline`: replaces every baseline row of the report's
 /// workloads with the report's rows and appends one history record.
-fn update(report: &Value, mut baseline: Baseline, commit: &str) -> Result<Baseline, Vec<String>> {
+fn update(report: &Report, mut baseline: Baseline, commit: &str) -> Result<Baseline, Vec<String>> {
     let rows = rows(report)?;
     baseline
         .entries
@@ -448,7 +490,7 @@ fn update(report: &Value, mut baseline: Baseline, commit: &str) -> Result<Baseli
 /// The pipeline history as a Markdown table: world build vs snapshot
 /// reload per scale, one line per record. A reload's speedup is taken
 /// against the latest fresh build at the same scale; the total sums the
-/// record's stage rows, as `Lab` does.
+/// record's stage rows.
 fn trajectory(baseline: &Baseline) -> String {
     let mut table = String::from(
         "| commit | scale | threads | world_build (s) | snapshot_load (s) | load speedup | total (s) |\n\
@@ -514,25 +556,37 @@ mod tests {
     use super::*;
     use serde_json::Map;
 
-    fn pipeline_report(scale: &str, stages: &[(&str, f64)]) -> Value {
-        let stages: Vec<Value> = stages
-            .iter()
-            .map(|(name, secs)| json!({ "stage": *name, "seconds": *secs }))
-            .collect();
-        json!({ "threads": 1, "fast": false, "scale": scale, "stages": stages })
+    /// A `repro --trace` JSONL log, its lines written as `ets_obs::trace`
+    /// writes them: the gauges, then one `stage` line per stage.
+    fn log(gauges: &[(&str, f64)], stages: &[(&str, f64)]) -> Report {
+        let gauges = gauges.iter().map(|(name, value)| {
+            format!(r#"{{"type": "gauge", "name": "{name}", "value": {value:?}}}"#)
+        });
+        let stages = stages.iter().map(|(name, secs)| {
+            format!(r#"{{"type": "stage", "name": "{name}", "seconds": {secs:?}}}"#)
+        });
+        let lines = gauges.chain(stages);
+        Report::Pipeline(
+            lines
+                .map(|l| serde_json::from_str(&l).expect("log line parses"))
+                .collect(),
+        )
     }
 
-    /// A `repro --snapshot` reload report: `world_build` skipped.
-    fn reload_report(scale: &str, load_secs: f64) -> Value {
-        json!({
-            "threads": 1,
-            "fast": false,
-            "scale": scale,
-            "stages": [
-                { "stage": "snapshot_load", "seconds": load_secs },
-                { "stage": "world_build", "skipped": "snapshot" },
-            ],
-        })
+    /// The log of a 1-thread run: `--fast` or the default mode.
+    fn mode_log(fast: bool, stages: &[(&str, f64)]) -> Report {
+        let fast = if fast { 1.0 } else { 0.0 };
+        log(&[("run.fast", fast), ("run.threads", 1.0)], stages)
+    }
+
+    /// The log of a 1-thread `--scale n` run.
+    fn scale_log(n: u64, stages: &[(&str, f64)]) -> Report {
+        let gauges = [
+            ("run.fast", 0.0),
+            ("run.scale", n as f64),
+            ("run.threads", 1.0),
+        ];
+        log(&gauges, stages)
     }
 
     /// A passing 16-connection serve phase.
@@ -556,20 +610,28 @@ mod tests {
         phase
     }
 
-    fn serve_report(phase: Map) -> Value {
-        json!({ "schema": "ets.bench_serve.v1", "mix": "paper", "phases": [Value::Object(phase)] })
+    fn serve_report(phase: Map) -> Report {
+        Report::Serve(
+            json!({ "schema": "ets.bench_serve.v1", "mix": "paper", "phases": [Value::Object(phase)] }),
+        )
     }
 
     /// A baseline built by updating from `reports` in order.
-    fn baseline_of(reports: &[Value]) -> Baseline {
+    fn baseline_of(reports: &[Report]) -> Baseline {
         reports.iter().fold(Baseline::default(), |b, r| {
             update(r, b, "base").expect("valid report")
         })
     }
 
+    fn committed_baseline() -> Baseline {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ratchet.json");
+        let text = std::fs::read_to_string(path).expect("committed baseline");
+        serde_json::from_str(&text).expect("baseline parses")
+    }
+
     fn stage_passes(base: f64, secs: f64) -> bool {
-        let baseline = baseline_of(&[pipeline_report("1k", &[("world_build", base)])]);
-        check(&pipeline_report("1k", &[("world_build", secs)]), &baseline).is_ok()
+        let baseline = baseline_of(&[scale_log(1_000, &[("world_build", base)])]);
+        check(&scale_log(1_000, &[("world_build", secs)]), &baseline).is_ok()
     }
 
     #[test]
@@ -578,6 +640,53 @@ mod tests {
         assert!(!stage_passes(0.05, 0.40 + 1e-9));
         assert!(stage_passes(10.0, 11.0));
         assert!(!stage_passes(10.0, 11.0 + 1e-9));
+    }
+
+    #[test]
+    fn logs_key_as_the_committed_pipeline_workloads() {
+        let key = |log: Report| rows(&log).expect("valid log")[0].workload.clone();
+        let build = [("world_build", 1.0), ("snapshot_save", 0.1)];
+        let reload = [("snapshot_load", 0.1)];
+        let mut cases = vec![
+            (key(mode_log(true, &build)), (true, "fast", "build")),
+            (key(mode_log(false, &build)), (false, "default", "build")),
+        ];
+        for (n, scale) in [(1_000, "1k"), (100_000, "100k"), (1_000_000, "1m")] {
+            cases.push((key(scale_log(n, &build)), (false, scale, "build")));
+            cases.push((key(scale_log(n, &reload)), (false, scale, "snapshot")));
+        }
+        let committed = committed_baseline();
+        for (got, (fast, scale, world)) in cases {
+            let want = json!({
+                "plane": "pipeline", "threads": 1, "fast": fast, "scale": scale, "world": world,
+            });
+            assert_eq!(got, want);
+            assert!(
+                committed.entries.iter().any(|e| e.workload == got),
+                "{got:?} is not a committed workload"
+            );
+        }
+        let odd = key(scale_log(1_500, &build));
+        assert_eq!(odd.get("scale"), Some(&json!("1500")));
+    }
+
+    #[test]
+    fn fast_log_checks_three_rows_against_the_committed_baseline() {
+        let stages = [
+            ("world_build", 0.05),
+            ("stream_collect", 0.10),
+            ("funnel_finish", 0.002),
+        ];
+        let fast = mode_log(true, &stages);
+        assert_eq!(check(&fast, &committed_baseline()), Ok(3));
+    }
+
+    #[test]
+    fn log_without_run_gauges_is_rejected() {
+        let untagged = log(&[("run.fast", 1.0)], &[("world_build", 0.05)]);
+        let errors = rows(&untagged).expect_err("no run.threads");
+        assert!(errors[0].contains("run.threads"), "{errors:?}");
+        assert!(update(&untagged, Baseline::default(), "x").is_err());
     }
 
     #[test]
@@ -596,24 +705,18 @@ mod tests {
 
     #[test]
     fn unknown_workload_passes_unchecked() {
-        let baseline = baseline_of(&[pipeline_report("1k", &[("world_build", 0.05)])]);
-        let report = pipeline_report("100k", &[("world_build", 500.0)]);
+        let baseline = baseline_of(&[scale_log(1_000, &[("world_build", 0.05)])]);
+        let report = scale_log(100_000, &[("world_build", 500.0)]);
         assert_eq!(check(&report, &baseline), Ok(0));
     }
 
     #[test]
     fn reload_is_never_compared_with_a_fresh_build() {
-        let build = pipeline_report("1k", &[("world_build", 0.28), ("snapshot_save", 0.01)]);
-        let reload = reload_report("1k", 0.06);
-        let world = |r: &Value| rows(r).expect("valid")[0].workload.get("world").cloned();
-        assert_eq!(world(&build), Some(json!("build")));
-        assert_eq!(world(&reload), Some(json!("snapshot")));
-        assert_eq!(
-            check(&reload_report("1k", 50.0), &baseline_of(&[build])),
-            Ok(0)
-        );
-        let baseline = baseline_of(&[reload]);
-        assert_eq!(check(&reload_report("1k", 0.06), &baseline), Ok(1));
+        let build = scale_log(1_000, &[("world_build", 0.28), ("snapshot_save", 0.01)]);
+        let reload = |secs| scale_log(1_000, &[("snapshot_load", secs)]);
+        assert_eq!(check(&reload(50.0), &baseline_of(&[build])), Ok(0));
+        let baseline = baseline_of(&[reload(0.06)]);
+        assert_eq!(check(&reload(0.06), &baseline), Ok(1));
     }
 
     #[test]
@@ -623,11 +726,11 @@ mod tests {
             ("stream_collect", 0.10),
             ("funnel_finish", 0.002),
         ];
-        let baseline = baseline_of(&[pipeline_report("fast", &stages)]);
+        let baseline = baseline_of(&[mode_log(true, &stages)]);
         // `repro snapshot` times world_build alone.
-        let snapshot_only = pipeline_report("fast", &stages[..1]);
+        let snapshot_only = mode_log(true, &stages[..1]);
         assert_eq!(check(&snapshot_only, &baseline), Ok(1));
-        let renamed = pipeline_report("fast", &[("build", 0.05), ("collect", 0.10)]);
+        let renamed = mode_log(true, &[("build", 0.05), ("collect", 0.10)]);
         let errors = check(&renamed, &baseline).expect_err("compared nothing");
         assert!(errors[0].contains("nothing was compared"), "{errors:?}");
     }
@@ -647,11 +750,13 @@ mod tests {
     fn serve_gate_rejects_broken_reports_in_check_and_update() {
         let good = phase(100.0, 1.0, 1.0, 100.0);
         let baseline = baseline_of(&[serve_report(good.clone())]);
-        let mut wrong_schema = serve_report(good.clone());
+        let Report::Serve(mut wrong_schema) = serve_report(good.clone()) else {
+            unreachable!("a serve report")
+        };
         if let Value::Object(m) = &mut wrong_schema {
             m.insert("schema".to_owned(), json!("ets.bench_serve.v0"));
         }
-        let mut cases = vec![(wrong_schema, "schema is not")];
+        let mut cases = vec![(Report::Serve(wrong_schema), "schema is not")];
         for (key, value, why) in [
             (
                 "taxonomy",
@@ -682,11 +787,11 @@ mod tests {
     #[test]
     fn update_replaces_only_the_report_workload_and_appends_one_record() {
         let serve = serve_report(phase(100.0, 1.0, 1.0, 100.0));
-        let old = pipeline_report("fast", &[("world_build", 0.05), ("stream_collect", 0.1)]);
-        let baseline = baseline_of(&[old, serve.clone()]);
-        let fresh = pipeline_report("fast", &[("world_build", 0.04)]);
+        let old = mode_log(true, &[("world_build", 0.05), ("stream_collect", 0.1)]);
+        let baseline = baseline_of(&[old, serve]);
+        let fresh = mode_log(true, &[("world_build", 0.04)]);
         let updated = update(&fresh, baseline, "new").expect("valid");
-        let expected: Vec<Row> = rows(&serve)
+        let expected: Vec<Row> = rows(&serve_report(phase(100.0, 1.0, 1.0, 100.0)))
             .expect("valid")
             .into_iter()
             .chain(rows(&fresh).expect("valid"))
@@ -701,10 +806,10 @@ mod tests {
     #[test]
     fn readme_trajectory_matches_committed_baseline() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let read = |name: &str| std::fs::read_to_string(root.join(name)).expect("committed file");
-        let baseline: Baseline =
-            serde_json::from_str(&read("BENCH_ratchet.json")).expect("baseline parses");
-        let readme = read("README.md");
-        assert_eq!(splice(&readme, &trajectory(&baseline)), Ok(readme));
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("committed file");
+        assert_eq!(
+            splice(&readme, &trajectory(&committed_baseline())),
+            Ok(readme)
+        );
     }
 }

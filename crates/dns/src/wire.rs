@@ -2,10 +2,10 @@
 //!
 //! Encodes and decodes DNS messages — header, question, resource records —
 //! including name compression on encode and pointer-chasing (with loop
-//! protection) on decode. The simulated resolver does not *need* a wire
-//! format to function, but the study's scanning methodology (§5.1: MX/A
-//! lookups over millions of ctypos) is reproduced faithfully down to the
-//! packet level so the scan benchmarks measure real protocol work.
+//! protection) on decode. The §5 census does not use it: `scan_world`
+//! classifies each ctypo through `Resolver::mail_route`, in memory. The
+//! codec's caller is [`crate::server::DnsServer`], which answers real
+//! UDP queries from a resolver, as `examples/defense_toolkit.rs` runs it.
 
 use crate::name::Fqdn;
 use crate::record::{RecordData, RecordType, ResourceRecord};

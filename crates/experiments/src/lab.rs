@@ -8,9 +8,8 @@ use ets_collector::stream::stream_collect;
 use ets_collector::traffic::{GenEmail, TrafficConfig, TrafficGenerator};
 use ets_ecosystem::population::{PopulationConfig, World};
 use ets_ecosystem::snapshot;
-use parking_lot::Mutex;
-use serde_json::json;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The lab bench: seeds, scale, output directory, cached substrates.
@@ -18,8 +17,8 @@ use std::sync::OnceLock;
 /// Stage timings and workload counts live in the `ets-obs` registry:
 /// wall-clock stage durations go through [`ets_obs::metrics::time_stage`]
 /// (which also opens a `stage.<name>` span for traces), and deterministic
-/// workload counts are `lab.<name>` counters read back by the
-/// `bench_pipeline.json` report.
+/// workload counts are `lab.<name>` counters. The `--trace` JSONL log
+/// exports both; `ets-bench` ratchets its `stage` lines.
 pub struct Lab {
     /// Base RNG seed.
     pub seed: u64,
@@ -35,12 +34,9 @@ pub struct Lab {
     pub snapshot: Option<String>,
     world: OnceLock<World>,
     collection: OnceLock<Collection>,
-    log: Mutex<()>,
-    /// Stages skipped this run (name, reason) — reported in
-    /// `bench_pipeline.json`, where `ets-bench` keys a report with a
-    /// skipped stage as a `world: snapshot` workload, so a reload is never
-    /// compared with a fresh build.
-    skipped: Mutex<Vec<(String, String)>>,
+    /// Set when a result record could not be written; `repro` then exits
+    /// with failure once the experiment has run.
+    write_failed: AtomicBool,
 }
 
 /// A completed collection run: infrastructure, generated mail, verdicts.
@@ -66,21 +62,7 @@ impl Lab {
             snapshot: None,
             world: OnceLock::new(),
             collection: OnceLock::new(),
-            log: Mutex::new(()),
-            skipped: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The scale key for the bench report: `--scale` rendered as the
-    /// preset name (`1k`, `100k`, `1m`, or the raw count), else the
-    /// historical `fast`/`default` modes.
-    pub fn scale_label(&self) -> String {
-        match self.scale {
-            Some(n) if n >= 1_000_000 && n % 1_000_000 == 0 => format!("{}m", n / 1_000_000),
-            Some(n) if n >= 1_000 && n % 1_000 == 0 => format!("{}k", n / 1_000),
-            Some(n) => n.to_string(),
-            None if self.fast => "fast".to_owned(),
-            None => "default".to_owned(),
+            write_failed: AtomicBool::new(false),
         }
     }
 
@@ -101,17 +83,16 @@ impl Lab {
         }
     }
 
-    /// Records a deterministic workload count for `bench_pipeline.json`
-    /// as a `lab.<name>` counter in the obs registry. The report pairs
-    /// the counts with the stage timings so a timing regression can be
-    /// told apart from a workload change.
+    /// Records a deterministic workload count as a `lab.<name>` counter
+    /// in the obs registry. The trace log pairs the counts with the stage
+    /// timings so a timing regression can be told apart from a workload
+    /// change.
     fn record_count(&self, name: &str, value: u64) {
         ets_obs::metrics::counter_add(&format!("lab.{name}"), value);
     }
 
     /// Runs a pipeline stage, recording its wall-clock time on the obs
-    /// stage timeline for the `bench_pipeline.json` report (and a
-    /// `stage.<name>` span when tracing is enabled).
+    /// stage timeline (and a `stage.<name>` span when tracing is enabled).
     fn time_stage<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         let (out, secs) = ets_obs::metrics::time_stage(name, f);
         eprintln!("[lab] stage {name}: {secs:.2}s");
@@ -120,8 +101,8 @@ impl Lab {
 
     /// Records the peak in-flight payload bytes of the stage just run as
     /// a `mem.stage_peak_bytes.<name>` gauge. Peaks depend on scheduling,
-    /// so they flow only into the `bench_` reports, never the
-    /// deterministic snapshot.
+    /// so they flow only into the trace log, never the deterministic
+    /// snapshot.
     fn gauge_stage_peak(&self, name: &str) {
         ets_obs::metrics::gauge_set(
             &format!("mem.stage_peak_bytes.{name}"),
@@ -131,8 +112,8 @@ impl Lab {
 
     /// The ecosystem world (§5/§6/§7 substrate), built once — or loaded
     /// near-zero-copy from `--snapshot` when the file matches this exact
-    /// `(seed, scale, format_version)` config, in which case the
-    /// `world_build` stage is reported as skipped. Any mismatch or
+    /// `(seed, scale, format_version)` config, in which case the run
+    /// times a `snapshot_load` stage and no `world_build`. Any mismatch or
     /// corruption logs its reason and falls back to a fresh build (which
     /// then refreshes the snapshot).
     pub fn world(&self) -> &World {
@@ -157,14 +138,14 @@ impl Lab {
 
     /// Attempts the `--snapshot` load. `None` means "build fresh" — the
     /// reason has already been logged. A failed attempt records no
-    /// `snapshot_load` stage, so the ratchet never sees a phantom load.
+    /// `snapshot_load` stage, so the ratchet never sees a phantom load:
+    /// that stage on the timeline is what marks a run as a reload.
     fn load_world_snapshot(&self, config: &PopulationConfig) -> Option<World> {
         let path = self.snapshot.as_deref()?;
         if !Path::new(path).exists() {
             eprintln!("[lab] no snapshot at {path} yet; building fresh");
             return None;
         }
-        ets_obs::mem::reset_peak();
         let (result, secs) = ets_obs::metrics::time_stage_result("snapshot_load", || {
             snapshot::load(Path::new(path), config)
         });
@@ -174,8 +155,6 @@ impl Lab {
                     "[lab] stage snapshot_load: {secs:.2}s ({} ctypos from {path})",
                     world.ctypos.len()
                 );
-                self.gauge_stage_peak("snapshot_load");
-                self.note_skipped("world_build", "snapshot");
                 Some(world)
             }
             Err(e) => {
@@ -198,13 +177,6 @@ impl Lab {
             Ok(()) => eprintln!("[lab] stage snapshot_save: {secs:.2}s (wrote {path})"),
             Err(e) => eprintln!("[lab] cannot write snapshot {path}: {e}"),
         }
-    }
-
-    /// Notes a stage this run skipped (with why) for the bench report.
-    fn note_skipped(&self, stage: &str, reason: &str) {
-        self.skipped
-            .lock()
-            .push((stage.to_owned(), reason.to_owned()));
     }
 
     /// The collection run (§4 substrate), built once: the
@@ -244,9 +216,7 @@ impl Lab {
                 "[lab] finishing the funnel over {} emails...",
                 collected.len()
             );
-            ets_obs::mem::reset_peak();
             let verdicts = self.time_stage("funnel_finish", || state.finish());
-            self.gauge_stage_peak("funnel_finish");
             self.record_count("traffic_emails", collected.len() as u64);
             self.record_count(
                 "funnel_true_typos",
@@ -261,56 +231,25 @@ impl Lab {
         })
     }
 
-    /// Writes one experiment's JSON record.
+    /// Writes one experiment's JSON record. A record that cannot be
+    /// written is logged and remembered (see [`Lab::write_failed`]); the
+    /// run goes on to write the others.
     pub fn write_json(&self, name: &str, value: &serde_json::Value) {
-        let _guard = self.log.lock();
         let path = format!("{}/{name}.json", self.out_dir);
         match std::fs::write(
             &path,
             serde_json::to_string_pretty(value).expect("serializable"),
         ) {
             Ok(()) => eprintln!("[lab] wrote {path}"),
-            Err(e) => eprintln!("[lab] cannot write {path}: {e}"),
+            Err(e) => {
+                eprintln!("[lab] cannot write {path}: {e}");
+                self.write_failed.store(true, Ordering::Relaxed);
+            }
         }
     }
 
-    /// Writes the per-stage wall-clock report (`bench_pipeline.json`).
-    /// Stage *timings* vary with `--threads`; every other result file is
-    /// byte-identical across thread counts.
-    pub fn write_bench_pipeline(&self) {
-        let timings = ets_obs::metrics::stage_timeline();
-        if timings.is_empty() {
-            return;
-        }
-        let mut stages: Vec<serde_json::Value> = timings
-            .iter()
-            .map(|(name, secs)| json!({ "stage": name.as_str(), "seconds": *secs }))
-            .collect();
-        // Skipped stages are listed with a reason *instead of* seconds,
-        // so the ratchet knows "world_build: skipped (snapshot)" is not a
-        // 0-second build.
-        for (stage, reason) in self.skipped.lock().iter() {
-            stages.push(json!({ "stage": stage.as_str(), "skipped": reason.as_str() }));
-        }
-        let total: f64 = timings.iter().map(|(_, s)| *s).sum();
-        let mem: serde_json::Map = ets_obs::metrics::gauges_with_prefix("mem")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let counts: serde_json::Map = ets_obs::metrics::counters_with_prefix("lab")
-            .into_iter()
-            .map(|(name, v)| (name, json!(v)))
-            .collect();
-        let value = json!({
-            "threads": ets_parallel::threads(),
-            "seed": self.seed,
-            "fast": self.fast,
-            "scale": self.scale_label(),
-            "total_seconds": total,
-            "stages": stages,
-            "mem": mem,
-            "counts": counts,
-        });
-        self.write_json("bench_pipeline", &value);
+    /// Whether a result record could not be written this run.
+    pub fn write_failed(&self) -> bool {
+        self.write_failed.load(Ordering::Relaxed)
     }
 }

@@ -40,10 +40,10 @@
 //!   scale are byte-identical for any thread count.
 //! * `--snapshot FILE` — persistent world snapshot. When `FILE` holds a
 //!   snapshot built from the same `(seed, scale, format version)`, the
-//!   world is reloaded from it near-zero-copy and the `world_build` stage
-//!   is skipped (reported as skipped in `bench_pipeline.json`); on any
-//!   mismatch or corruption the reason is logged, the world is rebuilt,
-//!   and `FILE` is refreshed. Loaded and fresh worlds are byte-identical.
+//!   world is reloaded from it near-zero-copy: the run times a
+//!   `snapshot_load` stage and no `world_build`. On any mismatch or
+//!   corruption the reason is logged, the world is rebuilt, and `FILE` is
+//!   refreshed. Loaded and fresh worlds are byte-identical.
 //! * `--threads N` — worker count for the parallel pipeline stages;
 //!   results are byte-identical for any value (0 = one per core).
 //! * `--telemetry ADDR` — serve live introspection over HTTP on `ADDR`
@@ -59,10 +59,13 @@
 //!   the `results/*.json` outputs.
 //!
 //! Each experiment prints the paper-shaped rows and writes a JSON record
-//! under `--out` (default `results/`). The collection run always streams:
-//! traffic is generated, feature-extracted and classified day by day under
-//! bounded channels (`ets_collector::stream`). Every run also writes
-//! `bench_pipeline.json`, the stage timings `ets-bench --check` ratchets.
+//! under `--out` (default `results/`), which holds result records only;
+//! a record that cannot be written fails the run. The collection run
+//! always streams: traffic is generated, feature-extracted and
+//! classified day by day under bounded channels (`ets_collector::stream`).
+//! The run's timings live in the `--trace` JSONL log (`stage` lines, the
+//! `run.*` gauges that key them, `mem.*` gauges, `lab.*` counters),
+//! which `ets-bench --check` ratchets.
 
 #![forbid(unsafe_code)]
 
@@ -164,6 +167,13 @@ fn main() -> ExitCode {
         },
         None => None,
     };
+    // The run's identity, which keys its trace log for the ratchet. As
+    // gauges, they stay out of the deterministic metrics snapshot.
+    ets_obs::metrics::gauge_set("run.threads", ets_parallel::threads() as f64);
+    ets_obs::metrics::gauge_set("run.fast", if fast { 1.0 } else { 0.0 });
+    if let Some(n) = scale {
+        ets_obs::metrics::gauge_set("run.scale", n as f64);
+    }
     let mut ctx = lab::Lab::new(seed, fast, out_dir);
     ctx.scale = scale;
     ctx.snapshot = snapshot;
@@ -193,25 +203,19 @@ fn main() -> ExitCode {
             // running any analysis.
             let world = ctx.world();
             println!(
-                "world: {} targets, {} ctypos (scale {})",
+                "world: {} targets, {} ctypos",
                 world.targets.len(),
-                world.ctypos.len(),
-                ctx.scale_label()
+                world.ctypos.len()
             );
-            ctx.write_bench_pipeline();
         }
         "all" => {
             for (name, f) in &known {
                 println!("\n=== {name} ===");
                 f(&ctx);
             }
-            ctx.write_bench_pipeline();
         }
         name => match known.iter().find(|(n, _)| *n == name) {
-            Some((_, f)) => {
-                f(&ctx);
-                ctx.write_bench_pipeline();
-            }
+            Some((_, f)) => f(&ctx),
             None => return usage(&format!("unknown experiment {name:?}")),
         },
     }
@@ -226,6 +230,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    if ctx.write_failed() {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -7,6 +7,8 @@
 //! * The metrics snapshot is byte-identical at 1/2/8 threads.
 //! * Tracing never perturbs the `results/*.json` outputs, and without
 //!   `--trace` no trace artifact is written.
+//! * `--out` holds result records only: the run's timings live in the
+//!   JSONL log, and a record that cannot be written fails the run.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -67,16 +69,13 @@ fn run_all(dir: &Path, threads: u32, traced: bool) {
     );
 }
 
-/// The non-bench result files (name → bytes): the outputs that must be
-/// byte-identical regardless of tracing and thread count.
+/// Every file under `<dir>/results` (name → bytes): the outputs that
+/// must be byte-identical regardless of tracing and thread count.
 fn result_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir.join("results")).expect("results dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("bench_") {
-            continue; // wall-clock territory
-        }
         out.insert(name, std::fs::read(entry.path()).expect("readable"));
     }
     out
@@ -144,14 +143,47 @@ fn trace_artifacts_are_valid_and_deterministic() {
 
     // --- JSONL log: every line parses, span lines mirror the trace ------
     let jsonl = std::fs::read_to_string(t2.join("trace/trace.jsonl")).expect("jsonl written");
-    let mut span_lines = 0usize;
-    for line in jsonl.lines() {
-        let v: Value = serde_json::from_str(line).expect("jsonl line parses");
-        if str_field(&v, "type") == "span" {
-            span_lines += 1;
-        }
-    }
+    let lines: Vec<Value> = jsonl
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("jsonl line parses"))
+        .collect();
+    let of_type = |kind: &str| -> BTreeMap<&str, &Value> {
+        lines
+            .iter()
+            .filter(|v| str_field(v, "type") == kind)
+            .map(|v| (str_field(v, "name"), v))
+            .collect()
+    };
+    let span_lines = lines
+        .iter()
+        .filter(|v| str_field(v, "type") == "span")
+        .count();
     assert_eq!(span_lines, spans.len(), "jsonl/chrome span count mismatch");
+
+    // --- the log carries the run's timings, keyed and counted -----------
+    let stage_lines = of_type("stage");
+    for stage in STAGES {
+        let secs = stage_lines
+            .get(stage)
+            .and_then(|v| field(v, "seconds").as_f64());
+        assert!(secs.is_some(), "no stage line for {stage}");
+    }
+    let gauges = of_type("gauge");
+    let gauge = |name: &str| gauges.get(name).and_then(|v| field(v, "value").as_f64());
+    assert_eq!(gauge("run.threads"), Some(2.0), "run.threads gauge");
+    assert_eq!(gauge("run.fast"), Some(1.0), "run.fast gauge");
+    let log_counters = of_type("counter");
+    for count in [
+        "lab.world_targets",
+        "lab.world_ctypos",
+        "lab.traffic_emails",
+        "lab.funnel_true_typos",
+    ] {
+        let value = log_counters
+            .get(count)
+            .and_then(|v| field(v, "value").as_u64());
+        assert!(value.unwrap_or(0) > 0, "counter {count} missing or zero");
+    }
 
     // --- deterministic snapshot: byte-identical across thread counts ----
     let snap = |d: &Path| {
@@ -187,35 +219,8 @@ fn trace_artifacts_are_valid_and_deterministic() {
         "benchmark counters leaked into the metrics snapshot: {counter_names:?}"
     );
 
-    // --- one bench report, carrying the workload counts ------------------
-    let bench_files: Vec<String> = std::fs::read_dir(plain.join("results"))
-        .expect("results dir")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|name| name.starts_with("bench_"))
-        .collect();
-    assert_eq!(bench_files, ["bench_pipeline.json"], "bench reports");
-    let bench: Value = serde_json::from_str(
-        &std::fs::read_to_string(plain.join("results/bench_pipeline.json"))
-            .expect("bench report written"),
-    )
-    .expect("bench report is valid JSON");
-    let counts = field(&bench, "counts");
-    for count in [
-        "world_targets",
-        "world_ctypos",
-        "traffic_emails",
-        "funnel_true_typos",
-    ] {
-        assert!(
-            field(counts, count).as_u64().unwrap_or(0) > 0,
-            "count {count} missing or zero"
-        );
-    }
+    // --- results/ holds the 16 result records and nothing else ----------
+    assert_eq!(result_files(&plain).len(), 16, "files in results/");
 
     // --- tracing must not perturb results; no --trace, no artifacts -----
     assert_eq!(
@@ -236,4 +241,41 @@ fn trace_artifacts_are_valid_and_deterministic() {
     for d in [t1, t2, t8, plain] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+#[test]
+fn snapshot_run_writes_no_file_under_out() {
+    let dir = scratch("snapshot");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["snapshot", "--fast", "--snapshot"])
+        .arg(dir.join("w.ets"))
+        .arg("--out")
+        .arg(dir.join("results"))
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "repro snapshot failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("w.ets").is_file(), "snapshot not saved");
+    let names: Vec<String> = result_files(&dir).into_keys().collect();
+    assert!(names.is_empty(), "files under --out: {names:?}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn unwritable_record_fails_the_run() {
+    let dir = scratch("unwritable");
+    // A directory where the record's file should go.
+    std::fs::create_dir_all(dir.join("results/table1.json")).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--fast", "--out"])
+        .arg(dir.join("results"))
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "repro exited 0:\n{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    let _ = std::fs::remove_dir_all(dir);
 }

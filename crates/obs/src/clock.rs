@@ -5,8 +5,8 @@
 //! `results/*.json` is a pure function of `(seed, scale)`. Wall-clock
 //! readings obviously are not, so they are quarantined here: everything
 //! else in `ets-obs` consumes the `u64` microsecond values this module
-//! hands out, and those values only ever flow into trace and bench
-//! artifacts (`trace.json`, `bench_pipeline.json`), never into result
+//! hands out, and those values only ever flow into trace artifacts
+//! (`trace.json`, `trace.jsonl`) and live telemetry, never into result
 //! figures. `ets-lint`'s `nondeterministic-source` rule allowlists
 //! exactly this file — `Instant::now` anywhere else in the workspace,
 //! including elsewhere in `ets-obs`, is a deny-tier finding.

@@ -12,7 +12,7 @@
 //!
 //! Like the gauges in [`crate::metrics`], these values are scheduling
 //! territory: the peak depends on thread interleaving, so it flows into
-//! `bench_*` artifacts only, never into deterministic snapshots.
+//! gauges and the trace log only, never into deterministic snapshots.
 //!
 //! The `mem-gauge` cargo feature (default-on) compiles the accounting;
 //! without it every function is a no-op returning zero.

@@ -10,8 +10,8 @@
 //!   [`snapshot_json`] is asserted byte-identical across thread counts.
 //! * **Gauges and stage timings** may hold wall-clock-derived values
 //!   (emails/sec, seconds per stage). They are excluded from the
-//!   deterministic snapshot and only flow into trace and bench
-//!   artifacts.
+//!   deterministic snapshot and only flow into the JSONL trace log and
+//!   live telemetry.
 //!
 //! Counters and histograms record through the per-thread sharded backend
 //! (`crate::sharded`): the hot path is a thread-local lookup plus one
@@ -47,8 +47,8 @@ impl Histogram {
 #[derive(Debug)]
 struct Inner {
     gauges: BTreeMap<String, f64>,
-    /// `(stage name, wall-clock seconds)` in run order — the
-    /// `bench_pipeline.json` timeline.
+    /// `(stage name, wall-clock seconds)` in run order — the `stage`
+    /// lines of the JSONL trace log.
     stages: Vec<(String, f64)>,
 }
 
@@ -186,8 +186,8 @@ pub fn time_stage<T>(name: &str, f: impl FnOnce() -> T) -> (T, f64) {
 /// Like [`time_stage`], but the stage lands on the timeline only when
 /// `f` returns `Ok` — a failed attempt (e.g. a rejected snapshot load
 /// that falls back to a fresh build) must not masquerade as a completed
-/// pipeline stage in the bench reports. The span and the measured
-/// seconds are produced either way.
+/// pipeline stage in the trace log. The span and the measured seconds
+/// are produced either way.
 pub fn time_stage_result<T, E>(
     name: &str,
     f: impl FnOnce() -> Result<T, E>,
