@@ -18,6 +18,7 @@ use ets_dns::Fqdn;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The 27 provider-typo domains of Figure 5, with their targets.
 pub const PROVIDER_TYPOS: [(&str, &str); 27] = [
@@ -202,6 +203,16 @@ impl CollectionInfra {
         assert_eq!(domains.len(), 76, "the study registered 76 domains");
 
         let registry = Registry::new();
+        // The research group registered every study domain under one
+        // identity.
+        let whois = Arc::new(WhoisRecord::full(
+            "Research Group",
+            "University",
+            "research@university.example",
+            "+1.4120000000",
+            "",
+            "5000 Forbes Ave",
+        ));
         let mut vps_map = HashMap::new();
         let mut collection_days = HashMap::new();
         // The two major gaps visible in Figures 3/4 (infrastructure
@@ -215,14 +226,7 @@ impl CollectionInfra {
                 Registration {
                     domain: fq.clone(),
                     registrar: "study-registrar".to_owned(),
-                    whois: WhoisRecord::full(
-                        "Research Group",
-                        "University",
-                        "research@university.example",
-                        "+1.4120000000",
-                        "",
-                        "5000 Forbes Ave",
-                    ),
+                    whois: Arc::clone(&whois),
                     privacy_proxy: None,
                     nameservers: vec!["ns1.university.example".parse().expect("valid")],
                     created_day: 0,

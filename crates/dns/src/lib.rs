@@ -37,5 +37,5 @@ pub use name::Fqdn;
 pub use record::{RecordData, RecordType, ResourceRecord};
 pub use registry::{Registration, Registry};
 pub use resolver::{MailRoute, MailTarget, Resolver, ZoneSource};
-pub use whois::WhoisRecord;
+pub use whois::{PrivacyProxy, WhoisRecord};
 pub use zone::Zone;

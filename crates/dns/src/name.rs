@@ -4,7 +4,7 @@
 //! models anything DNS can name: single labels, deep subdomains, the root,
 //! and wildcard owners (`*.exampel.com.`) as used in Table 1's zone setup.
 
-use ets_core::DomainName;
+use ets_core::{DomainId, DomainInterner, DomainName};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -196,6 +196,16 @@ impl Fqdn {
         }
     }
 
+    /// The name `names` interned as `id` — one copy straight from the
+    /// interner's arena, where [`Fqdn::from_domain`] of
+    /// [`DomainInterner::domain`] would make two. Interned names are
+    /// [`DomainName`]s, so no re-validation is needed either.
+    pub fn from_interned(names: &DomainInterner, id: DomainId) -> Fqdn {
+        Fqdn {
+            name: Arc::from(names.name(id)),
+        }
+    }
+
     /// Tries to view this name as a registrable two-label domain.
     pub fn to_domain(&self) -> Option<DomainName> {
         DomainName::parse(&self.to_string()).ok()
@@ -362,6 +372,9 @@ mod tests {
         assert!(n("*.x.com").to_domain().is_none());
         assert_eq!(n("smtp.gmail.com").registrable().unwrap(), n("gmail.com"));
         assert!(n("com").registrable().is_none());
+        let mut names = DomainInterner::new();
+        let id = names.intern(&d);
+        assert_eq!(Fqdn::from_interned(&names, id), f);
     }
 
     #[test]

@@ -10,24 +10,24 @@
 
 use crate::name::Fqdn;
 use crate::resolver::ZoneSource;
-use crate::whois::WhoisRecord;
+use crate::whois::{PrivacyProxy, WhoisRecord};
 use crate::zone::Zone;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One domain registration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Registration {
     /// The registered domain.
     pub domain: Fqdn,
     /// Registrar identifier (e.g. `reg-7`).
     pub registrar: String,
-    /// True WHOIS data of the owner (may be partly fake/missing).
-    pub whois: WhoisRecord,
+    /// True WHOIS data of the owner (may be partly fake/missing), shared:
+    /// the registrations of one owner may hold one record.
+    pub whois: Arc<WhoisRecord>,
     /// Privacy proxy service, if the owner hides behind one.
-    pub privacy_proxy: Option<String>,
+    pub privacy_proxy: Option<Arc<PrivacyProxy>>,
     /// Name-server host names serving the domain.
     pub nameservers: Vec<Fqdn>,
     /// Registration day (simulation days since epoch).
@@ -35,12 +35,13 @@ pub struct Registration {
 }
 
 impl Registration {
-    /// The WHOIS record a public query returns: the proxy record when the
-    /// registration is proxied, the owner's record otherwise.
-    pub fn public_whois(&self) -> WhoisRecord {
+    /// The WHOIS record a public query returns: the proxy's record when
+    /// the registration is proxied, the owner's record otherwise. Either
+    /// is shared, so the call costs one refcount increment.
+    pub fn public_whois(&self) -> Arc<WhoisRecord> {
         match &self.privacy_proxy {
-            Some(service) => WhoisRecord::privacy_proxy(service),
-            None => self.whois.clone(),
+            Some(proxy) => Arc::clone(proxy.record()),
+            None => Arc::clone(&self.whois),
         }
     }
 
@@ -166,8 +167,15 @@ mod tests {
         Registration {
             domain: n(domain),
             registrar: "reg-1".to_owned(),
-            whois: WhoisRecord::full("Owner", "Org", "o@x.com", "+1.5550000000", "", "addr"),
-            privacy_proxy: private.then(|| "proxy.example".to_owned()),
+            whois: Arc::new(WhoisRecord::full(
+                "Owner",
+                "Org",
+                "o@x.com",
+                "+1.5550000000",
+                "",
+                "addr",
+            )),
+            privacy_proxy: private.then(|| Arc::new(PrivacyProxy::new("proxy.example"))),
             nameservers: vec![n("ns1.host.example"), n("ns2.host.example")],
             created_day: 100,
         }

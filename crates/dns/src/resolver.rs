@@ -240,7 +240,7 @@ mod tests {
         let reg = |d: &str| Registration {
             domain: n(d),
             registrar: "r".into(),
-            whois: WhoisRecord::default(),
+            whois: WhoisRecord::default().into(),
             privacy_proxy: None,
             nameservers: vec![n("ns1.x.com")],
             created_day: 0,
@@ -339,7 +339,7 @@ mod tests {
             Registration {
                 domain: n("empty.com"),
                 registrar: "r".into(),
-                whois: WhoisRecord::default(),
+                whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],
                 created_day: 0,
@@ -390,7 +390,7 @@ mod tests {
             Registration {
                 domain: n("multi.com"),
                 registrar: "r".into(),
-                whois: WhoisRecord::default(),
+                whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],
                 created_day: 0,
@@ -446,7 +446,7 @@ mod tests {
         Registration {
             domain: domain.clone(),
             registrar: "r".into(),
-            whois: WhoisRecord::default(),
+            whois: WhoisRecord::default().into(),
             privacy_proxy: None,
             nameservers: vec![],
             created_day: 0,

@@ -131,7 +131,7 @@ mod tests {
             Registration {
                 domain: "gmial.com".parse().unwrap(),
                 registrar: "r".into(),
-                whois: WhoisRecord::default(),
+                whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],
                 created_day: 0,

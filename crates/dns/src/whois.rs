@@ -7,6 +7,8 @@
 //! privacy proxy, all of which this model represents.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// The six matchable WHOIS fields; any may be absent.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,6 +99,40 @@ impl WhoisRecord {
     }
 }
 
+/// A privacy-proxy service: its name and the one record it publishes in
+/// place of every customer's. Registrations behind the same service
+/// share one instance, so a public WHOIS query of any of them returns
+/// that record instead of building a copy.
+#[derive(Clone, PartialEq, Eq)]
+pub struct PrivacyProxy {
+    service: String,
+    record: Arc<WhoisRecord>,
+}
+
+impl PrivacyProxy {
+    /// The proxy `service` and the [`WhoisRecord::privacy_proxy`] record
+    /// it publishes.
+    pub fn new(service: &str) -> Self {
+        PrivacyProxy {
+            service: service.to_owned(),
+            record: Arc::new(WhoisRecord::privacy_proxy(service)),
+        }
+    }
+
+    /// The record the service publishes for every customer.
+    pub(crate) fn record(&self) -> &Arc<WhoisRecord> {
+        &self.record
+    }
+}
+
+/// Prints the service name alone, quoted: the record is a function of
+/// it.
+impl fmt::Debug for PrivacyProxy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.service, f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +193,17 @@ mod tests {
         // This is exactly why the paper excludes proxies: every customer of
         // the same proxy would falsely cluster.
         assert!(p1.same_entity(&p2, 4));
+    }
+
+    #[test]
+    fn proxy_publishes_its_record_and_prints_its_name() {
+        let proxy = PrivacyProxy::new("whoisguard.example");
+        assert_eq!(
+            **proxy.record(),
+            WhoisRecord::privacy_proxy("whoisguard.example")
+        );
+        assert_eq!(format!("{proxy:?}"), r#""whoisguard.example""#);
+        assert!(Arc::ptr_eq(proxy.clone().record(), proxy.record()));
     }
 
     #[test]

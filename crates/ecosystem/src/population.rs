@@ -25,7 +25,7 @@ use ets_core::{DomainInterner, DomainName, MistakeKind};
 use ets_dns::record::{RecordData, ResourceRecord};
 use ets_dns::registry::Registration;
 use ets_dns::resolver::{Resolver, ZoneSource};
-use ets_dns::whois::WhoisRecord;
+use ets_dns::whois::{PrivacyProxy, WhoisRecord};
 use ets_dns::zone::Zone;
 use ets_dns::Fqdn;
 use ets_parallel::{derive_rng, domain as stream, par_map, par_map_index};
@@ -564,14 +564,15 @@ impl RegistryView {
     /// The zone-file view used by §5.1's name-server analysis: one
     /// `(domain, nameserver)` row per registration, sorted. Fillers are
     /// walked in rank order, background customers in `(provider,
-    /// customer)` order and ctypos in name order before the sort.
+    /// customer)` order and ctypos in name order before the sort; each
+    /// interned name is copied once, straight from its interner.
     pub fn zone_file(&self) -> Vec<(Fqdn, Fqdn)> {
         let c = &*self.0;
         let mut rows: Vec<(Fqdn, Fqdn)> =
             Vec::with_capacity(c.targets.len() + c.ctypos.len() + 30 * c.ns_providers.len());
         for id in c.targets.ids() {
             let ns = &c.ns_providers[id.index() % c.config.n_ns_providers.max(1)];
-            rows.push((Fqdn::from_domain(&c.targets.domain(id)), ns.clone()));
+            rows.push((Fqdn::from_interned(&c.targets, id), ns.clone()));
         }
         for (pi, ns) in c.ns_providers.iter().enumerate() {
             for j in 0..benign_customers(&c.config, pi) {
@@ -584,12 +585,14 @@ impl RegistryView {
         }
         for (id, row) in c.ctypo_names.ids().zip(&c.ctypos) {
             let ns = &c.ns_providers[row.meta.draw.ns as usize];
-            rows.push((Fqdn::from_domain(&c.ctypo_names.domain(id)), ns.clone()));
+            rows.push((Fqdn::from_interned(&c.ctypo_names, id), ns.clone()));
         }
         // Every name appears once, so ordering by name alone is the
-        // `(domain, nameserver)` order and the unstable sort is
-        // deterministic.
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // `(domain, nameserver)` order. The ctypo block, most of the
+        // rows, arrives sorted but for the few names where byte order
+        // and label order disagree; the stable sort finds such runs and
+        // merges them.
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     }
 }
@@ -608,8 +611,13 @@ struct Columns {
     /// Target names interned in rank order: `id.index()` is the
     /// zero-based rank.
     targets: DomainInterner,
-    /// The registrants whose WHOIS typosquatting registrations reuse.
-    registrants: Vec<Registrant>,
+    /// Each registrant's WHOIS record, index-aligned with
+    /// [`World::registrants`]: an owner's typosquatting registrations
+    /// all share it.
+    owner_whois: Vec<Arc<WhoisRecord>>,
+    /// The privacy proxy every proxied ctypo hides behind: one service
+    /// and the one record it publishes, shared by all of them.
+    proxy: Arc<PrivacyProxy>,
     /// Name-server provider hosts, index-aligned with
     /// [`CtypoDraw::ns`].
     ns_providers: Vec<Fqdn>,
@@ -661,7 +669,11 @@ impl Columns {
         Columns {
             config: config.clone(),
             targets: target_names,
-            registrants: registrants.to_vec(),
+            owner_whois: registrants
+                .iter()
+                .map(|r| Arc::new(r.whois.clone()))
+                .collect(),
+            proxy: Arc::new(PrivacyProxy::new(PROXY_SERVICE)),
             ns_providers: ns_providers.to_vec(),
             mx_hosts: mx_hosts_of(mx_providers),
             ctypo_names: DomainInterner::new(),
@@ -708,14 +720,12 @@ impl Columns {
             Row::Ctypo(i) => {
                 let c = &self.ctypos[i];
                 let target = self.targets.id_at(c.meta.target_rank as usize)?;
-                ctypo_registration(
+                self.ctypo_registration(
                     domain.clone(),
                     self.targets.name(target),
                     c.class,
                     c.owner,
                     &c.meta.draw,
-                    &self.registrants,
-                    &self.ns_providers,
                 )
             }
             Row::Filler(rank) => {
@@ -739,6 +749,57 @@ impl Columns {
                 ))
             }
         }
+    }
+
+    /// The registration half of a ctypo row: registrar, WHOIS, proxy
+    /// and name server are a pure function of the name, the target's
+    /// name, the ground-truth class and owner, and the draws (registrar,
+    /// WHOIS ids and IPs are `owner_hash`-derived). A typosquatting
+    /// registration shares its owner's record, and a proxied one the
+    /// proxy. `None` only for the unregistered class.
+    fn ctypo_registration(
+        &self,
+        domain: Fqdn,
+        target: &str,
+        class: DomainClass,
+        owner: usize,
+        draw: &CtypoDraw,
+    ) -> Option<Registration> {
+        let domain_hash = owner_hash(domain.as_str());
+        let whois = match class {
+            DomainClass::Defensive => Arc::new(synth_whois_masked(
+                2_000_000 + (owner_hash(target) % 100_000) as usize,
+                draw.whois_mask,
+            )),
+            DomainClass::BenignCollision => Arc::new(synth_whois_masked(
+                3_000_000 + (domain_hash % 100_000) as usize,
+                draw.whois_mask,
+            )),
+            DomainClass::Typosquatting => Arc::clone(&self.owner_whois[owner]),
+            DomainClass::Unregistered => return None,
+        };
+        // The ten registrar identities, preformatted: `format!` per
+        // registration showed up in the snapshot-load profile.
+        const REGISTRARS: [&str; 10] = [
+            "registrar-0",
+            "registrar-1",
+            "registrar-2",
+            "registrar-3",
+            "registrar-4",
+            "registrar-5",
+            "registrar-6",
+            "registrar-7",
+            "registrar-8",
+            "registrar-9",
+        ];
+        Some(Registration {
+            domain,
+            registrar: REGISTRARS[(domain_hash % 10) as usize].to_owned(),
+            whois,
+            privacy_proxy: draw.private.then(|| Arc::clone(&self.proxy)),
+            nameservers: vec![self.ns_providers[draw.ns as usize].clone()],
+            created_day: draw.created_day as u32,
+        })
     }
 
     fn zone(&self, row: Row, domain: &Fqdn) -> Option<Zone> {
@@ -769,7 +830,7 @@ impl Columns {
             .map_err(|e| format!("bad ctypo name {:?}: {e}", rec.sld))?;
         match rec.class {
             DomainClass::Unregistered => return Err("unregistered class in snapshot".to_owned()),
-            DomainClass::Typosquatting if rec.owner >= self.registrants.len() => {
+            DomainClass::Typosquatting if rec.owner >= self.owner_whois.len() => {
                 return Err(format!("owner {} out of range", rec.owner));
             }
             _ => {}
@@ -846,7 +907,7 @@ fn legit_registration(domain: Fqdn, whois: WhoisRecord, ns: &Fqdn) -> Registrati
     Registration {
         domain,
         registrar: "registrar-legit".to_owned(),
-        whois,
+        whois: Arc::new(whois),
         privacy_proxy: None,
         nameservers: vec![ns.clone()],
         created_day: 0,
@@ -854,10 +915,10 @@ fn legit_registration(domain: Fqdn, whois: WhoisRecord, ns: &Fqdn) -> Registrati
 }
 
 /// The complete record of every RNG roll one ctypo registration
-/// consumed, in stream order. [`ctypo_registration`] and [`ctypo_zone`]
-/// turn a draw into the actual registration and zone *purely*, which is
-/// what makes the snapshot a faithful stand-in for a fresh build: persist
-/// the draws, re-run the pure part on lookup.
+/// consumed, in stream order. [`Columns::ctypo_registration`] and
+/// [`ctypo_zone`] turn a draw into the actual registration and zone
+/// *purely*, which is what makes the snapshot a faithful stand-in for a
+/// fresh build: persist the draws, re-run the pure part on lookup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CtypoDraw {
     /// WHOIS field-drop bits (see `WHOIS_DROP_*`); unused for
@@ -1206,58 +1267,6 @@ fn draw_ctypo(
     })
 }
 
-/// The registration half of a ctypo row: registrar, WHOIS, proxy and
-/// name server are a pure function of the name, the target's name, the
-/// ground-truth class and owner, and the draws (registrar, WHOIS ids and
-/// IPs are `owner_hash`-derived). `None` only for the unregistered
-/// class.
-fn ctypo_registration(
-    domain: Fqdn,
-    target: &str,
-    class: DomainClass,
-    owner: usize,
-    draw: &CtypoDraw,
-    registrants: &[Registrant],
-    ns_providers: &[Fqdn],
-) -> Option<Registration> {
-    let domain_hash = owner_hash(domain.as_str());
-    let whois: WhoisRecord = match class {
-        DomainClass::Defensive => synth_whois_masked(
-            2_000_000 + (owner_hash(target) % 100_000) as usize,
-            draw.whois_mask,
-        ),
-        DomainClass::BenignCollision => synth_whois_masked(
-            3_000_000 + (domain_hash % 100_000) as usize,
-            draw.whois_mask,
-        ),
-        DomainClass::Typosquatting => registrants[owner].whois.clone(),
-        DomainClass::Unregistered => return None,
-    };
-    let private_svc = draw.private.then(|| "privacy-guard.example".to_owned());
-    // The ten registrar identities, preformatted: `format!` per
-    // registration showed up in the snapshot-load profile.
-    const REGISTRARS: [&str; 10] = [
-        "registrar-0",
-        "registrar-1",
-        "registrar-2",
-        "registrar-3",
-        "registrar-4",
-        "registrar-5",
-        "registrar-6",
-        "registrar-7",
-        "registrar-8",
-        "registrar-9",
-    ];
-    Some(Registration {
-        domain,
-        registrar: REGISTRARS[(domain_hash % 10) as usize].to_owned(),
-        whois,
-        privacy_proxy: private_svc,
-        nameservers: vec![ns_providers[draw.ns as usize].clone()],
-        created_day: draw.created_day as u32,
-    })
-}
-
 /// The zone half of a ctypo row: a pure function of the name and the
 /// draws. `None` for a lame delegation.
 fn ctypo_zone(domain: &Fqdn, draw: &CtypoDraw, mx_hosts: &[Fqdn]) -> Option<Zone> {
@@ -1370,6 +1379,9 @@ fn pick_mx_provider(rng: &mut ChaCha8Rng) -> usize {
 /// MX-provider index used by benign collisions that host mail
 /// (google.com in the Table-6 list).
 const BENIGN_MX_PROVIDER: usize = 8;
+
+/// The privacy-proxy service every proxied registration hides behind.
+const PROXY_SERVICE: &str = "privacy-guard.example";
 
 /// WHOIS field-drop bit: no fax on file.
 const WHOIS_DROP_FAX: u8 = 1;
@@ -1611,6 +1623,48 @@ mod tests {
         assert_eq!(owner.id, squat.owner);
     }
 
+    /// The registry hands out shared WHOIS records: one per typosquatting
+    /// owner and one for the proxy, never a copy per ctypo.
+    #[test]
+    fn registrations_share_their_records() {
+        let w = tiny_world();
+        let mut by_owner: HashMap<usize, Arc<WhoisRecord>> = HashMap::new();
+        let mut proxy_record: Option<Arc<WhoisRecord>> = None;
+        let (mut typosquats, mut proxied) = (0, 0);
+        for c in &w.ctypos {
+            let fq = Fqdn::from_domain(&c.candidate.domain);
+            let reg = w.registry.registration(&fq).expect("ctypo registered");
+            let public = reg.public_whois();
+            assert_eq!(reg.is_private(), c.private, "{fq}");
+            if c.private {
+                proxied += 1;
+                let shared = proxy_record.get_or_insert_with(|| Arc::clone(&public));
+                assert!(Arc::ptr_eq(shared, &public), "{fq}: a copy of the proxy");
+            }
+            if c.class != DomainClass::Typosquatting {
+                continue;
+            }
+            typosquats += 1;
+            let shared = by_owner
+                .entry(c.owner)
+                .or_insert_with(|| Arc::clone(&public));
+            assert!(Arc::ptr_eq(shared, &public), "{fq}: a copy of the owner's");
+            if !c.private {
+                assert_eq!(*public, w.registrants[c.owner].whois, "{fq}");
+            }
+        }
+        assert_eq!(
+            proxy_record.as_deref(),
+            Some(&WhoisRecord::privacy_proxy("privacy-guard.example"))
+        );
+        assert!(proxied > 1, "{proxied} proxied ctypos");
+        assert!(
+            by_owner.len() < typosquats,
+            "{typosquats} typosquats, {} owners",
+            by_owner.len()
+        );
+    }
+
     #[test]
     fn lame_delegations_exist() {
         let w = tiny_world();
@@ -1732,25 +1786,22 @@ mod tests {
     // --- the committed registry: oracle of the derived view ------------
 
     /// A ctypo's registration and zone, materialized through both halves
-    /// of the derivation.
-    fn materialize_ctypo(
-        p: &PendingCtypo,
-        registrants: &[Registrant],
-        ns_providers: &[Fqdn],
-        mx_hosts: &[Fqdn],
-    ) -> (Registration, Option<Zone>) {
+    /// of the derivation over `columns`' registrants and providers.
+    fn materialize_ctypo(p: &PendingCtypo, columns: &Columns) -> (Registration, Option<Zone>) {
         let fq = Fqdn::from_domain(&p.info.candidate.domain);
-        let registration = ctypo_registration(
-            fq.clone(),
-            p.info.candidate.target.as_str(),
-            p.info.class,
-            p.info.owner,
-            &p.meta.draw,
-            registrants,
-            ns_providers,
+        let registration = columns
+            .ctypo_registration(
+                fq.clone(),
+                p.info.candidate.target.as_str(),
+                p.info.class,
+                p.info.owner,
+                &p.meta.draw,
+            )
+            .expect("rolled classes register");
+        (
+            registration,
+            ctypo_zone(&fq, &p.meta.draw, &columns.mx_hosts),
         )
-        .expect("rolled classes register");
-        (registration, ctypo_zone(&fq, &p.meta.draw, mx_hosts))
     }
 
     /// Commits the filler sites (the targets themselves) in rank order,
@@ -1779,7 +1830,7 @@ mod tests {
             let registration = Registration {
                 domain: fq,
                 registrar: "registrar-legit".to_owned(),
-                whois: synth_whois(1_000_000 + rank, &mut rng),
+                whois: Arc::new(synth_whois(1_000_000 + rank, &mut rng)),
                 privacy_proxy: None,
                 nameservers: vec![ns_providers[rank % config.n_ns_providers.max(1)].clone()],
                 created_day: 0,
@@ -1795,7 +1846,7 @@ mod tests {
                 let registration = Registration {
                     domain: name.clone(),
                     registrar: "registrar-legit".to_owned(),
-                    whois: synth_whois(4_000_000 + pi * 1000 + j, &mut rng),
+                    whois: Arc::new(synth_whois(4_000_000 + pi * 1000 + j, &mut rng)),
                     privacy_proxy: None,
                     nameservers: vec![ns.clone()],
                     created_day: 0,
@@ -1814,8 +1865,14 @@ mod tests {
         let targets = alexa::synthetic_targets(config.n_targets);
         let registry = Registry::new();
         let ns_providers = make_ns_providers(config);
-        let mx_hosts = mx_hosts_of(&make_mx_providers());
         let registrants = make_registrants(config);
+        let columns = Columns::new(
+            config,
+            &targets,
+            &registrants,
+            &ns_providers,
+            &make_mx_providers(),
+        );
         register_background(config, &registry, &targets, &ns_providers);
         let appetite: Vec<f64> = (0..config.n_registrants)
             .map(|i| 1.0 / ((i + 1) as f64).powf(0.7))
@@ -1832,8 +1889,7 @@ mod tests {
                 break;
             }
             for p in roll.target(rank0, target) {
-                let (registration, zone) =
-                    materialize_ctypo(&p, &registrants, &ns_providers, &mx_hosts);
+                let (registration, zone) = materialize_ctypo(&p, &columns);
                 if !registry.register(registration, zone) {
                     rejected += 1;
                 }

@@ -17,6 +17,7 @@ use ets_dns::Fqdn;
 use ets_parallel::par_map;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The paper's threshold: four of six fields.
 pub const MATCH_THRESHOLD: usize = 4;
@@ -26,8 +27,9 @@ pub const MATCH_THRESHOLD: usize = 4;
 pub struct WhoisRow {
     /// The domain.
     pub domain: Fqdn,
-    /// Public WHOIS record.
-    pub whois: WhoisRecord,
+    /// Public WHOIS record, as [`ets_dns::Registration::public_whois`]
+    /// shares it: rows of one owner may hold the same record.
+    pub whois: Arc<WhoisRecord>,
     /// Whether the registration sits behind a privacy proxy.
     pub private: bool,
 }
@@ -102,9 +104,11 @@ impl UnionFind {
 /// Clusters rows by the 4-of-6 rule, excluding proxies and sparse records.
 /// Returns clusters sorted by size, largest first.
 ///
-/// Each eligible row is normalized once (trimmed, ASCII-lowercased),
-/// and every field value becomes a dense per-field id, so a row's
-/// signature is six integers. Rows with an identical signature
+/// Each distinct eligible record is normalized once (trimmed,
+/// ASCII-lowercased), and every field value becomes a dense per-field
+/// id, so a row's signature is six integers. Rows that share one record
+/// (the same `Arc`) reuse its signature, which normalizing the record
+/// again would only reproduce. Rows with an identical signature
 /// necessarily match — eligibility guarantees ≥ 4 populated fields — so
 /// they are unioned into the first row carrying that signature before
 /// any comparison. The distinct signatures are then bucketed by each
@@ -128,9 +132,19 @@ pub fn cluster_registrants(rows: &[WhoisRow]) -> Vec<Cluster> {
     ets_obs::metrics::counter_add("whois.eligible", eligible.len() as u64);
     let mut uf = UnionFind::new(eligible.len());
 
-    // Normalize once; collapse identical signatures into their first row.
+    // Normalize each shared record once, in row order, so every id is
+    // assigned where a per-row pass would assign it; collapse identical
+    // signatures into their first row.
     let mut ids = FieldIds::default();
-    let signatures: Vec<Signature> = eligible.iter().map(|r| ids.signature(&r.whois)).collect();
+    let mut memo: HashMap<*const WhoisRecord, Signature> = HashMap::new();
+    let signatures: Vec<Signature> = eligible
+        .iter()
+        .map(|r| {
+            *memo
+                .entry(Arc::as_ptr(&r.whois))
+                .or_insert_with(|| ids.signature(&r.whois))
+        })
+        .collect();
     let mut first: HashMap<Signature, usize> = HashMap::new();
     let mut reps: Vec<usize> = Vec::new();
     for (i, sig) in signatures.iter().enumerate() {
@@ -305,7 +319,7 @@ mod tests {
     fn row(domain: &str, whois: WhoisRecord, private: bool) -> WhoisRow {
         WhoisRow {
             domain: n(domain),
-            whois,
+            whois: Arc::new(whois),
             private,
         }
     }
@@ -498,24 +512,35 @@ mod tests {
 
     /// One row per code: three bits per field pick from [`POOL`], one in
     /// eight rows is private, and one in four repeats an earlier row's
-    /// record under its own domain.
+    /// record under its own domain — half of those as the same shared
+    /// record, as `public_whois` hands out an owner's, and half as an
+    /// equal record in a fresh `Arc`, so the signature memo sees both.
     fn pool_rows(codes: &[u32]) -> Vec<WhoisRow> {
         let mut rows: Vec<WhoisRow> = Vec::new();
         for (i, &code) in codes.iter().enumerate() {
             let pick = |fi: u32| POOL[(code >> (3 * fi)) as usize & 7].map(str::to_owned);
             let whois = if (code >> 30) == 0 && i > 0 {
-                rows[(code >> 21) as usize % i].whois.clone()
+                let earlier = &rows[(code >> 21) as usize % i].whois;
+                if (code >> 29) & 1 == 0 {
+                    Arc::clone(earlier)
+                } else {
+                    Arc::new(WhoisRecord::clone(earlier))
+                }
             } else {
-                WhoisRecord {
+                Arc::new(WhoisRecord {
                     registrant_name: pick(0),
                     organization: pick(1),
                     email: pick(2),
                     phone: pick(3),
                     fax: pick(4),
                     mail_address: pick(5),
-                }
+                })
             };
-            rows.push(row(&format!("d{i}.com"), whois, (code >> 18) & 7 == 0));
+            rows.push(WhoisRow {
+                domain: n(&format!("d{i}.com")),
+                whois,
+                private: (code >> 18) & 7 == 0,
+            });
         }
         rows
     }

@@ -231,15 +231,16 @@ impl Lab {
         })
     }
 
-    /// Writes one experiment's JSON record. A record that cannot be
-    /// written is logged and remembered (see [`Lab::write_failed`]); the
-    /// run goes on to write the others.
+    /// Writes one experiment's JSON record, creating the output
+    /// directory first if it is missing, so a run that writes no record
+    /// (`repro snapshot`) leaves none behind. A record that cannot be
+    /// written, or whose directory cannot be created, is logged and
+    /// remembered (see [`Lab::write_failed`]); the run goes on to write
+    /// the others.
     pub fn write_json(&self, name: &str, value: &serde_json::Value) {
         let path = format!("{}/{name}.json", self.out_dir);
-        match std::fs::write(
-            &path,
-            serde_json::to_string_pretty(value).expect("serializable"),
-        ) {
+        let json = serde_json::to_string_pretty(value).expect("serializable");
+        match std::fs::create_dir_all(&self.out_dir).and_then(|()| std::fs::write(&path, json)) {
             Ok(()) => eprintln!("[lab] wrote {path}"),
             Err(e) => {
                 eprintln!("[lab] cannot write {path}: {e}");

@@ -32,7 +32,8 @@
 //!
 //! * `--seed N` — base RNG seed (default 20160604).
 //! * `--out DIR` — output directory for JSON records (default `results/`,
-//!   created if missing).
+//!   created when the first record is written, so `snapshot`, which
+//!   writes none, leaves none behind).
 //! * `--fast` — reduced-scale mode for quick runs.
 //! * `--scale N` — world scale: number of popularity targets. Accepts the
 //!   presets `1k`, `100k`, `1m` or any integer; overrides `--fast` for
@@ -60,7 +61,8 @@
 //!
 //! Each experiment prints the paper-shaped rows and writes a JSON record
 //! under `--out` (default `results/`), which holds result records only;
-//! a record that cannot be written fails the run. The collection run
+//! a record that cannot be written, or an output directory that cannot
+//! be created, fails the run. The collection run
 //! always streams: traffic is generated, feature-extracted and
 //! classified day by day under bounded channels (`ets_collector::stream`).
 //! The run's timings live in the `--trace` JSONL log (`stage` lines, the
@@ -134,10 +136,6 @@ fn main() -> ExitCode {
     let Some(experiment) = experiment else {
         return usage("no experiment given");
     };
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {out_dir}: {e}");
-        return ExitCode::FAILURE;
-    }
     if trace_path.is_some() {
         // ETS_TRACE filters the recorded spans; absent means everything.
         // ETS_TRACE=off disables span recording (the metrics snapshot is
@@ -258,7 +256,7 @@ fn usage(err: &str) -> ExitCode {
     );
     eprintln!("  --seed N      base RNG seed (default 20160604)");
     eprintln!(
-        "  --out DIR     output directory for JSON records (default results/, created if missing)"
+        "  --out DIR     output directory for JSON records (default results/, created with the first record)"
     );
     eprintln!("  --fast        reduced-scale mode for quick runs");
     eprintln!("  --scale N     world scale in targets (1k, 100k, 1m, or any integer); overrides --fast for the world");

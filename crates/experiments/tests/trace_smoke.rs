@@ -246,6 +246,7 @@ fn trace_artifacts_are_valid_and_deterministic() {
 #[test]
 fn snapshot_run_writes_no_file_under_out() {
     let dir = scratch("snapshot");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["snapshot", "--fast", "--snapshot"])
         .arg(dir.join("w.ets"))
@@ -259,8 +260,27 @@ fn snapshot_run_writes_no_file_under_out() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(dir.join("w.ets").is_file(), "snapshot not saved");
-    let names: Vec<String> = result_files(&dir).into_keys().collect();
-    assert!(names.is_empty(), "files under --out: {names:?}");
+    assert!(
+        !dir.join("results").exists(),
+        "a run that writes no record created --out"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn uncreatable_out_fails_the_run() {
+    let dir = scratch("uncreatable");
+    // A regular file where the output directory's parent should be.
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join("file"), b"").expect("scratch file");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--fast", "--out"])
+        .arg(dir.join("file/results"))
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "repro exited 0:\n{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

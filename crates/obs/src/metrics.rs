@@ -83,19 +83,6 @@ pub fn counters() -> Vec<(String, u64)> {
     sharded::merged_counters().into_iter().collect()
 }
 
-/// Counters with the given dotted prefix, with `prefix.` stripped,
-/// sorted by name.
-pub fn counters_with_prefix(prefix: &str) -> Vec<(String, u64)> {
-    sharded::merged_counters()
-        .iter()
-        .filter_map(|(k, v)| {
-            k.strip_prefix(prefix)
-                .and_then(|rest| rest.strip_prefix('.'))
-                .map(|rest| (rest.to_owned(), *v))
-        })
-        .collect()
-}
-
 /// Sets the named gauge (last write wins). Gauges may carry wall-clock
 /// derived values and are excluded from the deterministic snapshot. An
 /// existing gauge is updated in place, so only the first set of a name
@@ -265,23 +252,6 @@ mod tests {
             counter_add("t.a", 3);
             assert_eq!(counter_value("t.a"), 5);
             assert_eq!(counter_value("t.untouched"), 0);
-        });
-    }
-
-    #[test]
-    fn prefix_query_strips_prefix() {
-        locked(|| {
-            counter_add("lab.world_targets", 10);
-            counter_add("lab.traffic_emails", 20);
-            counter_add("other.x", 1);
-            let got = counters_with_prefix("lab");
-            assert_eq!(
-                got,
-                vec![
-                    ("traffic_emails".to_owned(), 20),
-                    ("world_targets".to_owned(), 10)
-                ]
-            );
         });
     }
 
