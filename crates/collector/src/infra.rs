@@ -225,7 +225,7 @@ impl CollectionInfra {
             registry.register(
                 Registration {
                     domain: fq.clone(),
-                    registrar: "study-registrar".to_owned(),
+                    registrar: "study-registrar",
                     whois: Arc::clone(&whois),
                     privacy_proxy: None,
                     nameservers: vec!["ns1.university.example".parse().expect("valid")],

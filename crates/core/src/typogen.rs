@@ -207,6 +207,17 @@ impl TypoTable {
     }
 }
 
+/// The domain name of variant label `sld` of `target`: the label under
+/// the target's TLD (one allocation, no re-parse).
+fn variant_domain(target: &DomainName, sld: &str) -> DomainName {
+    let tld = target.tld();
+    let mut name = String::with_capacity(sld.len() + 1 + tld.len());
+    name.push_str(sld);
+    name.push('.');
+    name.push_str(tld);
+    DomainName::from_validated_parts(name, sld.len())
+}
+
 /// Builds the owned [`TypoCandidate`] for variant label `sld` of `target`
 /// (one name allocation, no re-parse).
 fn materialize(
@@ -217,13 +228,8 @@ fn materialize(
     fat_finger: bool,
     visual: f64,
 ) -> TypoCandidate {
-    let tld = target.tld();
-    let mut name = String::with_capacity(sld.len() + 1 + tld.len());
-    name.push_str(sld);
-    name.push('.');
-    name.push_str(tld);
     TypoCandidate {
-        domain: DomainName::from_validated_parts(name, sld.len()),
+        domain: variant_domain(target, sld),
         target: target.clone(),
         kind,
         position,
@@ -285,6 +291,12 @@ impl Dl1Variant<'_> {
     /// regression feature).
     pub fn visual_normalized(&mut self) -> f64 {
         self.visual() / self.target_sld.len() as f64
+    }
+
+    /// The variant's own domain name, without the copy of the target
+    /// that [`Dl1Variant::candidate`] makes (one allocation, no re-parse).
+    pub fn domain(&self) -> DomainName {
+        variant_domain(self.target, self.sld())
     }
 
     /// Materializes the variant as an owned [`TypoCandidate`], scoring it

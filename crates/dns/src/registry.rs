@@ -21,8 +21,8 @@ use std::sync::Arc;
 pub struct Registration {
     /// The registered domain.
     pub domain: Fqdn,
-    /// Registrar identifier (e.g. `reg-7`).
-    pub registrar: String,
+    /// Registrar identifier (e.g. `reg-7`), one of a fixed set of names.
+    pub registrar: &'static str,
     /// True WHOIS data of the owner (may be partly fake/missing), shared:
     /// the registrations of one owner may hold one record.
     pub whois: Arc<WhoisRecord>,
@@ -166,7 +166,7 @@ mod tests {
     fn reg(domain: &str, private: bool) -> Registration {
         Registration {
             domain: n(domain),
-            registrar: "reg-1".to_owned(),
+            registrar: "reg-1",
             whois: Arc::new(WhoisRecord::full(
                 "Owner",
                 "Org",

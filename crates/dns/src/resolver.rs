@@ -239,7 +239,7 @@ mod tests {
         let registry = Registry::new();
         let reg = |d: &str| Registration {
             domain: n(d),
-            registrar: "r".into(),
+            registrar: "r",
             whois: WhoisRecord::default().into(),
             privacy_proxy: None,
             nameservers: vec![n("ns1.x.com")],
@@ -338,7 +338,7 @@ mod tests {
         registry.register(
             Registration {
                 domain: n("empty.com"),
-                registrar: "r".into(),
+                registrar: "r",
                 whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],
@@ -389,7 +389,7 @@ mod tests {
         registry.register(
             Registration {
                 domain: n("multi.com"),
-                registrar: "r".into(),
+                registrar: "r",
                 whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],
@@ -445,7 +445,7 @@ mod tests {
     fn registration(domain: &Fqdn) -> Registration {
         Registration {
             domain: domain.clone(),
-            registrar: "r".into(),
+            registrar: "r",
             whois: WhoisRecord::default().into(),
             privacy_proxy: None,
             nameservers: vec![],

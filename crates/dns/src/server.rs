@@ -130,7 +130,7 @@ mod tests {
         registry.register(
             Registration {
                 domain: "gmial.com".parse().unwrap(),
-                registrar: "r".into(),
+                registrar: "r",
                 whois: WhoisRecord::default().into(),
                 privacy_proxy: None,
                 nameservers: vec![],

@@ -31,7 +31,8 @@ use ets_dns::Fqdn;
 use ets_parallel::{derive_rng, domain as stream, par_map, par_map_index};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -72,7 +73,8 @@ pub enum SmtpProfile {
 }
 
 /// One registered candidate typo domain, with ground truth the analyses
-/// must *recover*, never read directly.
+/// must *recover*, never read directly. [`World::ctypos`] derives one on
+/// access from the registry's columns.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CtypoInfo {
     /// The generated candidate (domain, target, mistake metadata).
@@ -212,8 +214,9 @@ pub struct World {
     pub registry: RegistryView,
     /// The target domains, most popular first.
     pub targets: Vec<DomainName>,
-    /// All registered candidate typo domains, sorted by name.
-    pub ctypos: Vec<CtypoInfo>,
+    /// All registered candidate typo domains, sorted by name: a view
+    /// over the registry's columns.
+    pub ctypos: Ctypos,
     /// The registrant population (ground truth).
     pub registrants: Vec<Registrant>,
     /// Name-server provider host names (`ns1.<provider>`), index-aligned
@@ -291,7 +294,7 @@ impl World {
         let registrants = make_registrants(&config);
         drop(registrant_span);
 
-        let columns = Columns::new(
+        let mut columns = Columns::new(
             &config,
             &targets,
             &registrants,
@@ -325,7 +328,7 @@ impl World {
         // payload to roughly one band. Between bands, winners whose name
         // a filler or background customer holds are dropped.
         let pending_span = ets_obs::span!("world.ctypo_pending", ets_obs::Level::Debug);
-        let mut pairs: Vec<(CtypoInfo, CtypoMeta)> = Vec::new();
+        let mut winners: Vec<PendingCtypo> = Vec::new();
         let mut pending_total: u64 = 0;
         let mut band = initial_band.clamp(MIN_BAND_TARGETS, MAX_BAND_TARGETS);
         let mut start = 0;
@@ -351,11 +354,10 @@ impl World {
             ets_obs::mem::add(band_bytes);
             for batch in pending {
                 pending_total += batch.len() as u64;
-                pairs.extend(
+                winners.extend(
                     batch
                         .into_iter()
-                        .filter(|p| columns.row(p.info.candidate.domain.as_str()).is_none())
-                        .map(|p| (p.info, p.meta)),
+                        .filter(|p| columns.row(p.name.as_str()).is_none()),
                 );
             }
             ets_obs::mem::sub(band_bytes);
@@ -374,25 +376,26 @@ impl World {
         ets_obs::metrics::counter_add("world.ctypo_pending", pending_total);
         drop(pending_span);
         let commit_span = ets_obs::span!("world.commit", ets_obs::Level::Debug);
-        // Sort a permutation, not the rows: `sort_by` is stable, so equal
-        // names stay in canonical (rank, generation) order and the dedup
-        // keeps the earliest winner; then each kept row moves once.
-        let name = |i: u32| &pairs[i as usize].0.candidate.domain;
-        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+        // Sort a permutation, not the winners: `sort_by` is stable, so
+        // equal names stay in canonical (rank, generation) order and the
+        // dedup keeps the earliest winner; then each kept name is interned
+        // and its row copied, in name order.
+        let name = |i: u32| &winners[i as usize].name;
+        let mut order: Vec<u32> = (0..winners.len() as u32).collect();
         order.sort_by(|&a, &b| name(a).cmp(name(b)));
         order.dedup_by(|later, earlier| name(*later) == name(*earlier));
-        let mut slots: Vec<Option<(CtypoInfo, CtypoMeta)>> = pairs.into_iter().map(Some).collect();
-        let kept = order.len();
-        let mut sorted = (Vec::with_capacity(kept), Vec::with_capacity(kept));
-        sorted.extend(order.iter().filter_map(|&i| slots[i as usize].take()));
-        let (ctypos, ctypo_meta): (Vec<CtypoInfo>, Vec<CtypoMeta>) = sorted;
+        columns.reserve_ctypos(order.len());
+        for &i in &order {
+            let winner = &winners[i as usize];
+            columns.push_ctypo(&winner.name, winner.row);
+        }
+        drop(order);
+        drop(winners);
         drop(commit_span);
         Self::finish(
             config,
             columns,
             targets,
-            ctypos,
-            ctypo_meta,
             registrants,
             ns_providers,
             mx_providers,
@@ -403,9 +406,9 @@ impl World {
     /// (targets, registrants, filler and background rows, NS customer
     /// bases) is recomputed from `config`'s RNG streams exactly as a
     /// fresh build would, and the records are decoded straight into the
-    /// ctypo columns — no registration roll is ever re-drawn, which is
-    /// why the result is byte-identical to the build that produced the
-    /// snapshot.
+    /// ctypo columns (a row each, the names interned) — no registration
+    /// roll is ever re-drawn, which is why the result is byte-identical
+    /// to the build that produced the snapshot.
     /// Records arrive in the world's sorted ctypo order. Any
     /// inconsistency (out-of-range index, unparsable name, unregistered
     /// class, unsorted or duplicated records, a name a filler or
@@ -422,7 +425,7 @@ impl World {
         let ns_providers = make_ns_providers(&config);
         let mx_providers = make_mx_providers();
         let registrants = make_registrants(&config);
-        let columns = Columns::new(
+        let mut columns = Columns::new(
             &config,
             &targets,
             &registrants,
@@ -432,24 +435,18 @@ impl World {
 
         let decoded = par_map(&records, |_, rec| columns.decode(rec));
         drop(records);
-        let mut ctypos: Vec<CtypoInfo> = Vec::with_capacity(decoded.len());
-        let mut ctypo_meta: Vec<CtypoMeta> = Vec::with_capacity(decoded.len());
+        columns.reserve_ctypos(decoded.len());
         for row in decoded {
-            let (info, meta) = row?;
-            if let Some(prev) = ctypos.last() {
-                if prev.candidate.domain >= info.candidate.domain {
-                    return Err("snapshot records not in sorted order".to_owned());
-                }
+            let (name, row) = row?;
+            if columns.last_ctypo_name() >= Some(name.as_str()) {
+                return Err("snapshot records not in sorted order".to_owned());
             }
-            ctypos.push(info);
-            ctypo_meta.push(meta);
+            columns.push_ctypo(&name, row);
         }
         Ok(Self::finish(
             config,
             columns,
             targets,
-            ctypos,
-            ctypo_meta,
             registrants,
             ns_providers,
             mx_providers,
@@ -457,22 +454,18 @@ impl World {
     }
 
     /// The shared tail of a fresh build and a snapshot rebuild: the
-    /// `world.ctypos` counter, the registry view over the ctypo columns,
-    /// and the NS customer bases. `ctypos` must already be in sorted
-    /// order, with unique names.
-    #[allow(clippy::too_many_arguments)]
+    /// `world.ctypos` counter, the views over the columns, whose ctypos
+    /// are already sorted and unique, and the NS customer bases.
     fn finish(
         config: PopulationConfig,
-        mut columns: Columns,
+        columns: Columns,
         targets: Vec<DomainName>,
-        ctypos: Vec<CtypoInfo>,
-        ctypo_meta: Vec<CtypoMeta>,
         registrants: Vec<Registrant>,
         ns_providers: Vec<Fqdn>,
         mx_providers: Vec<Fqdn>,
     ) -> World {
-        ets_obs::metrics::counter_add("world.ctypos", ctypos.len() as u64);
-        columns.set_ctypos(&ctypos, ctypo_meta);
+        let n_ctypos = columns.ctypos.len();
+        ets_obs::metrics::counter_add("world.ctypos", n_ctypos as u64);
         let ns_customer_base: Vec<(Fqdn, usize)> = ns_providers
             .iter()
             .enumerate()
@@ -484,16 +477,17 @@ impl World {
                 let base = if pi < config.n_cesspool_ns {
                     rng.gen_range(100..400)
                 } else {
-                    let per_provider = (ctypos.len() / config.n_ns_providers.max(1)).max(50);
+                    let per_provider = (n_ctypos / config.n_ns_providers.max(1)).max(50);
                     rng.gen_range(per_provider * 10..per_provider * 40)
                 };
                 (ns.clone(), base)
             })
             .collect();
+        let columns = Arc::new(columns);
         World {
-            registry: RegistryView(Arc::new(columns)),
+            registry: RegistryView(Arc::clone(&columns)),
             targets,
-            ctypos,
+            ctypos: Ctypos(columns),
             registrants,
             ns_providers,
             mx_providers,
@@ -507,29 +501,30 @@ impl World {
         Resolver::new(self.registry.clone())
     }
 
-    /// Ctypos that are true typosquatting domains (ground truth).
-    pub fn true_typosquats(&self) -> impl Iterator<Item = &CtypoInfo> {
-        self.ctypos
-            .iter()
-            .filter(|c| c.class == DomainClass::Typosquatting)
+    /// Ctypos that are true typosquatting domains (ground truth),
+    /// derived only for the rows of that class.
+    pub fn true_typosquats(&self) -> impl Iterator<Item = CtypoInfo> + '_ {
+        let c = &*self.ctypos.0;
+        (0..c.ctypos.len())
+            .filter(|&i| c.ctypos[i].class == DomainClass::Typosquatting)
+            .filter_map(|i| c.ctypo_info(i))
     }
 
     /// The SMTP behaviour profile of a domain, if it is a known ctypo.
     pub fn smtp_profile(&self, domain: &DomainName) -> Option<SmtpProfile> {
-        let id = self.registry.0.ctypo_names.lookup(domain.as_str())?;
-        Some(self.ctypos[id.index()].smtp)
+        Some(self.ctypo_row(domain)?.meta.draw.smtp)
     }
 
     /// The registrant who owns a ctypo (ground truth), if any.
     pub fn owner_of(&self, domain: &DomainName) -> Option<&Registrant> {
-        let id = self.registry.0.ctypo_names.lookup(domain.as_str())?;
-        self.registrants.get(self.ctypos[id.index()].owner)
+        self.registrants
+            .get(widen_owner(self.ctypo_row(domain)?.owner))
     }
 
-    /// Per-ctypo registration draws, index-aligned with `ctypos`:
-    /// together with `ctypos`, everything the snapshot persists.
-    pub(crate) fn ctypo_meta(&self) -> impl Iterator<Item = &CtypoMeta> {
-        self.registry.0.ctypos.iter().map(|row| &row.meta)
+    /// The row of ctypo `domain`, if it is one.
+    fn ctypo_row(&self, domain: &DomainName) -> Option<&CtypoRow> {
+        let id = self.ctypos.names().lookup(domain.as_str())?;
+        self.ctypos.rows().get(id.index())
     }
 }
 
@@ -603,6 +598,86 @@ impl ZoneSource for RegistryView {
     }
 }
 
+/// The world's registered ctypos, sorted by name, as a read-only view.
+/// Nothing is stored per ctypo beyond the registry's columns — one
+/// interned name and one row each — so [`Ctypos::iter`] derives every
+/// [`CtypoInfo`] on access, its name and its target's name copied out
+/// of the interners. It shares the registry view's `Arc`; it serializes
+/// and prints as the list of derived rows.
+#[derive(Clone)]
+pub struct Ctypos(Arc<Columns>);
+
+impl Ctypos {
+    /// Number of ctypos.
+    pub fn len(&self) -> usize {
+        self.0.ctypos.len()
+    }
+
+    /// Whether the world has no ctypos.
+    pub fn is_empty(&self) -> bool {
+        self.0.ctypos.is_empty()
+    }
+
+    /// Every ctypo, derived in name order.
+    pub fn iter(&self) -> CtypoIter<'_> {
+        CtypoIter {
+            columns: &self.0,
+            next: 0..self.0.ctypos.len(),
+        }
+    }
+
+    /// The ctypo names, interned in sorted order: `id.index()` is the
+    /// position in [`Ctypos::rows`].
+    pub(crate) fn names(&self) -> &DomainInterner {
+        &self.0.ctypo_names
+    }
+
+    /// Per-ctypo columns, id-aligned with [`Ctypos::names`]: with the
+    /// names, everything the snapshot persists.
+    pub(crate) fn rows(&self) -> &[CtypoRow] {
+        &self.0.ctypos
+    }
+}
+
+impl<'a> IntoIterator for &'a Ctypos {
+    type Item = CtypoInfo;
+    type IntoIter = CtypoIter<'a>;
+
+    fn into_iter(self) -> CtypoIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Ctypos {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl Serialize for Ctypos {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(|c| c.to_value()).collect())
+    }
+}
+
+/// Iterator over [`Ctypos`], deriving one [`CtypoInfo`] per step.
+pub struct CtypoIter<'a> {
+    columns: &'a Columns,
+    next: std::ops::Range<usize>,
+}
+
+impl Iterator for CtypoIter<'_> {
+    type Item = CtypoInfo;
+
+    fn next(&mut self) -> Option<CtypoInfo> {
+        self.columns.ctypo_info(self.next.next()?)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.next.size_hint()
+    }
+}
+
 /// What [`RegistryView`] derives its rows from: the config, the names,
 /// and the per-ctypo columns.
 #[derive(Debug)]
@@ -630,15 +705,51 @@ struct Columns {
     ctypos: Vec<CtypoRow>,
 }
 
-/// What one ctypo's registration and zone derive from besides its name.
-/// With [`World::ctypos`], these rows are the world's entire
-/// non-derivable state — exactly what the snapshot persists (everything
-/// else is a pure function of the config).
+/// Everything one ctypo holds besides its name: the candidate's
+/// generation columns, the ground truth, and the draws its registration
+/// and zone derive from. With the interned names, these rows are the
+/// world's entire non-derivable state — exactly what the snapshot
+/// persists (everything else is a pure function of the config).
 #[derive(Debug, Clone, Copy)]
-struct CtypoRow {
-    class: DomainClass,
-    owner: usize,
-    meta: CtypoMeta,
+pub(crate) struct CtypoRow {
+    /// Ground-truth class.
+    pub(crate) class: DomainClass,
+    /// Ground-truth owner, narrowed (see [`narrow_owner`]).
+    pub(crate) owner: u32,
+    /// Mistake kind of the candidate.
+    pub(crate) kind: MistakeKind,
+    /// Mistake position within the SLD.
+    pub(crate) position: u32,
+    /// Fat-finger adjacency flag.
+    pub(crate) fat_finger: bool,
+    /// Unnormalized visual distance (bit-exact).
+    pub(crate) visual: f64,
+    /// The target rank and the registration's draws.
+    pub(crate) meta: CtypoMeta,
+}
+
+/// Narrows a ground-truth owner to a row's `u32`: registrant ids are
+/// far below the top of the range, where the defensive and benign
+/// sentinels (`usize::MAX` and `usize::MAX - 1`) keep the top two values.
+fn narrow_owner(owner: usize) -> u32 {
+    if owner == usize::MAX {
+        u32::MAX
+    } else if owner == usize::MAX - 1 {
+        u32::MAX - 1
+    } else {
+        owner as u32
+    }
+}
+
+/// The ground-truth owner a row's `u32` stands for.
+fn widen_owner(v: u32) -> usize {
+    if v == u32::MAX {
+        usize::MAX
+    } else if v == u32::MAX - 1 {
+        usize::MAX - 1
+    } else {
+        v as usize
+    }
 }
 
 /// The row a registered name belongs to.
@@ -681,22 +792,45 @@ impl Columns {
         }
     }
 
-    /// Adds the ctypo columns; `ctypos` is sorted, with unique names.
-    fn set_ctypos(&mut self, ctypos: &[CtypoInfo], meta: Vec<CtypoMeta>) {
-        let mut names = DomainInterner::with_capacity(ctypos.len(), 16);
-        for c in ctypos {
-            names.intern(&c.candidate.domain);
-        }
-        self.ctypo_names = names;
-        self.ctypos = ctypos
-            .iter()
-            .zip(meta)
-            .map(|(c, meta)| CtypoRow {
-                class: c.class,
-                owner: c.owner,
-                meta,
-            })
-            .collect();
+    /// Makes room for `n` ctypos in columns that hold none yet.
+    fn reserve_ctypos(&mut self, n: usize) {
+        self.ctypo_names = DomainInterner::with_capacity(n, 16);
+        self.ctypos.reserve_exact(n);
+    }
+
+    /// Appends one ctypo. Names must arrive sorted and unique: a name's
+    /// id is its row's position.
+    fn push_ctypo(&mut self, name: &DomainName, row: CtypoRow) {
+        self.ctypo_names.intern(name);
+        self.ctypos.push(row);
+    }
+
+    /// The name of the last ctypo appended, if any.
+    fn last_ctypo_name(&self) -> Option<&str> {
+        let last = self.ctypo_names.len().checked_sub(1)?;
+        Some(self.ctypo_names.name(self.ctypo_names.id_at(last)?))
+    }
+
+    /// The ground truth of ctypo `i`, derived from its name and row;
+    /// `None` past the last ctypo.
+    fn ctypo_info(&self, i: usize) -> Option<CtypoInfo> {
+        let row = self.ctypos.get(i)?;
+        let target = self.targets.id_at(row.meta.target_rank as usize)?;
+        Some(CtypoInfo {
+            candidate: TypoCandidate {
+                domain: self.ctypo_names.domain(self.ctypo_names.id_at(i)?),
+                target: self.targets.domain(target),
+                kind: row.kind,
+                position: row.position as usize,
+                fat_finger: row.fat_finger,
+                visual: row.visual,
+            },
+            owner: widen_owner(row.owner),
+            class: row.class,
+            private: row.meta.draw.private,
+            smtp: row.meta.draw.smtp,
+            has_zone: row.meta.draw.has_zone,
+        })
     }
 
     /// The row holding `name`, if any. The build and the reload keep
@@ -724,7 +858,7 @@ impl Columns {
                     domain.clone(),
                     self.targets.name(target),
                     c.class,
-                    c.owner,
+                    widen_owner(c.owner),
                     &c.meta.draw,
                 )
             }
@@ -794,7 +928,7 @@ impl Columns {
         ];
         Some(Registration {
             domain,
-            registrar: REGISTRARS[(domain_hash % 10) as usize].to_owned(),
+            registrar: REGISTRARS[(domain_hash % 10) as usize],
             whois,
             privacy_proxy: draw.private.then(|| Arc::clone(&self.proxy)),
             nameservers: vec![self.ns_providers[draw.ns as usize].clone()],
@@ -818,27 +952,29 @@ impl Columns {
         }
     }
 
-    /// Decodes one snapshot record into the ctypo columns, checking
+    /// Decodes one snapshot record into its name and row, checking
     /// every index against the world it claims to belong to.
-    fn decode(&self, rec: &CtypoRecord) -> Result<(CtypoInfo, CtypoMeta), String> {
-        let rank = rec.target_rank as usize;
+    fn decode(&self, rec: &CtypoRecord) -> Result<(DomainName, CtypoRow), String> {
+        let row = rec.row;
+        let rank = row.meta.target_rank as usize;
         let target = self
             .targets
             .id_at(rank)
             .ok_or_else(|| format!("target rank {rank} out of range"))?;
         let domain = DomainName::from_sld_tld(&rec.sld, self.targets.tld(target))
             .map_err(|e| format!("bad ctypo name {:?}: {e}", rec.sld))?;
-        match rec.class {
+        match row.class {
             DomainClass::Unregistered => return Err("unregistered class in snapshot".to_owned()),
-            DomainClass::Typosquatting if rec.owner >= self.owner_whois.len() => {
-                return Err(format!("owner {} out of range", rec.owner));
+            DomainClass::Typosquatting if row.owner as usize >= self.owner_whois.len() => {
+                return Err(format!("owner {} out of range", row.owner));
             }
             _ => {}
         }
-        if (rec.draw.ns as usize) >= self.ns_providers.len() {
-            return Err(format!("ns provider {} out of range", rec.draw.ns));
+        let draw = &row.meta.draw;
+        if (draw.ns as usize) >= self.ns_providers.len() {
+            return Err(format!("ns provider {} out of range", draw.ns));
         }
-        if let Some(mi) = rec.draw.mx {
+        if let Some(mi) = draw.mx {
             if (mi as usize) >= self.mx_hosts.len() {
                 return Err(format!("mx provider {mi} out of range"));
             }
@@ -848,26 +984,7 @@ impl Columns {
                 "snapshot ctypo {domain} collides with an existing registration"
             ));
         }
-        let info = CtypoInfo {
-            candidate: TypoCandidate {
-                domain,
-                target: self.targets.domain(target),
-                kind: rec.kind,
-                position: rec.position as usize,
-                fat_finger: rec.fat_finger,
-                visual: rec.visual,
-            },
-            owner: rec.owner,
-            class: rec.class,
-            private: rec.draw.private,
-            smtp: rec.draw.smtp,
-            has_zone: rec.draw.has_zone,
-        };
-        let meta = CtypoMeta {
-            target_rank: rec.target_rank,
-            draw: rec.draw,
-        };
-        Ok((info, meta))
+        Ok((domain, row))
     }
 }
 
@@ -906,7 +1023,7 @@ fn background_unit(config: &PopulationConfig, name: &str) -> Option<(usize, usiz
 fn legit_registration(domain: Fqdn, whois: WhoisRecord, ns: &Fqdn) -> Registration {
     Registration {
         domain,
-        registrar: "registrar-legit".to_owned(),
+        registrar: "registrar-legit",
         whois: Arc::new(whois),
         privacy_proxy: None,
         nameservers: vec![ns.clone()],
@@ -941,8 +1058,7 @@ pub(crate) struct CtypoDraw {
     pub(crate) created_day: u16,
 }
 
-/// Snapshot-side per-ctypo metadata: the target rank plus the draws.
-/// Index-aligned with [`World::ctypos`].
+/// Per-ctypo registration metadata: the target rank plus the draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CtypoMeta {
     /// Zero-based rank of the target this ctypo was generated from.
@@ -951,28 +1067,14 @@ pub(crate) struct CtypoMeta {
     pub(crate) draw: CtypoDraw,
 }
 
-/// One persisted ctypo as decoded from a snapshot: candidate identity
-/// (the SLD; the TLD is the target's), generation metadata, and draws.
+/// One persisted ctypo as read from a snapshot, not yet checked: its
+/// SLD (the TLD is the target's) and its row.
 #[derive(Debug, Clone)]
 pub(crate) struct CtypoRecord {
     /// Second-level label of the ctypo domain.
     pub(crate) sld: String,
-    /// Zero-based target rank.
-    pub(crate) target_rank: u32,
-    /// Mistake kind of the candidate.
-    pub(crate) kind: ets_core::MistakeKind,
-    /// Mistake position within the SLD.
-    pub(crate) position: u32,
-    /// Fat-finger adjacency flag.
-    pub(crate) fat_finger: bool,
-    /// Unnormalized visual distance (bit-exact).
-    pub(crate) visual: f64,
-    /// Ground-truth owner (sentinels for defensive/benign).
-    pub(crate) owner: usize,
-    /// Ground-truth class.
-    pub(crate) class: DomainClass,
-    /// The registration's RNG draws.
-    pub(crate) draw: CtypoDraw,
+    /// Everything else the ctypo holds.
+    pub(crate) row: CtypoRow,
 }
 
 /// What the registration roll over one target's gtypos reads besides the
@@ -1038,17 +1140,18 @@ impl GtypoRoll<'_> {
                 return;
             };
             out.push(PendingCtypo {
-                info: CtypoInfo {
-                    candidate: v.candidate(),
-                    owner,
+                name: v.domain(),
+                row: CtypoRow {
                     class,
-                    private: draw.private,
-                    smtp: draw.smtp,
-                    has_zone: draw.has_zone,
-                },
-                meta: CtypoMeta {
-                    target_rank: rank0 as u32,
-                    draw,
+                    owner: narrow_owner(owner),
+                    kind,
+                    position: v.position() as u32,
+                    fat_finger: ff,
+                    visual: v.visual(),
+                    meta: CtypoMeta {
+                        target_rank: rank0 as u32,
+                        draw,
+                    },
                 },
             });
         });
@@ -1061,19 +1164,19 @@ impl GtypoRoll<'_> {
 /// A gtypo winner rolled during the parallel compute phase; kept (or
 /// dropped on a name collision) sequentially.
 struct PendingCtypo {
-    info: CtypoInfo,
-    meta: CtypoMeta,
+    /// The winner's domain name, the one string it holds.
+    name: DomainName,
+    /// The row the commit copies into the columns.
+    row: CtypoRow,
 }
 
 impl PendingCtypo {
     /// Deterministic estimate of this pending winner's payload bytes (the
-    /// row plus its two names). Drives the band-size adaptation and the
+    /// row plus its name). Drives the band-size adaptation and the
     /// `world.band_pending_bytes` histogram; precision matters less than
     /// being a pure function of the data.
     fn approx_bytes(&self) -> u64 {
-        let names =
-            self.info.candidate.domain.as_str().len() + self.info.candidate.target.as_str().len();
-        (std::mem::size_of::<PendingCtypo>() + names) as u64
+        (std::mem::size_of::<PendingCtypo>() + self.name.as_str().len()) as u64
     }
 }
 
@@ -1593,7 +1696,7 @@ mod tests {
     fn hosted_mail_resolves_to_provider() {
         let w = tiny_world();
         let resolver = w.resolver();
-        let hosted: Vec<&CtypoInfo> = w
+        let hosted: Vec<CtypoInfo> = w
             .ctypos
             .iter()
             .filter(|c| c.has_zone && matches!(c.smtp, SmtpProfile::StarttlsOk))
@@ -1613,6 +1716,13 @@ mod tests {
             saw_provider,
             "no hosted ctypo resolved to a Table-6 provider"
         );
+    }
+
+    #[test]
+    fn owner_sentinels_survive_narrowing() {
+        for o in [0usize, 1, 599, usize::MAX - 1, usize::MAX] {
+            assert_eq!(widen_owner(narrow_owner(o)), o);
+        }
     }
 
     #[test]
@@ -1697,7 +1807,7 @@ mod tests {
             serde_json::to_string(&w.ctypos).expect("serializable"),
             serde_json::to_string(&w.registrants).expect("serializable"),
             w.ns_customer_base,
-            w.ctypo_meta().collect::<Vec<_>>(),
+            w.ctypos.rows().iter().map(|r| r.meta).collect::<Vec<_>>(),
         )
     }
 
@@ -1788,19 +1898,24 @@ mod tests {
     /// A ctypo's registration and zone, materialized through both halves
     /// of the derivation over `columns`' registrants and providers.
     fn materialize_ctypo(p: &PendingCtypo, columns: &Columns) -> (Registration, Option<Zone>) {
-        let fq = Fqdn::from_domain(&p.info.candidate.domain);
+        let fq = Fqdn::from_domain(&p.name);
+        let row = &p.row;
+        let target = columns
+            .targets
+            .id_at(row.meta.target_rank as usize)
+            .expect("rolled ranks are targets");
         let registration = columns
             .ctypo_registration(
                 fq.clone(),
-                p.info.candidate.target.as_str(),
-                p.info.class,
-                p.info.owner,
-                &p.meta.draw,
+                columns.targets.name(target),
+                row.class,
+                widen_owner(row.owner),
+                &row.meta.draw,
             )
             .expect("rolled classes register");
         (
             registration,
-            ctypo_zone(&fq, &p.meta.draw, &columns.mx_hosts),
+            ctypo_zone(&fq, &row.meta.draw, &columns.mx_hosts),
         )
     }
 
@@ -1829,7 +1944,7 @@ mod tests {
             ));
             let registration = Registration {
                 domain: fq,
-                registrar: "registrar-legit".to_owned(),
+                registrar: "registrar-legit",
                 whois: Arc::new(synth_whois(1_000_000 + rank, &mut rng)),
                 privacy_proxy: None,
                 nameservers: vec![ns_providers[rank % config.n_ns_providers.max(1)].clone()],
@@ -1845,7 +1960,7 @@ mod tests {
                 let name: Fqdn = format!("biz-{pi}-{j}.com").parse().expect("valid");
                 let registration = Registration {
                     domain: name.clone(),
-                    registrar: "registrar-legit".to_owned(),
+                    registrar: "registrar-legit",
                     whois: Arc::new(synth_whois(4_000_000 + pi * 1000 + j, &mut rng)),
                     privacy_proxy: None,
                     nameservers: vec![ns.clone()],
@@ -1947,9 +2062,9 @@ mod tests {
         }
         assert_eq!(n_misses, 1 + w.targets.len() + w.mx_providers.len());
         let (derived, committed) = (w.resolver(), Resolver::new(oracle.clone()));
-        let ctypos = w.ctypos.iter().map(|c| &c.candidate.domain);
-        for d in ctypos.chain(&w.targets) {
-            let fq = Fqdn::from_domain(d);
+        let ctypos = w.ctypos.iter().map(|c| c.candidate.domain);
+        for d in ctypos.chain(w.targets.iter().cloned()) {
+            let fq = Fqdn::from_domain(&d);
             assert_eq!(
                 derived.resolve_mail(&fq),
                 committed.resolve_mail(&fq),

@@ -170,9 +170,11 @@ pub fn scan_world(world: &World) -> SupportCensus {
     scan_span.arg("domains", world.ctypos.len() as u64);
     let mut counts = [0usize; 6];
     let resolver = world.resolver();
-    for c in &world.ctypos {
-        let fq = Fqdn::from_domain(&c.candidate.domain);
-        let cat = classify_with_resolver(&resolver, &fq, c.smtp, c.has_zone);
+    let names = world.ctypos.names();
+    for (id, row) in names.ids().zip(world.ctypos.rows()) {
+        let fq = Fqdn::from_interned(names, id);
+        let draw = &row.meta.draw;
+        let cat = classify_with_resolver(&resolver, &fq, draw.smtp, draw.has_zone);
         let i = SmtpSupport::ALL.iter().position(|x| *x == cat).unwrap();
         counts[i] += 1;
     }

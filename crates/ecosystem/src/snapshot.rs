@@ -22,7 +22,9 @@
 //! is a typed [`LoadError`] the caller logs before falling back to a
 //! fresh build; nothing in this path panics.
 
-use crate::population::{CtypoDraw, CtypoRecord, PopulationConfig, SmtpProfile, World};
+use crate::population::{
+    CtypoDraw, CtypoMeta, CtypoRecord, CtypoRow, PopulationConfig, SmtpProfile, World,
+};
 use ets_core::taxonomy::DomainClass;
 use ets_core::MistakeKind;
 use ets_store::{SectionBuf, Snapshot, SnapshotWriter, StoreError};
@@ -146,28 +148,6 @@ fn decode_smtp(v: u8) -> Result<SmtpProfile, LoadError> {
     }
 }
 
-/// Owner sentinels survive the u32 narrowing at the top of the range;
-/// real owner ids are bounded by the registrant count, far below.
-fn encode_owner(owner: usize) -> u32 {
-    if owner == usize::MAX {
-        u32::MAX
-    } else if owner == usize::MAX - 1 {
-        u32::MAX - 1
-    } else {
-        owner as u32
-    }
-}
-
-fn decode_owner(v: u32) -> usize {
-    if v == u32::MAX {
-        usize::MAX
-    } else if v == u32::MAX - 1 {
-        usize::MAX - 1
-    } else {
-        v as usize
-    }
-}
-
 const FLAG_FAT_FINGER: u8 = 1;
 const FLAG_PRIVATE: u8 = 2;
 const FLAG_HAS_ZONE: u8 = 4;
@@ -180,14 +160,15 @@ const MX_NONE: u16 = u16::MAX;
 pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
     let meta = config_fingerprint(&world.config);
     let mut writer = SnapshotWriter::new(WORLD_FORMAT_VERSION, meta.as_bytes());
-    let n = world.ctypos.len();
+    let (names, rows) = (world.ctypos.names(), world.ctypos.rows());
+    let n = rows.len();
 
     let mut arena = SectionBuf::with_capacity(n * 12);
     let mut ends = SectionBuf::with_capacity(n * 4 + 8);
     let mut slds = String::new();
     let mut end_offsets: Vec<u32> = Vec::with_capacity(n);
-    for c in &world.ctypos {
-        slds.push_str(c.candidate.domain.sld());
+    for id in names.ids() {
+        slds.push_str(names.sld(id));
         end_offsets.push(slds.len() as u32);
     }
     arena.put_str(&slds);
@@ -207,96 +188,33 @@ pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
     let mut ns = SectionBuf::with_capacity(n * 2 + 8);
     let mut mx = SectionBuf::with_capacity(n * 2 + 8);
     let mut created = SectionBuf::with_capacity(n * 2 + 8);
-    target_rank.put_u32s(
-        &world
-            .ctypo_meta()
-            .map(|m| m.target_rank)
-            .collect::<Vec<u32>>(),
-    );
-    kind.put_u8s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| encode_kind(c.candidate.kind))
-            .collect::<Vec<u8>>(),
-    );
-    position.put_u32s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| c.candidate.position as u32)
-            .collect::<Vec<u32>>(),
-    );
-    flags.put_u8s(
-        &world
-            .ctypos
-            .iter()
-            .zip(world.ctypo_meta())
-            .map(|(c, m)| {
-                let mut f = 0;
-                if c.candidate.fat_finger {
-                    f |= FLAG_FAT_FINGER;
-                }
-                if m.draw.private {
-                    f |= FLAG_PRIVATE;
-                }
-                if m.draw.has_zone {
-                    f |= FLAG_HAS_ZONE;
-                }
-                if m.draw.parked {
-                    f |= FLAG_PARKED;
-                }
-                f
-            })
-            .collect::<Vec<u8>>(),
-    );
-    visual.put_f64s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| c.candidate.visual)
-            .collect::<Vec<f64>>(),
-    );
-    owner.put_u32s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| encode_owner(c.owner))
-            .collect::<Vec<u32>>(),
-    );
-    class.put_u8s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| encode_class(c.class))
-            .collect::<Vec<u8>>(),
-    );
-    smtp.put_u8s(
-        &world
-            .ctypos
-            .iter()
-            .map(|c| encode_smtp(c.smtp))
-            .collect::<Vec<u8>>(),
-    );
-    whois_mask.put_u8s(
-        &world
-            .ctypo_meta()
-            .map(|m| m.draw.whois_mask)
-            .collect::<Vec<u8>>(),
-    );
-    ns.put_u16s(&world.ctypo_meta().map(|m| m.draw.ns).collect::<Vec<u16>>());
-    mx.put_u16s(
-        &world
-            .ctypo_meta()
-            .map(|m| m.draw.mx.unwrap_or(MX_NONE))
-            .collect::<Vec<u16>>(),
-    );
-    created.put_u16s(
-        &world
-            .ctypo_meta()
-            .map(|m| m.draw.created_day)
-            .collect::<Vec<u16>>(),
-    );
+    target_rank.put_u32s(&column(rows, |r| r.meta.target_rank));
+    kind.put_u8s(&column(rows, |r| encode_kind(r.kind)));
+    position.put_u32s(&column(rows, |r| r.position));
+    flags.put_u8s(&column(rows, |r| {
+        let mut f = 0;
+        if r.fat_finger {
+            f |= FLAG_FAT_FINGER;
+        }
+        if r.meta.draw.private {
+            f |= FLAG_PRIVATE;
+        }
+        if r.meta.draw.has_zone {
+            f |= FLAG_HAS_ZONE;
+        }
+        if r.meta.draw.parked {
+            f |= FLAG_PARKED;
+        }
+        f
+    }));
+    visual.put_f64s(&column(rows, |r| r.visual));
+    owner.put_u32s(&column(rows, |r| r.owner));
+    class.put_u8s(&column(rows, |r| encode_class(r.class)));
+    smtp.put_u8s(&column(rows, |r| encode_smtp(r.meta.draw.smtp)));
+    whois_mask.put_u8s(&column(rows, |r| r.meta.draw.whois_mask));
+    ns.put_u16s(&column(rows, |r| r.meta.draw.ns));
+    mx.put_u16s(&column(rows, |r| r.meta.draw.mx.unwrap_or(MX_NONE)));
+    created.put_u16s(&column(rows, |r| r.meta.draw.created_day));
     writer.add_section("ctypo.target_rank", target_rank);
     writer.add_section("ctypo.kind", kind);
     writer.add_section("ctypo.position", position);
@@ -310,6 +228,11 @@ pub fn save(world: &World, path: &Path) -> Result<(), StoreError> {
     writer.add_section("ctypo.mx", mx);
     writer.add_section("ctypo.created_day", created);
     writer.write_to(path)
+}
+
+/// One snapshot column: `f` of every ctypo row, in order.
+fn column<T>(rows: &[CtypoRow], f: impl Fn(&CtypoRow) -> T) -> Vec<T> {
+    rows.iter().map(f).collect()
 }
 
 /// One fully-read u8 column of length `expect`.
@@ -421,22 +344,26 @@ fn read_records(path: &Path, config: &PopulationConfig) -> Result<Vec<CtypoRecor
         prev_end = end;
         records.push(CtypoRecord {
             sld: sld.to_owned(),
-            target_rank: target_rank[i],
-            kind: decode_kind(kind[i])?,
-            position: position[i],
-            fat_finger: flags[i] & FLAG_FAT_FINGER != 0,
-            visual: visual[i],
-            owner: decode_owner(owner[i]),
-            class: decode_class(class[i])?,
-            draw: CtypoDraw {
-                whois_mask: whois_mask[i],
-                private: flags[i] & FLAG_PRIVATE != 0,
-                ns: ns[i],
-                mx: (mx[i] != MX_NONE).then_some(mx[i]),
-                smtp: decode_smtp(smtp[i])?,
-                has_zone: flags[i] & FLAG_HAS_ZONE != 0,
-                parked: flags[i] & FLAG_PARKED != 0,
-                created_day: created_day[i],
+            row: CtypoRow {
+                class: decode_class(class[i])?,
+                owner: owner[i],
+                kind: decode_kind(kind[i])?,
+                position: position[i],
+                fat_finger: flags[i] & FLAG_FAT_FINGER != 0,
+                visual: visual[i],
+                meta: CtypoMeta {
+                    target_rank: target_rank[i],
+                    draw: CtypoDraw {
+                        whois_mask: whois_mask[i],
+                        private: flags[i] & FLAG_PRIVATE != 0,
+                        ns: ns[i],
+                        mx: (mx[i] != MX_NONE).then_some(mx[i]),
+                        smtp: decode_smtp(smtp[i])?,
+                        has_zone: flags[i] & FLAG_HAS_ZONE != 0,
+                        parked: flags[i] & FLAG_PARKED != 0,
+                        created_day: created_day[i],
+                    },
+                },
             },
         });
     }
@@ -473,13 +400,6 @@ mod tests {
     use crate::population::{MID_TIER_MX, MX_PROVIDERS};
 
     #[test]
-    fn owner_sentinels_survive_narrowing() {
-        for o in [0usize, 1, 599, usize::MAX - 1, usize::MAX] {
-            assert_eq!(decode_owner(encode_owner(o)), o);
-        }
-    }
-
-    #[test]
     fn enum_codes_round_trip() {
         for k in MistakeKind::ALL {
             assert_eq!(decode_kind(encode_kind(k)).unwrap(), k);
@@ -509,20 +429,13 @@ mod tests {
 
     /// A world's ctypos as `load` decodes them from its snapshot.
     fn records_of(world: &World) -> Vec<CtypoRecord> {
-        world
-            .ctypos
-            .iter()
-            .zip(world.ctypo_meta())
-            .map(|(c, m)| CtypoRecord {
-                sld: c.candidate.domain.sld().to_owned(),
-                target_rank: m.target_rank,
-                kind: c.candidate.kind,
-                position: c.candidate.position as u32,
-                fat_finger: c.candidate.fat_finger,
-                visual: c.candidate.visual,
-                owner: c.owner,
-                class: c.class,
-                draw: m.draw,
+        let names = world.ctypos.names();
+        names
+            .ids()
+            .zip(world.ctypos.rows())
+            .map(|(id, &row)| CtypoRecord {
+                sld: names.sld(id).to_owned(),
+                row,
             })
             .collect()
     }
@@ -536,7 +449,7 @@ mod tests {
         let records = records_of(&World::build(config.clone()));
         let squat = records
             .iter()
-            .position(|r| r.class == DomainClass::Typosquatting)
+            .position(|r| r.row.class == DomainClass::Typosquatting)
             .expect("a tiny world has typosquatters");
         assert!(World::from_snapshot_records(config.clone(), records.clone()).is_ok());
         type Edit = fn(&mut Vec<CtypoRecord>, &PopulationConfig, usize);
@@ -552,12 +465,12 @@ mod tests {
                 // Rank 0 is gmail.com; alone, the record is in order.
                 r.truncate(1);
                 r[0].sld = "gmail".to_owned();
-                r[0].target_rank = 0;
+                r[0].row.meta.target_rank = 0;
             }),
             ("a background name", "collides", |r, _, _| {
                 r.truncate(1);
                 r[0].sld = "biz-0-0".to_owned();
-                r[0].target_rank = 0;
+                r[0].row.meta.target_rank = 0;
             }),
             ("an unparsable name", "bad ctypo name", |r, _, _| {
                 r[0].sld = String::new()
@@ -566,20 +479,20 @@ mod tests {
                 "a target rank past the targets",
                 "target rank",
                 |r, c, _| {
-                    r[0].target_rank = c.n_targets as u32;
+                    r[0].row.meta.target_rank = c.n_targets as u32;
                 },
             ),
             ("an owner past the registrants", "owner", |r, c, i| {
-                r[i].owner = c.n_registrants;
+                r[i].row.owner = c.n_registrants as u32;
             }),
             ("an ns past the providers", "ns provider", |r, c, _| {
-                r[0].draw.ns = c.n_ns_providers as u16;
+                r[0].row.meta.draw.ns = c.n_ns_providers as u16;
             }),
             ("an mx past the providers", "mx provider", |r, _, _| {
-                r[0].draw.mx = Some((MX_PROVIDERS.len() + MID_TIER_MX) as u16);
+                r[0].row.meta.draw.mx = Some((MX_PROVIDERS.len() + MID_TIER_MX) as u16);
             }),
             ("the unregistered class", "unregistered", |r, _, _| {
-                r[0].class = DomainClass::Unregistered;
+                r[0].row.class = DomainClass::Unregistered;
             }),
         ];
         for (what, cause, edit) in cases {

@@ -164,12 +164,19 @@ impl Lab {
         }
     }
 
-    /// Saves the freshly built world to `--snapshot` (best-effort: a save
-    /// failure costs the next run a rebuild, never this run's results).
+    /// Saves the freshly built world to `--snapshot`, creating its
+    /// parent directories as `--trace` does (best-effort: a save failure
+    /// costs the next run a rebuild, never this run's results).
     fn save_world_snapshot(&self, world: &World) {
         let Some(path) = self.snapshot.as_deref() else {
             return;
         };
+        if let Some(dir) = Path::new(path).parent() {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                eprintln!("[lab] cannot write snapshot {path}: {e}");
+                return;
+            }
+        }
         let (result, secs) = ets_obs::metrics::time_stage_result("snapshot_save", || {
             snapshot::save(world, Path::new(path))
         });

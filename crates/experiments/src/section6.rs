@@ -161,7 +161,7 @@ pub fn regression(lab: &Lab) {
         else {
             continue;
         };
-        population.push((ct.candidate.clone(), rank));
+        population.push((ct.candidate, rank));
     }
     println!(
         "ctypos of the five seed targets in the wild: {} (paper: 1,211)",

@@ -9,6 +9,8 @@
 //!   `--trace` no trace artifact is written.
 //! * `--out` holds result records only: the run's timings live in the
 //!   JSONL log, and a record that cannot be written fails the run.
+//! * `--snapshot` creates the directories its file goes in, as
+//!   `--trace` does.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -263,6 +265,34 @@ fn snapshot_run_writes_no_file_under_out() {
     assert!(
         !dir.join("results").exists(),
         "a run that writes no record created --out"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `--snapshot` may name a file in directories that do not exist yet:
+/// the first run creates them and saves, and the next run reloads.
+#[test]
+fn snapshot_into_missing_directories_is_saved_and_reloaded() {
+    let dir = scratch("snapshot-nested");
+    let path = dir.join("a/b/w.ets");
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["snapshot", "--fast", "--snapshot"])
+            .arg(&path)
+            .arg("--out")
+            .arg(dir.join("results"))
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "repro snapshot failed:\n{stderr}");
+        stderr
+    };
+    let first = run();
+    assert!(path.is_file(), "snapshot not saved:\n{first}");
+    let second = run();
+    assert!(
+        second.contains("stage snapshot_load"),
+        "second run did not reload:\n{second}"
     );
     let _ = std::fs::remove_dir_all(dir);
 }

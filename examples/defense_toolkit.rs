@@ -47,7 +47,7 @@ fn main() {
         .ctypos
         .iter()
         .filter(|c| c.candidate.target == target)
-        .map(|c| c.candidate.domain.clone())
+        .map(|c| c.candidate.domain)
         .collect();
     println!(
         "\ndefensive plan for {target} (${} budget, {} names already taken by others):",

@@ -103,7 +103,7 @@ fn projection_over_ecosystem_is_paper_magnitude() {
                 "comcast.net" => 6,
                 _ => 7,
             };
-            (c.candidate.clone(), rank)
+            (c.candidate, rank)
         })
         .collect();
     assert!(population.len() > 200, "population {}", population.len());
