@@ -95,10 +95,9 @@ impl FunnelVerdict {
 /// and 5) need from one email, extracted by a single pure pass.
 ///
 /// Feature extraction is the embarrassingly parallel part of
-/// classification; feeding identical feature sequences to
-/// [`Funnel::finish`] yields identical verdicts however the extraction
-/// was sharded, which is what lets the streaming pipeline match the
-/// batch oracle byte for byte.
+/// classification; identical feature sequences yield identical verdicts
+/// however the extraction was sharded, which is what lets the streaming
+/// pipeline match the batch oracle byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmailFeatures {
     /// Layers 1–2 verdict (purely per-email); `None` for survivors.
@@ -163,10 +162,29 @@ impl FunnelState {
         }
     }
 
-    /// Emails absorbed so far (every email counts once in the body table).
-    pub fn emails(&self) -> u64 {
-        // ets-lint: allow(unordered-iteration): u64 sum is commutative.
-        self.body_freq.values().map(|&v| v as u64).sum()
+    /// Layer 5's verdict on a survivor that layers 3 and 4 left standing.
+    fn layer5(&self, s: &Survivor) -> FunnelVerdict {
+        if s.rcpt_ours {
+            let too_frequent = self.rcpt_freq[&s.rcpt_key] as usize >= RECIPIENT_FREQ
+                || s.sender()
+                    .is_some_and(|k| self.sender_freq[&k] as usize >= SENDER_FREQ)
+                || self.body_freq[&s.body_hash] as usize >= CONTENT_FREQ;
+            if too_frequent {
+                FunnelVerdict::FrequencyFiltered
+            } else {
+                FunnelVerdict::ReceiverTypo
+            }
+        } else {
+            // Relay submission: an SMTP-typo candidate. A single user
+            // legitimately repeats, so the receiver thresholds do not
+            // disqualify it (§4.3: Layer 5 exempts SMTP typos); but
+            // machine-frequency bodies are still filtered.
+            if self.body_freq[&s.body_hash] as usize >= CONTENT_FREQ * 4 {
+                FunnelVerdict::FrequencyFiltered
+            } else {
+                FunnelVerdict::SmtpTypo
+            }
+        }
     }
 }
 
@@ -179,6 +197,138 @@ pub struct FeatureBatch {
     pub feats: Vec<EmailFeatures>,
     /// Frequency counts for exactly `feats`.
     pub freq: FunnelState,
+}
+
+/// What layers 3–5 read of a layer-1/2 survivor: the fields of its
+/// [`EmailFeatures`] but the verdict and the byte count, in 40 bytes
+/// where the features take 64.
+#[derive(Debug, Clone, Copy)]
+struct Survivor {
+    /// The sender key; meaningful only when `has_sender`.
+    sender: u64,
+    /// The bag-of-words key; meaningful only when `has_bag`.
+    bag: u64,
+    rcpt_key: u64,
+    body_hash: u64,
+    has_sender: bool,
+    has_bag: bool,
+    reflection: bool,
+    rcpt_ours: bool,
+}
+
+impl Survivor {
+    /// The record of an email layers 1–2 let through; `None` for spam.
+    fn of(f: &EmailFeatures) -> Option<Survivor> {
+        f.verdict12.is_none().then(|| Survivor {
+            sender: f.sender.unwrap_or(0),
+            bag: f.bag.unwrap_or(0),
+            rcpt_key: f.rcpt_key,
+            body_hash: f.body_hash,
+            has_sender: f.sender.is_some(),
+            has_bag: f.bag.is_some(),
+            reflection: f.reflection,
+            rcpt_ours: f.rcpt_ours,
+        })
+    }
+
+    fn sender(&self) -> Option<u64> {
+        self.has_sender.then_some(self.sender)
+    }
+
+    fn bag(&self) -> Option<u64> {
+        self.has_bag.then_some(self.bag)
+    }
+}
+
+/// Layer 3's evidence: every sender and bag-of-words seen on spam so
+/// far. Both grow by set union, so the order keys arrive in never
+/// matters.
+#[derive(Debug, Default)]
+struct SpamKeys {
+    senders: HashSet<u64>,
+    bags: HashSet<u64>,
+}
+
+impl SpamKeys {
+    /// Adds a spam email's keys.
+    fn insert(&mut self, sender: Option<u64>, bag: Option<u64>) {
+        self.senders.extend(sender);
+        self.bags.extend(bag);
+    }
+
+    /// Whether a survivor's sender or bag has been seen on spam.
+    fn flags(&self, s: &Survivor) -> bool {
+        s.sender().is_some_and(|k| self.senders.contains(&k))
+            || s.bag().is_some_and(|k| self.bags.contains(&k))
+    }
+
+    /// Layer 3 to its fixpoint over the survivors. Each round flags, in
+    /// a parallel map, every survivor not yet flagged whose sender or
+    /// bag is a spam key, then adds the keys of the survivors it flagged.
+    /// Returns each survivor's layer-3 verdict and the rounds run; the
+    /// last round flags nothing.
+    fn propagate(&mut self, survivors: &[Survivor]) -> (Vec<Option<FunnelVerdict>>, u64) {
+        let mut verdicts = vec![None; survivors.len()];
+        let mut rounds = 0u64;
+        loop {
+            rounds += 1;
+            let hits: Vec<bool> = par_map(survivors, |i, s| verdicts[i].is_none() && self.flags(s));
+            let mut changed = false;
+            for ((v, s), hit) in verdicts.iter_mut().zip(survivors).zip(hits) {
+                if hit {
+                    *v = Some(FunnelVerdict::SpamCollaborative);
+                    self.insert(s.sender(), s.bag());
+                    changed = true;
+                }
+            }
+            if !changed {
+                return (verdicts, rounds);
+            }
+        }
+    }
+}
+
+/// What the funnel keeps of the emails it has absorbed, until
+/// [`Funnel::finish`]: only what layers 3–5 can still read or change.
+///
+/// Per email that is its layer-1/2 verdict, one byte. A layer-1/2 spam
+/// email adds its sender and bag to the layer-3 spam sets; a survivor
+/// adds a 40-byte [`Survivor`] record; and the layer-5 frequency tables
+/// count every email.
+#[derive(Debug, Default)]
+pub(crate) struct Retained {
+    /// Each email's layer-1/2 verdict in arrival order; `None` for a
+    /// survivor.
+    verdicts: Vec<Option<FunnelVerdict>>,
+    /// The survivors' records in arrival order: the `None` entries of
+    /// `verdicts`, in turn, so no index is kept.
+    survivors: Vec<Survivor>,
+    /// The senders and bags of layer-1/2 spam.
+    spam: SpamKeys,
+    /// The layer-5 frequency tables over every email.
+    freq: FunnelState,
+}
+
+impl Retained {
+    /// Absorbs one epoch's features, which must arrive in stream order.
+    pub(crate) fn absorb(&mut self, batch: FeatureBatch) {
+        for f in batch.feats.iter().filter(|f| f.verdict12.is_some()) {
+            self.spam.insert(f.sender, f.bag);
+        }
+        let verdicts = batch.feats.iter().map(|f| f.verdict12);
+        let survivors = batch.feats.iter().filter_map(Survivor::of);
+        // The reorder buffer commits epochs in canonical order, so the
+        // verdict column and the survivor records grow in stream order.
+        // The pragma on the first append covers its own line and the next.
+        self.verdicts.extend(verdicts); // ets-lint: allow(non-commutative-merge): see above
+        self.survivors.extend(survivors);
+        self.freq.merge(batch.freq);
+    }
+
+    /// Emails absorbed so far.
+    pub(crate) fn emails(&self) -> usize {
+        self.verdicts.len()
+    }
 }
 
 /// The funnel, bound to the study infrastructure.
@@ -294,17 +444,263 @@ impl<'a> Funnel<'a> {
         batch
     }
 
-    /// Runs the corpus-level layers (3, 4, 5) over extracted features.
+    /// Runs the corpus-level layers (3, 4, 5) over what `kept` retained.
     ///
-    /// `feats` must be in canonical arrival order and `freq` must hold
-    /// exactly their counts. Each layer-3 fixpoint iteration is a pure
-    /// function of the verdict state at its start (the spam sender/bag
-    /// tables build by parallel fold — set union is order-insensitive —
-    /// then survivors re-flag in a parallel map); layers 4 and 5 only
-    /// read per-email flags and `freq`. Verdicts are therefore a pure
-    /// function of the feature sequence — independent of thread count
-    /// and of how extraction was sharded into epochs.
-    pub fn finish(&self, feats: &[EmailFeatures], freq: &FunnelState) -> Vec<FunnelVerdict> {
+    /// Layer 3 starts from the layer-1/2 spam keys and propagates to a
+    /// fixpoint over the survivors alone ([`SpamKeys::propagate`]); set
+    /// union is order-insensitive, and each round is a pure function of
+    /// the verdicts at its start. Layers 4 and 5 read only per-survivor
+    /// flags and the frequency tables. Verdicts are therefore a pure
+    /// function of the feature sequence — independent of thread count and
+    /// of how extraction was sharded into epochs.
+    pub(crate) fn finish(&self, kept: Retained) -> Vec<FunnelVerdict> {
+        let Retained {
+            verdicts,
+            survivors,
+            mut spam,
+            freq,
+        } = kept;
+        let n = verdicts.len();
+        let mut finish_span = ets_obs::span!("funnel.finish");
+        finish_span.arg("emails", n as u64);
+        finish_span.arg("survivors", survivors.len() as u64);
+
+        // Layer 3 — a spam sender or bag flags every survivor that shares
+        // it, and a newly flagged survivor's keys flag further ones.
+        // `decided` holds each survivor's verdict from layers 3–4 so far.
+        let mut layer3 = ets_obs::span!("funnel.layer3", ets_obs::Level::Debug);
+        let (mut decided, layer3_rounds) = spam.propagate(&survivors);
+        layer3.arg("rounds", layer3_rounds);
+        ets_obs::metrics::counter_add("funnel.layer3.rounds", layer3_rounds);
+        drop(layer3);
+
+        // Layer 4 on survivors: the predicate was evaluated at feature
+        // time; here it only applies to emails layer 3 left standing.
+        let layer4 = ets_obs::span!("funnel.layer4", ets_obs::Level::Debug);
+        for (v, s) in decided.iter_mut().zip(&survivors) {
+            if v.is_none() && s.reflection {
+                *v = Some(FunnelVerdict::Reflection);
+            }
+        }
+        drop(layer4);
+
+        // Layer 5 — frequency thresholds against the corpus-wide tables.
+        let layer5 = ets_obs::span!("funnel.layer5", ets_obs::Level::Debug);
+        let finals: Vec<FunnelVerdict> = par_map(&survivors, |i, s| {
+            decided[i].unwrap_or_else(|| freq.layer5(s))
+        });
+        drop(layer5);
+
+        // Each `None` of the layer-1/2 column is the next survivor.
+        let mut finals = finals.into_iter();
+        let verdicts: Vec<FunnelVerdict> = verdicts
+            .into_iter()
+            .filter_map(|v| v.or_else(|| finals.next()))
+            .collect();
+        debug_assert_eq!(verdicts.len(), n);
+        // Verdict tallies are pure workload quantities — identical across
+        // thread counts, so they belong in the deterministic registry.
+        let mut tally = [0u64; 7];
+        for v in &verdicts {
+            tally[*v as usize] += 1;
+        }
+        for (v, &count) in [
+            FunnelVerdict::SpamHeader,
+            FunnelVerdict::SpamScore,
+            FunnelVerdict::SpamCollaborative,
+            FunnelVerdict::Reflection,
+            FunnelVerdict::FrequencyFiltered,
+            FunnelVerdict::ReceiverTypo,
+            FunnelVerdict::SmtpTypo,
+        ]
+        .iter()
+        .zip(tally.iter())
+        {
+            if count > 0 {
+                ets_obs::metrics::counter_add(&format!("funnel.verdict.{}", v.key()), count);
+            }
+        }
+        verdicts
+    }
+
+    /// Classifies a whole collection: the batch oracle.
+    ///
+    /// Features extract in one data-parallel pass and the frequency
+    /// tables build by parallel fold of per-chunk accumulators merged by
+    /// addition. The collection is then absorbed as one epoch into the
+    /// same retained state the stream fills, and the same `finish` runs
+    /// the corpus-level layers. Output is identical for any thread
+    /// count — and identical to the streaming path, which extracts the
+    /// same features epoch by epoch.
+    pub fn classify_all(&self, emails: &[CollectedEmail]) -> Vec<FunnelVerdict> {
+        let n = emails.len();
+        let mut funnel_span = ets_obs::span!("funnel.classify");
+        funnel_span.arg("emails", n as u64);
+        ets_obs::metrics::counter_add("funnel.emails", n as u64);
+        let features_span = ets_obs::span!("funnel.features", ets_obs::Level::Debug);
+        let feats: Vec<EmailFeatures> = par_map(emails, |_, e| self.features(e));
+        drop(features_span);
+        // Bytes the single-pass scan layers (2 and 4) cover — a pure
+        // workload quantity, so it belongs in the commutative registry.
+        let scan_bytes: u64 = feats.iter().map(|f| f.body_bytes).sum();
+        ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
+        let freq = par_fold(
+            &feats,
+            FunnelState::new,
+            |acc, _, f| acc.absorb(f),
+            |acc, part| acc.merge(part),
+        );
+        let mut kept = Retained::default();
+        kept.absorb(FeatureBatch { feats, freq });
+        self.finish(kept)
+    }
+}
+
+/// Layer-4 list-mail body phrases (§4.3).
+const REFLECTION_PHRASES: [&str; 5] = [
+    "unsubscribe",
+    "remove yourself",
+    "to stop receiving",
+    "manage your subscription",
+    "you are receiving this because",
+];
+
+/// Layer-4 sender-header cues.
+const HEADER_CUES: [&str; 2] = ["bounce", "unsubscribe"];
+
+fn reflection_phrase_set() -> &'static PatternSet<()> {
+    static SET: OnceLock<PatternSet<()>> = OnceLock::new();
+    SET.get_or_init(|| {
+        let tagged: Vec<(&str, ())> = REFLECTION_PHRASES.iter().map(|p| (*p, ())).collect();
+        PatternSet::compile(&tagged)
+    })
+}
+
+fn header_cue_set() -> &'static PatternSet<()> {
+    static SET: OnceLock<PatternSet<()>> = OnceLock::new();
+    SET.get_or_init(|| {
+        let tagged: Vec<(&str, ())> = HEADER_CUES.iter().map(|p| (*p, ())).collect();
+        PatternSet::compile(&tagged)
+    })
+}
+
+/// The Layer-4 reflection predicate: unsubscribe headers, bounce
+/// senders, disagreeing From/Reply-To/Return-Path, list-mail body
+/// phrases, system-user senders. Phrase and header-cue checks run on
+/// compiled `ets-scan` sets — one case-folding pass per text, no
+/// lowercased copies. The lowercase-and-`contains` form it replaced is
+/// the oracle of this module's unit tests.
+pub fn reflection_mail(email: &CollectedEmail) -> bool {
+    reflection_with_from(email, email.message.from_addr().as_ref())
+}
+
+/// [`reflection_mail`] with the header `From` already parsed.
+fn reflection_with_from(email: &CollectedEmail, from: Option<&EmailAddress>) -> bool {
+    let m = &email.message;
+    if m.headers.contains("List-Unsubscribe") {
+        return true;
+    }
+    for h in ["Sender", "From", "Reply-To"] {
+        if let Some(v) = m.headers.get(h) {
+            if header_cue_set().any_match(v) {
+                return true;
+            }
+        }
+    }
+    // Any two of From / Reply-To / Return-Path disagreeing, byte for
+    // byte: the local part's case counts here, unlike in `==`.
+    let (reply_to, return_path) = (m.reply_to_addr(), m.return_path_addr());
+    let mut addrs = [from, reply_to.as_ref(), return_path.as_ref()]
+        .into_iter()
+        .flatten();
+    if let Some(first) = addrs.next() {
+        if addrs.any(|a| a.as_str() != first.as_str()) {
+            return true;
+        }
+    }
+    // Body phrases.
+    if reflection_phrase_set().any_match(&m.body) {
+        return true;
+    }
+    // System-user senders.
+    if let Some(sender) = from.or(email.mail_from.as_ref()) {
+        if sender.is_system_user() {
+            return true;
+        }
+    }
+    false
+}
+
+/// Order-insensitive bag-of-words fingerprint, `None` unless the body
+/// has more than [`BOW_MIN_WORDS`] distinct words.
+///
+/// A body of at most that many tokens cannot have more distinct words,
+/// so it is dismissed before anything is collected. The rest sort by
+/// their first 8 bytes read as a big-endian number, then by the whole
+/// text. That is the words' own order (a token never holds a zero byte,
+/// so the padding of a shorter word sorts first, as a prefix does), so
+/// the fingerprint hashes the same sequence a plain sort would give.
+fn bag_of_words(body: &str) -> Option<u64> {
+    // Fewer than `BOW_MIN_WORDS + 1` tokens: no bag.
+    TokenStream::alnum(body).nth(BOW_MIN_WORDS)?;
+    let mut words: Vec<(u64, &str)> = TokenStream::alnum(body)
+        .map(|t| (prefix_key(t.text), t.text))
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    if words.len() <= BOW_MIN_WORDS {
+        return None;
+    }
+    let mut h: u64 = 0xcbf29ce484222325;
+    for (_, w) in words {
+        for b in w.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h ^= 0xFF;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    Some(h)
+}
+
+/// A word's first 8 bytes as a big-endian number, zero-padded.
+fn prefix_key(word: &str) -> u64 {
+    let mut buf = [0u8; 8];
+    let n = word.len().min(8);
+    buf[..n].copy_from_slice(&word.as_bytes()[..n]);
+    u64::from_be_bytes(buf)
+}
+
+fn fnv(data: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in data {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stream::{stream_collect, StreamFunnel};
+    use crate::traffic::{GenEmail, TrafficConfig, TrafficGenerator, TrueKind};
+
+    /// The traffic perfbench's `study` workload streams: the default
+    /// configuration at spam scale 1/300, seed 1 (216,580 emails).
+    fn study_config() -> TrafficConfig {
+        TrafficConfig {
+            seed: 1,
+            spam_scale: 1.0 / 300.0,
+            ..TrafficConfig::default()
+        }
+    }
+
+    /// `Funnel::finish` as it was when the funnel kept every email's
+    /// features until the end: verbatim, but a free function that also
+    /// returns the rounds it adds to `funnel.layer3.rounds`. The oracle
+    /// of the `layers_3_to_5_match_the_full_feature_oracle_*` tests.
+    fn finish_oracle(feats: &[EmailFeatures], freq: &FunnelState) -> (Vec<FunnelVerdict>, u64) {
         let n = feats.len();
         let mut finish_span = ets_obs::span!("funnel.finish");
         finish_span.arg("emails", n as u64);
@@ -438,148 +834,214 @@ impl<'a> Funnel<'a> {
                 ets_obs::metrics::counter_add(&format!("funnel.verdict.{}", v.key()), count);
             }
         }
-        verdicts
+        (verdicts, layer3_rounds)
     }
 
-    /// Classifies a whole collection: the batch oracle.
-    ///
-    /// Features extract in one data-parallel pass, the frequency tables
-    /// build by parallel fold of per-chunk accumulators merged by
-    /// addition, and [`Funnel::finish`] runs the corpus-level layers.
-    /// Output is identical for any thread count — and identical to the
-    /// streaming path, which extracts the same features epoch by epoch
-    /// and merges the same accumulators before the same `finish`.
-    pub fn classify_all(&self, emails: &[CollectedEmail]) -> Vec<FunnelVerdict> {
-        let n = emails.len();
-        let mut funnel_span = ets_obs::span!("funnel.classify");
-        funnel_span.arg("emails", n as u64);
-        ets_obs::metrics::counter_add("funnel.emails", n as u64);
-        let features_span = ets_obs::span!("funnel.features", ets_obs::Level::Debug);
-        let feats: Vec<EmailFeatures> = par_map(emails, |_, e| self.features(e));
-        drop(features_span);
-        // Bytes the single-pass scan layers (2 and 4) cover — a pure
-        // workload quantity, so it belongs in the commutative registry.
-        let scan_bytes: u64 = feats.iter().map(|f| f.body_bytes).sum();
-        ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
-        let freq = par_fold(
-            &feats,
-            FunnelState::new,
-            |acc, _, f| acc.absorb(f),
-            |acc, part| acc.merge(part),
-        );
-        self.finish(&feats, &freq)
+    /// Holds the layers 3–5 of `classify_all` and of `streamed`, the
+    /// `StreamFunnel::finish` verdicts of the same emails, to
+    /// [`finish_oracle`]. The rounds compared are those the layer-3
+    /// fixpoint adds to `funnel.layer3.rounds`, taken from the state both
+    /// paths absorb into: the counter itself is process-wide, and other
+    /// tests move it concurrently. Returns the oracle's verdicts and
+    /// rounds.
+    fn assert_layers_match_oracle(
+        funnel: &Funnel<'_>,
+        emails: &[CollectedEmail],
+        streamed: &[FunnelVerdict],
+        what: &str,
+    ) -> (Vec<FunnelVerdict>, u64) {
+        let feats: Vec<EmailFeatures> = emails.iter().map(|e| funnel.features(e)).collect();
+        let mut freq = FunnelState::new();
+        feats.iter().for_each(|f| freq.absorb(f));
+        let (want, want_rounds) = finish_oracle(&feats, &freq);
+        assert_eq!(funnel.classify_all(emails), want, "{what}: classify_all");
+        assert_eq!(streamed, want, "{what}: StreamFunnel::finish");
+        let mut kept = Retained::default();
+        kept.absorb(FeatureBatch { feats, freq });
+        let (_, rounds) = kept.spam.propagate(&kept.survivors);
+        assert_eq!(rounds, want_rounds, "{what}: layer-3 rounds");
+        (want, want_rounds)
     }
-}
 
-/// Layer-4 list-mail body phrases (§4.3).
-const REFLECTION_PHRASES: [&str; 5] = [
-    "unsubscribe",
-    "remove yourself",
-    "to stop receiving",
-    "manage your subscription",
-    "you are receiving this because",
-];
-
-/// Layer-4 sender-header cues.
-const HEADER_CUES: [&str; 2] = ["bounce", "unsubscribe"];
-
-fn reflection_phrase_set() -> &'static PatternSet<()> {
-    static SET: OnceLock<PatternSet<()>> = OnceLock::new();
-    SET.get_or_init(|| {
-        let tagged: Vec<(&str, ())> = REFLECTION_PHRASES.iter().map(|p| (*p, ())).collect();
-        PatternSet::compile(&tagged)
-    })
-}
-
-fn header_cue_set() -> &'static PatternSet<()> {
-    static SET: OnceLock<PatternSet<()>> = OnceLock::new();
-    SET.get_or_init(|| {
-        let tagged: Vec<(&str, ())> = HEADER_CUES.iter().map(|p| (*p, ())).collect();
-        PatternSet::compile(&tagged)
-    })
-}
-
-/// The Layer-4 reflection predicate: unsubscribe headers, bounce
-/// senders, disagreeing From/Reply-To/Return-Path, list-mail body
-/// phrases, system-user senders. Phrase and header-cue checks run on
-/// compiled `ets-scan` sets — one case-folding pass per text, no
-/// lowercased copies. The lowercase-and-`contains` form it replaced is
-/// the oracle of this module's unit tests.
-pub fn reflection_mail(email: &CollectedEmail) -> bool {
-    reflection_with_from(email, email.message.from_addr().as_ref())
-}
-
-/// [`reflection_mail`] with the header `From` already parsed.
-fn reflection_with_from(email: &CollectedEmail, from: Option<&EmailAddress>) -> bool {
-    let m = &email.message;
-    if m.headers.contains("List-Unsubscribe") {
-        return true;
+    /// [`assert_layers_match_oracle`] on one generated collection, with
+    /// `stream_collect` as the streamed path.
+    fn assert_collection_matches_oracle(config: TrafficConfig) {
+        let infra = CollectionInfra::build();
+        let funnel = Funnel::new(&infra);
+        let gen = TrafficGenerator::new(&infra, config.clone());
+        let emails: Vec<CollectedEmail> = gen.generate().into_iter().map(|e| e.collected).collect();
+        let streamed = stream_collect(&gen, &funnel, &mut |_: GenEmail| {}).finish();
+        let what = format!("seed {} spam scale {}", config.seed, config.spam_scale);
+        assert_layers_match_oracle(&funnel, &emails, &streamed, &what);
     }
-    for h in ["Sender", "From", "Reply-To"] {
-        if let Some(v) = m.headers.get(h) {
-            if header_cue_set().any_match(v) {
-                return true;
+
+    #[test]
+    fn layers_3_to_5_match_the_full_feature_oracle_at_test_scale() {
+        // Seeds 11-15 and the `repro --fast` collection.
+        for seed in [11, 12, 13, 14, 15, 20160604] {
+            assert_collection_matches_oracle(TrafficConfig::test_scale(seed));
+        }
+    }
+
+    #[test]
+    fn layers_3_to_5_match_the_full_feature_oracle_on_the_study_workload() {
+        assert_collection_matches_oracle(study_config());
+    }
+
+    #[test]
+    fn layers_3_to_5_match_the_full_feature_oracle_over_three_rounds() {
+        let infra = CollectionInfra::build();
+        let funnel = Funnel::new(&infra);
+        let domain: ets_core::DomainName = "gmaiql.com".parse().unwrap();
+        let mk = |sender: &str, subject: &str, body: &str| CollectedEmail {
+            domain: domain.clone(),
+            vps_ip: infra.vps_map[&domain],
+            date: crate::time::SimDate(0),
+            client_helo: "mail.example".to_owned(),
+            mail_from: Some(sender.parse().unwrap()),
+            rcpt_to: "victim@gmaiql.com".parse().unwrap(),
+            message: ets_mail::MessageBuilder::new()
+                .raw_from(sender)
+                .raw_to("victim@gmaiql.com")
+                .subject(subject)
+                .body(body)
+                .build(),
+            smtp_submission: false,
+        };
+        let words = "we met at the conference last week and talked about the garden \
+                     project your sister mentioned the new library hours and the bus \
+                     route to the harbor market on friday";
+        let shuffled: Vec<&str> = words.split_whitespace().rev().collect();
+        let emails = [
+            // Layer-2 spam: its sender is a spam key from the start.
+            mk(
+                "spammer@bulk.example",
+                "FREE!!!",
+                "viagra cialis pharmacy lottery winner act now click here http://a http://b http://c",
+            ),
+            // Round 1 flags it by its sender; its bag becomes a spam key.
+            mk("spammer@bulk.example", "notes", words),
+            // Round 2 flags it by that bag; round 3 flags nothing.
+            mk("friend@other.example", "re: notes", &shuffled.join(" ")),
+            // Never flagged.
+            mk("colleague@third.example", "lunch", "see you at noon"),
+        ];
+        let feats: Vec<EmailFeatures> = emails.iter().map(|e| funnel.features(e)).collect();
+        assert_eq!(feats[0].verdict12, Some(FunnelVerdict::SpamScore));
+        assert!(feats[1..].iter().all(|f| f.verdict12.is_none()));
+        assert!(feats[1].bag.is_some() && feats[1].bag == feats[2].bag);
+        let mut stream = StreamFunnel::new(&funnel);
+        for e in &emails {
+            stream.push(e);
+        }
+        let (verdicts, rounds) =
+            assert_layers_match_oracle(&funnel, &emails, &stream.finish(), "three rounds");
+        assert_eq!(rounds, 3);
+        assert_eq!(verdicts[1..3], [FunnelVerdict::SpamCollaborative; 2]);
+        assert!(!verdicts[3].is_spam());
+    }
+
+    #[test]
+    fn survivor_record_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Survivor>(), 40);
+        assert_eq!(std::mem::size_of::<Option<FunnelVerdict>>(), 1);
+    }
+
+    /// `bag_of_words` as it was before it dismissed short bodies early
+    /// and sorted by prefix key: collect every token, sort, dedup. The
+    /// oracle of the `bag_of_words_matches_the_oracle_*` tests.
+    fn bag_of_words_oracle(body: &str) -> Option<u64> {
+        let mut words: Vec<&str> = TokenStream::alnum(body).map(|t| t.text).collect();
+        words.sort_unstable();
+        words.dedup();
+        if words.len() <= BOW_MIN_WORDS {
+            return None;
+        }
+        let mut h: u64 = 0xcbf29ce484222325;
+        for w in words {
+            for b in w.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
             }
-        }
-    }
-    // Any two of From / Reply-To / Return-Path disagreeing, byte for
-    // byte: the local part's case counts here, unlike in `==`.
-    let (reply_to, return_path) = (m.reply_to_addr(), m.return_path_addr());
-    let mut addrs = [from, reply_to.as_ref(), return_path.as_ref()]
-        .into_iter()
-        .flatten();
-    if let Some(first) = addrs.next() {
-        if addrs.any(|a| a.as_str() != first.as_str()) {
-            return true;
-        }
-    }
-    // Body phrases.
-    if reflection_phrase_set().any_match(&m.body) {
-        return true;
-    }
-    // System-user senders.
-    if let Some(sender) = from.or(email.mail_from.as_ref()) {
-        if sender.is_system_user() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Order-insensitive bag-of-words fingerprint, `None` unless the body
-/// has more than [`BOW_MIN_WORDS`] distinct words.
-fn bag_of_words(body: &str) -> Option<u64> {
-    let mut words: Vec<&str> = TokenStream::alnum(body).map(|t| t.text).collect();
-    words.sort_unstable();
-    words.dedup();
-    if words.len() <= BOW_MIN_WORDS {
-        return None;
-    }
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in words {
-        for b in w.bytes() {
-            h ^= b as u64;
+            h ^= 0xFF;
             h = h.wrapping_mul(0x100000001b3);
         }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x100000001b3);
+        Some(h)
     }
-    Some(h)
-}
 
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    #[test]
+    fn bag_of_words_matches_the_oracle_on_generated_traffic() {
+        let infra = CollectionInfra::build();
+        let configs = (11..=15).map(TrafficConfig::test_scale);
+        for config in configs.chain([study_config()]) {
+            let gen = TrafficGenerator::new(&infra, config.clone());
+            let setup = gen.setup();
+            let (mut bodies, mut bags) = (0usize, 0usize);
+            for day in 0..crate::time::STUDY_DAYS as usize {
+                for e in gen.day(&setup, day) {
+                    let body = &e.collected.message.body;
+                    let bag = bag_of_words(body);
+                    assert_eq!(
+                        bag,
+                        bag_of_words_oracle(body),
+                        "seed {}: {body:?}",
+                        config.seed
+                    );
+                    bodies += 1;
+                    bags += usize::from(bag.is_some());
+                }
+            }
+            assert!(
+                0 < bags && bags < bodies,
+                "seed {}: {bags} of {bodies}",
+                config.seed
+            );
+        }
     }
-    h
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::traffic::{TrafficConfig, TrafficGenerator, TrueKind};
+    #[test]
+    fn bag_of_words_matches_the_oracle_on_edge_cases() {
+        let distinct = |n: usize| -> Vec<String> { (0..n).map(|i| format!("w{i}")).collect() };
+        let exactly_20 = distinct(20).join(" ");
+        let exactly_21 = distinct(21).join(" ");
+        // 21 and 30 tokens whose duplicates leave 20 distinct words.
+        let dup_21 = format!("{exactly_20} w7");
+        let dup_30 = format!("{exactly_20} {}", distinct(10).join(" "));
+        // Words that share their first 8 bytes, and words that are a
+        // prefix of another, in both orders.
+        let shared: Vec<String> = ["", "a", "b", "0", "9", "A", "aa", "ab", "z", "Z"]
+            .iter()
+            .flat_map(|tail| [format!("abcdefgh{tail}"), format!("abcdefg{tail}")])
+            .collect();
+        let shared_fwd = shared.join(" ");
+        let shared_rev = shared.iter().rev().cloned().collect::<Vec<_>>().join("\t");
+        let prefixes = "a ab abc abcd abcde abcdef abcdefg abcdefgh abcdefghi abcdefghij \
+                        b ba bab baba babab bababa bababab babababa bababab9 A B Z 0 00 000";
+        // Non-ASCII letters and punctuation split tokens.
+        let non_ascii =
+            "naïve café—résumé coöperate über straße ﬁnance \u{a0}nbsp\u{3000}ideographic \
+                         emoji🙂here tab\tnew\nline crlf\r\nend zero\u{0}byte jalapeño piñata \
+                         façade smörgåsbord Ελληνικά слово 漢字 mixed½half";
+        let cases: [(&str, &str); 9] = [
+            ("exactly 20 distinct tokens", &exactly_20),
+            ("exactly 21 distinct tokens", &exactly_21),
+            ("21 tokens, 20 distinct", &dup_21),
+            ("30 tokens, 20 distinct", &dup_30),
+            ("shared 8-byte prefixes", &shared_fwd),
+            ("shared 8-byte prefixes, reversed", &shared_rev),
+            ("prefix words", prefixes),
+            ("non-ASCII separators", non_ascii),
+            ("empty", ""),
+        ];
+        for (what, body) in cases {
+            assert_eq!(bag_of_words(body), bag_of_words_oracle(body), "{what}");
+        }
+        assert!(bag_of_words(&exactly_20).is_none());
+        assert!(bag_of_words(&exactly_21).is_some());
+        assert!(bag_of_words(&dup_21).is_none() && bag_of_words(&dup_30).is_none());
+        assert_eq!(bag_of_words(&shared_fwd), bag_of_words(&shared_rev));
+        assert!(bag_of_words(prefixes).is_some() && bag_of_words(non_ascii).is_some());
+    }
 
     /// The pre-`ets-scan` Layer-4 predicate (lowercase-then-`contains` per
     /// phrase): the oracle of `reflection_scan_path_matches_legacy`.

@@ -1,5 +1,5 @@
-//! The streaming collection driver: traffic → features → funnel in
-//! bounded memory.
+//! The streaming collection path: traffic → features → funnel, with the
+//! emails themselves held only while in flight.
 //!
 //! This is the collection path `repro` runs. The batch form —
 //! [`TrafficGenerator::generate`] then [`Funnel::classify_all`] —
@@ -17,18 +17,24 @@
 //! is a pure per-email function; the reorder buffer replays day batches
 //! in calendar order, so the sink and the feature sequence match the
 //! batch oracle exactly; and the funnel's cross-email state merges by
-//! commutative addition, so epoch grouping cannot change a frequency
-//! count. [`Funnel::finish`] then sees identical inputs — identical
-//! verdicts, identical bytes downstream, at any thread count or channel
-//! depth. `tests/streaming_differential.rs` holds this equivalence
-//! against the oracle, including at exactly the collection
+//! commutative addition and set union, so epoch grouping cannot change a
+//! frequency count or a spam key. Layers 3–5 then see identical inputs —
+//! identical verdicts, identical bytes downstream, at any thread count or
+//! channel depth. `tests/streaming_differential.rs` holds this
+//! equivalence against the oracle, including at exactly the collection
 //! `repro --fast` runs.
 //!
 //! Peak payload memory is O(workers × channel-depth × day-batch) —
 //! measured, not claimed: workers register each day's payload bytes with
-//! [`ets_obs::mem`] when generated and release them at commit.
+//! [`ets_obs::mem`] when generated and release them at commit. What the
+//! funnel keeps until [`StreamFunnel::finish`] still grows with the
+//! study: a verdict byte per email, a 40-byte record per survivor of
+//! layers 1–2, the layer-3 spam sender and bag sets, and the layer-5
+//! frequency tables. The largest of these is the recipient table: at the
+//! `study` benchmark's seed 1 (216,580 emails) it holds 169,466 keys,
+//! about 4.5 MB.
 
-use crate::funnel::{EmailFeatures, FeatureBatch, Funnel, FunnelState, FunnelVerdict};
+use crate::funnel::{FeatureBatch, Funnel, FunnelVerdict, Retained};
 use crate::infra::CollectedEmail;
 use crate::pipeline::{Pipeline, StoredEmail};
 use crate::time::STUDY_DAYS;
@@ -74,15 +80,14 @@ impl EmailSink for StoreSink<'_> {
 }
 
 /// The incremental funnel: absorbs per-epoch [`FeatureBatch`]es in
-/// canonical order, merging their frequency accumulators, and runs the
-/// corpus-level layers once the stream ends. Absorbing N single-email
+/// canonical order, keeping only what layers 3–5 can still read, and
+/// runs those layers once the stream ends. Absorbing N single-email
 /// batches, one batch of N, or any epoch grouping in between yields
 /// identical verdicts — the property the proptest in
 /// `tests/streaming_differential.rs` exercises.
 pub struct StreamFunnel<'f, 'a> {
     funnel: &'f Funnel<'a>,
-    feats: Vec<EmailFeatures>,
-    freq: FunnelState,
+    kept: Retained,
 }
 
 impl<'f, 'a> StreamFunnel<'f, 'a> {
@@ -90,8 +95,7 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
     pub fn new(funnel: &'f Funnel<'a>) -> StreamFunnel<'f, 'a> {
         StreamFunnel {
             funnel,
-            feats: Vec::new(),
-            freq: FunnelState::new(),
+            kept: Retained::default(),
         }
     }
 
@@ -100,10 +104,7 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
         ets_obs::metrics::counter_add("funnel.emails", batch.feats.len() as u64);
         let scan_bytes: u64 = batch.feats.iter().map(|f| f.body_bytes).sum();
         ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
-        // ets-lint: allow(non-commutative-merge): the reorder buffer commits
-        // epochs in canonical order, so this append is order-stable.
-        self.feats.extend(batch.feats);
-        self.freq.merge(batch.freq);
+        self.kept.absorb(batch);
     }
 
     /// Absorbs a single email (epoch of one).
@@ -113,12 +114,12 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
 
     /// Emails absorbed so far.
     pub fn emails(&self) -> usize {
-        self.feats.len()
+        self.kept.emails()
     }
 
     /// Runs layers 3–5 over everything absorbed, consuming the state.
     pub fn finish(self) -> Vec<FunnelVerdict> {
-        self.funnel.finish(&self.feats, &self.freq)
+        self.funnel.finish(self.kept)
     }
 }
 
@@ -129,8 +130,9 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
 /// result for the verdicts.
 ///
 /// Byte-identical to `generate()` + `classify_all()` at any thread count
-/// or channel depth; peak payload memory is bounded by the channel
-/// geometry, not the study size (tracked via [`ets_obs::mem`]).
+/// or channel depth. Peak payload memory is bounded by the channel
+/// geometry, not the study size (tracked via [`ets_obs::mem`]); the
+/// funnel's retained state is not (see the module docs).
 pub fn stream_collect<'f, 'a>(
     gen: &TrafficGenerator<'a>,
     funnel: &'f Funnel<'a>,
