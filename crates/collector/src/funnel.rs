@@ -26,7 +26,7 @@
 use crate::infra::{CollectedEmail, CollectionInfra};
 use crate::spamscore::SpamScorer;
 use ets_mail::EmailAddress;
-use ets_parallel::{par_fold, par_map};
+use ets_parallel::par_map;
 use ets_scan::{PatternSet, TokenStream};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -317,7 +317,7 @@ impl Retained {
         }
         let verdicts = batch.feats.iter().map(|f| f.verdict12);
         let survivors = batch.feats.iter().filter_map(Survivor::of);
-        // The reorder buffer commits epochs in canonical order, so the
+        // `stream_map` commits epochs in canonical order, so the
         // verdict column and the survivor records grow in stream order.
         // The pragma on the first append covers its own line and the next.
         self.verdicts.extend(verdicts); // ets-lint: allow(non-commutative-merge): see above
@@ -526,12 +526,11 @@ impl<'a> Funnel<'a> {
     /// Classifies a whole collection: the batch oracle.
     ///
     /// Features extract in one data-parallel pass and the frequency
-    /// tables build by parallel fold of per-chunk accumulators merged by
-    /// addition. The collection is then absorbed as one epoch into the
-    /// same retained state the stream fills, and the same `finish` runs
-    /// the corpus-level layers. Output is identical for any thread
-    /// count — and identical to the streaming path, which extracts the
-    /// same features epoch by epoch.
+    /// tables count them in one sequential pass. The collection is then
+    /// absorbed as one epoch into the same retained state the stream
+    /// fills, and the same `finish` runs the corpus-level layers. Output
+    /// is identical for any thread count — and identical to the
+    /// streaming path, which extracts the same features epoch by epoch.
     pub fn classify_all(&self, emails: &[CollectedEmail]) -> Vec<FunnelVerdict> {
         let n = emails.len();
         let mut funnel_span = ets_obs::span!("funnel.classify");
@@ -544,12 +543,10 @@ impl<'a> Funnel<'a> {
         // workload quantity, so it belongs in the commutative registry.
         let scan_bytes: u64 = feats.iter().map(|f| f.body_bytes).sum();
         ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
-        let freq = par_fold(
-            &feats,
-            FunnelState::new,
-            |acc, _, f| acc.absorb(f),
-            |acc, part| acc.merge(part),
-        );
+        let mut freq = FunnelState::new();
+        for f in &feats {
+            freq.absorb(f);
+        }
         let mut kept = Retained::default();
         kept.absorb(FeatureBatch { feats, freq });
         self.finish(kept)
@@ -698,8 +695,10 @@ mod tests {
 
     /// `Funnel::finish` as it was when the funnel kept every email's
     /// features until the end: verbatim, but a free function that also
-    /// returns the rounds it adds to `funnel.layer3.rounds`. The oracle
-    /// of the `layers_3_to_5_match_the_full_feature_oracle_*` tests.
+    /// returns the rounds it adds to `funnel.layer3.rounds`, and whose
+    /// layer-3 spam sets are one sequential set union, not a parallel
+    /// fold. The oracle of the
+    /// `layers_3_to_5_match_the_full_feature_oracle_*` tests.
     fn finish_oracle(feats: &[EmailFeatures], freq: &FunnelState) -> (Vec<FunnelVerdict>, u64) {
         let n = feats.len();
         let mut finish_span = ets_obs::span!("funnel.finish");
@@ -714,24 +713,17 @@ mod tests {
         let mut layer3_rounds = 0u64;
         loop {
             layer3_rounds += 1;
-            let (spam_senders, spam_bags) = par_fold(
-                &verdicts,
-                || (HashSet::<u64>::new(), HashSet::<u64>::new()),
-                |acc, i, v| {
-                    if matches!(v, Some(v) if v.is_spam()) {
-                        if let Some(s) = feats[i].sender {
-                            acc.0.insert(s);
-                        }
-                        if let Some(b) = feats[i].bag {
-                            acc.1.insert(b);
-                        }
+            let (mut spam_senders, mut spam_bags) = (HashSet::new(), HashSet::new());
+            for (i, v) in verdicts.iter().enumerate() {
+                if matches!(v, Some(v) if v.is_spam()) {
+                    if let Some(s) = feats[i].sender {
+                        spam_senders.insert(s);
                     }
-                },
-                |acc, part| {
-                    acc.0.extend(part.0);
-                    acc.1.extend(part.1);
-                },
-            );
+                    if let Some(b) = feats[i].bag {
+                        spam_bags.insert(b);
+                    }
+                }
+            }
             let newly_spam: Vec<bool> = par_map(&verdicts, |i, v| {
                 if v.is_some() {
                     return false;

@@ -24,7 +24,8 @@
 //! * [`funnel`] — the five-layer spam/typo classification funnel.
 //! * [`stream`] — the bounded-memory streaming driver: per-day traffic
 //!   generation and feature extraction fanned out through
-//!   `ets_parallel::stream_map`, committed in calendar order.
+//!   `ets_parallel::stream_map`'s claim window, committed in calendar
+//!   order.
 //! * [`analysis`] — yearly projections, per-domain concentration,
 //!   persistence, attachment and sensitive-info statistics.
 

@@ -7,24 +7,24 @@
 //! O(total-emails) memory term that caps the study size; it stays as the
 //! oracle. This module runs the same computation as a stream over
 //! simulated days: each day is one work unit fanned out through
-//! [`ets_parallel::stream_map`] (bounded channels, reorder-commit), and
+//! [`ets_parallel::stream_map`] (a claim window, in-order commit), and
 //! the commit side — running strictly sequentially, in calendar order —
 //! absorbs the day's [`FeatureBatch`] into an incremental
 //! [`StreamFunnel`] and hands the day's emails to an [`EmailSink`].
 //!
 //! Determinism argument, layer by layer: a day's emails are a pure
 //! function of `(config, day)` (per-day RNG streams); feature extraction
-//! is a pure per-email function; the reorder buffer replays day batches
-//! in calendar order, so the sink and the feature sequence match the
+//! is a pure per-email function; `stream_map` commits day batches in
+//! calendar order, so the sink and the feature sequence match the
 //! batch oracle exactly; and the funnel's cross-email state merges by
 //! commutative addition and set union, so epoch grouping cannot change a
 //! frequency count or a spam key. Layers 3–5 then see identical inputs —
-//! identical verdicts, identical bytes downstream, at any thread count or
-//! channel depth. `tests/streaming_differential.rs` holds this
-//! equivalence against the oracle, including at exactly the collection
-//! `repro --fast` runs.
+//! identical verdicts, identical bytes downstream, at any thread count.
+//! `tests/streaming_differential.rs` holds this equivalence against the
+//! oracle, including at exactly the collection `repro --fast` runs.
 //!
-//! Peak payload memory is O(workers × channel-depth × day-batch) —
+//! Peak payload memory is O(workers × day-batch): at most
+//! `stream_map`'s claim window of 8 days per worker is in flight —
 //! measured, not claimed: workers register each day's payload bytes with
 //! [`ets_obs::mem`] when generated and release them at commit. What the
 //! funnel keeps until [`StreamFunnel::finish`] still grows with the
@@ -129,10 +129,10 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
 /// and handing emails to `sink`. Call [`StreamFunnel::finish`] on the
 /// result for the verdicts.
 ///
-/// Byte-identical to `generate()` + `classify_all()` at any thread count
-/// or channel depth. Peak payload memory is bounded by the channel
-/// geometry, not the study size (tracked via [`ets_obs::mem`]); the
-/// funnel's retained state is not (see the module docs).
+/// Byte-identical to `generate()` + `classify_all()` at any thread count.
+/// Peak payload memory is bounded by the claim window, not the study
+/// size (tracked via [`ets_obs::mem`]); the funnel's retained state is
+/// not (see the module docs).
 pub fn stream_collect<'f, 'a>(
     gen: &TrafficGenerator<'a>,
     funnel: &'f Funnel<'a>,
@@ -143,8 +143,8 @@ pub fn stream_collect<'f, 'a>(
     let mut state = StreamFunnel::new(funnel);
     let mut total = 0u64;
     ets_parallel::stream_map(
-        0..STUDY_DAYS as usize,
-        |_, day| {
+        STUDY_DAYS as usize,
+        |day| {
             let emails = gen.day(&setup, day);
             let bytes: u64 = emails.iter().map(|e| e.collected.approx_heap_bytes()).sum();
             ets_obs::mem::add(bytes);

@@ -64,7 +64,8 @@
 //! a record that cannot be written, or an output directory that cannot
 //! be created, fails the run. The collection run
 //! always streams: traffic is generated, feature-extracted and
-//! classified day by day under bounded channels (`ets_collector::stream`).
+//! classified day by day, a bounded window of days in flight
+//! (`ets_collector::stream`).
 //! The run's timings live in the `--trace` JSONL log (`stage` lines, the
 //! `run.*` gauges that key them, `mem.*` gauges, `lab.*` counters),
 //! which `ets-bench --check` ratchets.

@@ -117,8 +117,8 @@ fn trace_artifacts_are_valid_and_deterministic() {
     }
 
     // --- per-worker child spans parented to their fan-out ---------------
-    // Fan-out parents: `parallel.par_map` / `parallel.par_fold` /
-    // `parallel.stream` (the streaming pipeline's worker pool).
+    // Fan-out parents: `parallel.par_map` / `parallel.stream` (the
+    // streaming pipeline's worker pool).
     let ids: Vec<u64> = spans
         .iter()
         .filter(|e| {

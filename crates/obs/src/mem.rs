@@ -13,101 +13,57 @@
 //! Like the gauges in [`crate::metrics`], these values are scheduling
 //! territory: the peak depends on thread interleaving, so it flows into
 //! gauges and the trace log only, never into deterministic snapshots.
-//!
-//! The `mem-gauge` cargo feature (default-on) compiles the accounting;
-//! without it every function is a no-op returning zero.
 
-#[cfg(feature = "mem-gauge")]
-mod imp {
-    use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    pub fn add(bytes: u64) {
-        let now = LIVE.fetch_add(bytes, Ordering::AcqRel) + bytes;
-        let mut peak = PEAK.load(Ordering::Acquire);
-        while now > peak {
-            match PEAK.compare_exchange_weak(peak, now, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => break,
-                Err(observed) => peak = observed,
-            }
-        }
-    }
-
-    pub fn sub(bytes: u64) {
-        // Saturate rather than wrap: an unbalanced release is a caller
-        // bug, but a gauge must never explode to 2^64.
-        let _ = LIVE.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-            Some(v.saturating_sub(bytes))
-        });
-    }
-
-    pub fn live() -> u64 {
-        LIVE.load(Ordering::Acquire)
-    }
-
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Acquire)
-    }
-
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Acquire), Ordering::Release);
-    }
-
-    pub fn reset() {
-        LIVE.store(0, Ordering::Release);
-        PEAK.store(0, Ordering::Release);
-    }
-}
-
-#[cfg(not(feature = "mem-gauge"))]
-mod imp {
-    pub fn add(_bytes: u64) {}
-    pub fn sub(_bytes: u64) {}
-    pub fn live() -> u64 {
-        0
-    }
-    pub fn peak() -> u64 {
-        0
-    }
-    pub fn reset_peak() {}
-    pub fn reset() {}
-}
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Registers `bytes` of payload entering the pipeline, raising the peak
 /// watermark if the new live total exceeds it.
 pub fn add(bytes: u64) {
-    imp::add(bytes);
+    let now = LIVE.fetch_add(bytes, Ordering::AcqRel) + bytes;
+    let mut peak = PEAK.load(Ordering::Acquire);
+    while now > peak {
+        match PEAK.compare_exchange_weak(peak, now, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => break,
+            Err(observed) => peak = observed,
+        }
+    }
 }
 
 /// Releases `bytes` of payload handed off downstream (saturating at 0).
 pub fn sub(bytes: u64) {
-    imp::sub(bytes);
+    // Saturate rather than wrap: an unbalanced release is a caller bug,
+    // but a gauge must never explode to 2^64.
+    let _ = LIVE.fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
+        Some(v.saturating_sub(bytes))
+    });
 }
 
 /// Payload bytes currently in flight.
 pub fn live() -> u64 {
-    imp::live()
+    LIVE.load(Ordering::Acquire)
 }
 
 /// The high-water mark of [`live`] since the last [`reset_peak`].
 pub fn peak() -> u64 {
-    imp::peak()
+    PEAK.load(Ordering::Acquire)
 }
 
 /// Restarts the peak watermark at the current live total — call at a
 /// stage boundary to measure that stage's own peak.
 pub fn reset_peak() {
-    imp::reset_peak();
+    PEAK.store(LIVE.load(Ordering::Acquire), Ordering::Release);
 }
 
 /// Zeroes both counters (tests only).
 pub fn reset() {
-    imp::reset();
+    LIVE.store(0, Ordering::Release);
+    PEAK.store(0, Ordering::Release);
 }
 
-#[cfg(all(test, feature = "mem-gauge"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -9,23 +9,22 @@
 //! This crate provides the two pieces that make parallel runs
 //! **byte-identical to sequential runs**:
 //!
-//! 1. *Ordered* parallel combinators ([`par_map`], [`par_flat_map`],
-//!    [`par_fold`]) built on `std::thread::scope`. Work is split into
-//!    contiguous chunks pulled from an atomic cursor (dynamic load
-//!    balance), but results are reassembled in input order and fold
-//!    states are merged in chunk order, so the output is a pure function
-//!    of the input regardless of thread count or scheduling.
+//! 1. *Ordered* parallel maps ([`par_map`], [`par_map_index`]) built on
+//!    `std::thread::scope`. Work is split into contiguous chunks pulled
+//!    from an atomic cursor (dynamic load balance), but results are
+//!    reassembled in input order, so the output is a pure function of
+//!    the input regardless of thread count or scheduling.
 //! 2. Per-unit RNG streams ([`derive_rng`]): every parallel unit (a
 //!    target, a day, an email, a bucket) gets its own `ChaCha8Rng` seeded
 //!    from `(base_seed, domain, unit)`. No draw ever crosses a unit
 //!    boundary, so decomposing a loop cannot change what any unit draws.
 //!
-//! For inputs too large (or too open-ended) to materialize, the
-//! [`stream`] module provides the streaming analogue: [`stream_map`]
-//! pushes an iterator through bounded back-pressure channels to a worker
-//! pool and replays results through a sequence-number reorder buffer, so
-//! a sequential `commit` closure observes exactly the order a
-//! single-threaded loop would produce — same bytes, bounded memory.
+//! For results too large to hold all at once, [`stream_map`] is the
+//! streaming analogue: it maps the indices `0..n` on a worker pool that
+//! claims indices within a bounded window and hands each result to a
+//! sequential `commit` closure in index order, so `commit` observes
+//! exactly the order a single-threaded loop would produce — same bytes,
+//! bounded memory.
 //!
 //! The worker count is a process-wide setting ([`set_threads`]), wired to
 //! the `repro` driver's `--threads` flag. `threads() == 1` executes
@@ -33,7 +32,7 @@
 //! produce identical bytes, which `tests/determinism.rs` asserts.
 //!
 //! Every fan-out is observable through `ets-obs`: the call opens a
-//! `parallel.par_map` / `parallel.par_fold` span (a child of whatever
+//! `parallel.par_map` / `parallel.stream` span (a child of whatever
 //! span the caller had open) and each worker thread opens a
 //! `parallel.worker` child span carrying its worker index and items
 //! processed. Deterministic workload counters
@@ -44,9 +43,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod stream;
+mod stream;
 
-pub use stream::{set_stream_depth, stream_depth, stream_map, Bounded, ReorderBuffer};
+pub use stream::stream_map;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -110,7 +109,8 @@ pub fn derive_rng(base_seed: u64, domain: u64, unit: u64) -> ChaCha8Rng {
 }
 
 /// Upper bound on chunks per worker: small enough to keep bookkeeping
-/// cheap, large enough to balance skewed workloads.
+/// cheap, large enough to balance skewed workloads. [`stream_map`]
+/// derives its claim window from it too.
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// Records the deterministic fan-out metrics and opens the fan-out span.
@@ -198,89 +198,6 @@ where
     result
 }
 
-/// Like [`par_map`], but `f` produces a `Vec` per item and the vectors
-/// are concatenated in input order — the parallel analogue of
-/// `flat_map` + `collect`.
-pub fn par_flat_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Vec<R> + Sync,
-{
-    let nested = par_map(items, f);
-    let mut out = Vec::with_capacity(nested.iter().map(Vec::len).sum());
-    for mut part in nested {
-        out.append(&mut part);
-    }
-    out
-}
-
-/// Folds `items` in parallel: each chunk folds into a fresh accumulator
-/// (`init`), and accumulators merge **in chunk order**, so any
-/// order-sensitive merge still sees a canonical sequence.
-pub fn par_fold<T, A, I, F, M>(items: &[T], init: I, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, &T) + Sync,
-    M: Fn(&mut A, A),
-{
-    let workers = threads();
-    let fan = fanout_span("par_fold", items.len(), workers);
-    if workers <= 1 || items.len() < 2 {
-        let mut acc = init();
-        for (i, t) in items.iter().enumerate() {
-            fold(&mut acc, i, t);
-        }
-        return acc;
-    }
-    let parent = fan.id();
-    let chunk = chunk_size(items.len(), workers);
-    let n_chunks = items.len().div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    std::thread::scope(|scope| {
-        let (cursor, done, init, fold, items) = (&cursor, &done, &init, &fold, items);
-        for w in 0..workers.min(n_chunks) {
-            scope.spawn(move || {
-                let mut span = ets_obs::span::worker("parallel.worker", parent, w);
-                let mut items_done = 0u64;
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let start = c * chunk;
-                    let end = (start + chunk).min(items.len());
-                    let mut acc = init();
-                    for (k, t) in items[start..end].iter().enumerate() {
-                        fold(&mut acc, start + k, t);
-                    }
-                    items_done += (end - start) as u64;
-                    done.lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push((c, acc));
-                }
-                span.arg("items", items_done);
-                // See par_map: deterministic shard retirement at the
-                // fan-out boundary.
-                ets_obs::metrics::retire_local();
-            });
-        }
-    });
-    let mut parts = done.into_inner().unwrap_or_else(|p| p.into_inner());
-    parts.sort_unstable_by_key(|(c, _)| *c);
-    let mut parts = parts.into_iter().map(|(_, a)| a);
-    let Some(mut acc) = parts.next() else {
-        return init();
-    };
-    for part in parts {
-        merge(&mut acc, part);
-    }
-    acc
-}
-
 /// Runs `f` once per index in `0..n` in parallel, collecting results in
 /// index order. Convenience wrapper over [`par_map`] for loops that are
 /// indexed rather than slice-driven (e.g. simulated days).
@@ -299,9 +216,9 @@ mod tests {
     use rand::Rng;
 
     /// Serializes the crate's tests that touch process-global state: the
-    /// thread count, the stream depth and the metric registry. The
-    /// `stream` tests take the same lock, so a `par_map` test bumping
-    /// `parallel.par_map.*` never lands inside a stream counter snapshot.
+    /// thread count and the metric registry. The `stream` tests take the
+    /// same lock, so a `par_map` test bumping `parallel.par_map.*` never
+    /// lands inside a stream counter snapshot.
     /// A test that panics while holding it must not cascade into the
     /// others, hence the poison recovery.
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -323,36 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_matches_sequential() {
-        let _guard = lock();
-        let items: Vec<u64> = (0..5_000).map(|i| i % 97).collect();
-        let run = |threads| {
-            set_threads(threads);
-            par_fold(
-                &items,
-                Vec::new,
-                |acc: &mut Vec<u64>, i, &x| acc.push(x + i as u64),
-                |acc, part| acc.extend(part),
-            )
-        };
-        let seq = run(1);
-        let par = run(6);
-        set_threads(0);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_flat_map_concatenates_in_order() {
-        let _guard = lock();
-        set_threads(4);
-        let items: Vec<usize> = (0..1000).collect();
-        let out = par_flat_map(&items, |_, &x| vec![x, x]);
-        set_threads(0);
-        assert_eq!(out.len(), 2000);
-        assert!(out.chunks(2).enumerate().all(|(i, c)| c == [i, i]));
-    }
-
-    #[test]
     fn derived_streams_are_stable_and_distinct() {
         let draw = |base, dom, unit| {
             let mut rng = derive_rng(base, dom, unit);
@@ -371,14 +258,7 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
-        let folded = par_fold(
-            &empty,
-            || 0u32,
-            |acc, _, &x| *acc += x,
-            |acc, part| *acc += part,
-        );
         set_threads(0);
-        assert_eq!(folded, 0);
     }
 
     #[test]
@@ -427,12 +307,6 @@ mod tests {
             ets_obs::metrics::reset();
             set_threads(threads);
             let _ = par_map(&items, |_, &x| x);
-            let _ = par_fold(
-                &items,
-                || 0u64,
-                |acc, _, &x| *acc += x,
-                |acc, part| *acc += part,
-            );
             set_threads(0);
             ets_obs::metrics::snapshot_json()
         };

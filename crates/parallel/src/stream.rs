@@ -1,264 +1,158 @@
-//! Streaming fan-out with deterministic reorder-commit.
+//! Streaming fan-out with deterministic in-order commit.
 //!
-//! The batch combinators in the crate root materialize their whole input
-//! before fanning out — fine for a table of targets, fatal for an
-//! open-ended email stream. This module provides the streaming analogue:
-//! a producer feeds work units through a [`Bounded`] channel (back
-//! pressure, no unbounded buffering), workers map them in parallel, and
-//! a sequence-number [`ReorderBuffer`] replays results to a sequential
-//! `commit` closure **in input order**. The commit closure therefore
-//! observes exactly the sequence a single-threaded loop would produce —
-//! the property every downstream consumer (incremental funnel state,
-//! storage pipeline, metrics) relies on for byte-identical output at any
-//! thread count or channel depth.
+//! The batch combinators in the crate root hold every result until the
+//! last one is done — fine for a table of targets, too much for a study
+//! period of email. This module provides the streaming analogue:
+//! [`stream_map`] maps the indices `0..n` on a worker pool and hands
+//! each result to a sequential `commit` closure **in index order**. The
+//! commit closure therefore observes exactly the sequence a
+//! single-threaded loop would produce — the property every downstream
+//! consumer (incremental funnel state, storage pipeline, metrics) relies
+//! on for byte-identical output at any thread count.
 //!
-//! Memory is bounded by construction: at most `depth` unprocessed items,
-//! `workers` in-flight items, and `depth + workers` uncommitted results
-//! exist at once, so peak memory is O(workers × depth × unit size)
-//! regardless of stream length.
+//! Memory is bounded by a claim window: a worker never claims an index
+//! more than `CHUNKS_PER_WORKER × workers` past the next one to commit,
+//! so at most that many results are claimed but not yet committed,
+//! however long the stream.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Process-wide channel depth for [`stream_map`] (work units buffered
-/// between the producer and the workers). `0` selects the default.
-static STREAM_DEPTH: AtomicUsize = AtomicUsize::new(0);
-
-/// Default channel depth: deep enough to keep workers busy across commit
-/// hiccups, shallow enough that a day-sized work unit keeps peak memory
-/// far below the materialized batch.
-const DEFAULT_STREAM_DEPTH: usize = 64;
-
-/// Sets the channel depth for subsequent [`stream_map`] calls
-/// (`0` restores the default). Output never depends on this value —
-/// only peak memory and scheduling slack do.
-pub fn set_stream_depth(depth: usize) {
-    STREAM_DEPTH.store(depth, Ordering::Relaxed);
+/// What the workers and the committer share, under one lock.
+struct State<R> {
+    /// The next index a worker claims.
+    claimed: usize,
+    /// The next index the committer takes; claims stay below
+    /// `taken + window`.
+    taken: usize,
+    /// Finished results waiting for their turn, by index.
+    done: BTreeMap<usize, R>,
+    /// A worker or the committer unwound: everyone stops.
+    failed: bool,
 }
 
-/// The effective channel depth.
-pub fn stream_depth() -> usize {
-    match STREAM_DEPTH.load(Ordering::Relaxed) {
-        0 => DEFAULT_STREAM_DEPTH,
-        n => n,
-    }
+struct Shared<R> {
+    state: Mutex<State<R>>,
+    /// Signalled when `taken` advances or the stream fails.
+    room: Condvar,
+    /// Signalled when a result lands in `done` or the stream fails.
+    ready: Condvar,
 }
 
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPSC/SPSC channel: `send` blocks while the queue is full
-/// (back pressure), `recv` blocks while it is empty, and `close` wakes
-/// every waiter so shutdown never hangs.
-///
-/// Built on `Mutex` + `Condvar` only — the work units here are day-sized
-/// batches, so channel overhead is irrelevant and a dependency-free
-/// implementation keeps the determinism story auditable.
-pub struct Bounded<T> {
-    capacity: usize,
-    state: Mutex<ChannelState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> Bounded<T> {
-    /// Creates a channel holding at most `capacity` items (min 1).
-    pub fn new(capacity: usize) -> Bounded<T> {
-        Bounded {
-            capacity: capacity.max(1),
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Poison only means another thread panicked mid-operation; the panic
-    /// still propagates through the scope join, so recovering the guard
-    /// here never masks a failure.
-    fn lock(&self) -> MutexGuard<'_, ChannelState<T>> {
+impl<R> Shared<R> {
+    /// `f` and `commit` run unlocked and nothing under the lock can
+    /// panic, so every update leaves the state valid and a poisoned
+    /// guard is safe to recover; any panic propagates through the scope
+    /// join regardless.
+    fn lock(&self) -> MutexGuard<'_, State<R>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Blocks until there is room, then enqueues `item`. Returns `false`
-    /// (dropping the item) when the channel closed — the receiving side
-    /// is gone and the sender should stop producing.
-    pub fn send(&self, item: T) -> bool {
-        let mut s = self.lock();
-        while s.queue.len() >= self.capacity && !s.closed {
-            s = self.not_full.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-        if s.closed {
-            return false;
-        }
-        s.queue.push_back(item);
-        drop(s);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks until an item arrives, returning `None` once the channel is
-    /// closed **and** drained.
-    pub fn recv(&self) -> Option<T> {
+    /// The next index once it fits the window; `None` when every index
+    /// is claimed or the stream failed.
+    fn claim(&self, n: usize, window: usize) -> Option<usize> {
         let mut s = self.lock();
         loop {
-            if let Some(item) = s.queue.pop_front() {
-                drop(s);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if s.closed {
+            if s.failed || s.claimed >= n {
                 return None;
             }
-            s = self.not_empty.wait(s).unwrap_or_else(|p| p.into_inner());
+            if s.claimed < s.taken + window {
+                s.claimed += 1;
+                return Some(s.claimed - 1);
+            }
+            s = self.room.wait(s).unwrap_or_else(|p| p.into_inner());
         }
     }
 
-    /// Closes the channel: senders drop further items, receivers drain
-    /// what is queued and then see `None`. Idempotent.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
+    /// Blocks until result `i` is done and takes it, opening one more
+    /// slot of the window; `None` once the stream failed.
+    fn take(&self, i: usize) -> Option<R> {
+        let mut s = self.lock();
+        let result = loop {
+            if s.failed {
+                return None;
+            }
+            if let Some(r) = s.done.remove(&i) {
+                break r;
+            }
+            s = self.ready.wait(s).unwrap_or_else(|p| p.into_inner());
+        };
+        s.taken = i + 1;
+        drop(s);
+        self.room.notify_all();
+        Some(result)
     }
 }
 
-/// Reassembles out-of-order `(sequence, value)` pairs into the canonical
-/// input order: values become ready exactly when every earlier sequence
-/// number has been pushed and popped.
-pub struct ReorderBuffer<T> {
-    next: usize,
-    pending: BTreeMap<usize, T>,
-}
+/// Fails the stream if its thread unwinds, waking every waiter so the
+/// scope joins and re-raises the panic instead of hanging.
+struct FailOnUnwind<'s, R>(&'s Shared<R>);
 
-impl<T> Default for ReorderBuffer<T> {
-    fn default() -> Self {
-        ReorderBuffer::new()
-    }
-}
-
-impl<T> ReorderBuffer<T> {
-    /// An empty buffer expecting sequence number 0 first.
-    pub fn new() -> ReorderBuffer<T> {
-        ReorderBuffer {
-            next: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Holds a value until its turn comes.
-    pub fn push(&mut self, seq: usize, value: T) {
-        debug_assert!(seq >= self.next, "sequence {seq} already committed");
-        self.pending.insert(seq, value);
-    }
-
-    /// The next in-order value, if it has arrived.
-    pub fn pop_ready(&mut self) -> Option<(usize, T)> {
-        let value = self.pending.remove(&self.next)?;
-        let seq = self.next;
-        self.next += 1;
-        Some((seq, value))
-    }
-
-    /// Number of values held out of order.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-/// Closes both pipeline channels when dropped. Normally a no-op (the
-/// producer and last worker close them first); if the commit closure
-/// panics it unblocks every producer/worker `send` so the thread scope
-/// can join and propagate the panic instead of deadlocking.
-struct CloseOnDrop<'c, A, B> {
-    input: &'c Bounded<A>,
-    output: &'c Bounded<B>,
-}
-
-impl<A, B> Drop for CloseOnDrop<'_, A, B> {
+impl<R> Drop for FailOnUnwind<'_, R> {
     fn drop(&mut self) {
-        self.input.close();
-        self.output.close();
+        if std::thread::panicking() {
+            self.0.lock().failed = true;
+            self.0.room.notify_all();
+            self.0.ready.notify_all();
+        }
     }
 }
 
-/// Streams `items` through a parallel map with sequential, in-order
-/// commit — the streaming analogue of [`par_map`](crate::par_map).
+/// Maps `f` over the indices `0..n` in parallel with sequential,
+/// in-order commit — the streaming analogue of
+/// [`par_map_index`](crate::par_map_index).
 ///
-/// A producer thread pulls from the iterator and feeds a [`Bounded`]
-/// channel of depth [`stream_depth()`]; [`threads()`](crate::threads)
-/// workers apply `f` (which receives the item's sequence number, so
-/// callers can derive per-unit RNG streams); the calling thread replays
-/// results through a [`ReorderBuffer`] and hands each to `commit` in
-/// input order. `commit` runs strictly sequentially on the caller's
-/// thread, so it may hold `&mut` state without synchronization.
+/// [`threads()`](crate::threads) workers claim indices in order and
+/// apply `f` (the index lets callers derive per-unit RNG streams); the
+/// calling thread hands each result to `commit` in index order. A worker
+/// waits rather than claim an index `CHUNKS_PER_WORKER × threads()` or
+/// more past the next one to commit, which bounds the results held at
+/// once. `commit` runs strictly sequentially on the caller's thread, so
+/// it may hold `&mut` state without synchronization. A panic in `f` or
+/// in `commit` stops the workers and propagates to the caller.
 ///
-/// With `threads() <= 1` everything runs inline on the caller's thread —
-/// no channels, no producer thread — and the deterministic workload
-/// counters (`parallel.stream.{calls,items}`) fire identically on both
-/// paths, so metrics snapshots never depend on the thread count.
-pub fn stream_map<T, R, I, F, C>(items: I, f: F, mut commit: C)
+/// With `threads() <= 1` everything runs inline on the caller's thread,
+/// and the deterministic workload counters
+/// (`parallel.stream.{calls,items}`) fire identically on both paths, so
+/// metrics snapshots never depend on the thread count.
+pub fn stream_map<R, F, C>(n: usize, f: F, mut commit: C)
 where
-    T: Send,
     R: Send,
-    I: IntoIterator<Item = T>,
-    I::IntoIter: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
     C: FnMut(usize, R),
 {
     let workers = crate::threads();
-    let depth = stream_depth();
-    ets_obs::metrics::counter_add("parallel.stream.calls", 1);
-    let mut span = ets_obs::span::enter_at("parallel.stream", ets_obs::Level::Debug);
-    span.arg("workers", workers as u64);
-    span.arg("depth", depth as u64);
+    let window = crate::CHUNKS_PER_WORKER * workers;
+    let span = crate::fanout_span("stream", n, workers);
     if workers <= 1 {
-        let mut n = 0u64;
-        for (seq, item) in items.into_iter().enumerate() {
-            commit(seq, f(seq, item));
-            n += 1;
+        for i in 0..n {
+            commit(i, f(i));
         }
-        ets_obs::metrics::counter_add("parallel.stream.items", n);
-        span.arg("items", n);
         return;
     }
     let parent = span.id();
-    // Results may arrive up to `depth + workers` positions early, so the
-    // output channel is sized to hold them all: a worker never blocks on
-    // a result the committer is not yet allowed to take.
-    let input: Bounded<(usize, T)> = Bounded::new(depth);
-    let output: Bounded<(usize, R)> = Bounded::new(depth + workers);
-    let active = AtomicUsize::new(workers);
-    let iter = items.into_iter();
-    let mut committed = 0u64;
+    let shared = Shared {
+        state: Mutex::new(State {
+            claimed: 0,
+            taken: 0,
+            done: BTreeMap::new(),
+            failed: false,
+        }),
+        room: Condvar::new(),
+        ready: Condvar::new(),
+    };
     std::thread::scope(|scope| {
-        let (input, output, f, active) = (&input, &output, &f, &active);
-        scope.spawn(move || {
-            for pair in iter.enumerate() {
-                if !input.send(pair) {
-                    break; // committer gone (panic path) — stop producing
-                }
-            }
-            input.close();
-        });
-        for w in 0..workers {
+        let (shared, f) = (&shared, &f);
+        for w in 0..workers.min(n) {
             scope.spawn(move || {
+                let _fail = FailOnUnwind(shared);
                 let mut span = ets_obs::span::worker("parallel.worker", parent, w);
                 let mut items_done = 0u64;
-                while let Some((seq, item)) = input.recv() {
-                    let result = f(seq, item);
+                while let Some(i) = shared.claim(n, window) {
+                    let result = f(i);
                     items_done += 1;
-                    if !output.send((seq, result)) {
-                        break;
-                    }
-                }
-                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    output.close();
+                    shared.lock().done.insert(i, result);
+                    shared.ready.notify_one();
                 }
                 span.arg("items", items_done);
                 // Fold this worker's metric shard before the scope
@@ -266,64 +160,49 @@ where
                 ets_obs::metrics::retire_local();
             });
         }
-        let _guard = CloseOnDrop { input, output };
-        let mut buffer = ReorderBuffer::new();
-        while let Some((seq, result)) = output.recv() {
-            buffer.push(seq, result);
-            while let Some((ready, result)) = buffer.pop_ready() {
-                commit(ready, result);
-                committed += 1;
-            }
+        let _fail = FailOnUnwind(shared);
+        for i in 0..n {
+            // `None`: a worker panicked, and the scope join re-raises it.
+            let Some(result) = shared.take(i) else { return };
+            commit(i, result);
         }
-        debug_assert_eq!(buffer.pending(), 0, "results stranded out of order");
     });
-    ets_obs::metrics::counter_add("parallel.stream.items", committed);
-    span.arg("items", committed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::lock;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
-    fn collect_stream(threads: usize, depth: usize, n: usize) -> Vec<(usize, u64)> {
+    fn collect_stream(threads: usize, n: usize) -> Vec<(usize, u64)> {
         crate::set_threads(threads);
-        set_stream_depth(depth);
         let mut out = Vec::new();
-        stream_map(
-            (0..n).map(|i| i as u64),
-            |seq, x| x * 3 + seq as u64,
-            |seq, r| out.push((seq, r)),
-        );
+        stream_map(n, |i| i as u64 * 4, |i, r| out.push((i, r)));
         crate::set_threads(0);
-        set_stream_depth(0);
         out
     }
 
     #[test]
-    fn commits_in_order_at_any_thread_count_and_depth() {
+    fn commits_in_order_at_any_thread_count() {
         let _guard = lock();
-        let expected = collect_stream(1, 0, 1000);
+        let expected = collect_stream(1, 1000);
         assert!(expected
             .iter()
             .enumerate()
             .all(|(i, &(s, v))| { s == i && v == 4 * i as u64 }));
         for threads in [2, 3, 8] {
-            for depth in [1, 7, 1024] {
-                assert_eq!(
-                    collect_stream(threads, depth, 1000),
-                    expected,
-                    "threads={threads} depth={depth}"
-                );
-            }
+            assert_eq!(collect_stream(threads, 1000), expected, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_single_streams() {
         let _guard = lock();
-        assert!(collect_stream(4, 2, 0).is_empty());
-        assert_eq!(collect_stream(4, 2, 1), vec![(0, 0)]);
+        assert!(collect_stream(4, 0).is_empty());
+        assert_eq!(collect_stream(4, 1), vec![(0, 0)]);
     }
 
     #[test]
@@ -331,7 +210,7 @@ mod tests {
         let _guard = lock();
         let snapshot_for = |threads: usize| {
             ets_obs::metrics::reset();
-            let _ = collect_stream(threads, 4, 257);
+            let _ = collect_stream(threads, 257);
             ets_obs::metrics::snapshot_json()
         };
         let one = snapshot_for(1);
@@ -343,55 +222,82 @@ mod tests {
     }
 
     #[test]
-    fn bounded_channel_backpressure_and_close() {
-        let ch: Bounded<u32> = Bounded::new(2);
-        assert!(ch.send(1));
-        assert!(ch.send(2));
-        std::thread::scope(|scope| {
-            let h = scope.spawn(|| ch.send(3)); // blocks: full
-            assert_eq!(ch.recv(), Some(1));
-            assert!(h.join().unwrap());
-        });
-        ch.close();
-        assert!(!ch.send(9), "send after close is rejected");
-        assert_eq!(ch.recv(), Some(2));
-        assert_eq!(ch.recv(), Some(3), "queued items survive close");
-        assert_eq!(ch.recv(), None);
-    }
-
-    #[test]
-    fn reorder_buffer_replays_canonical_order() {
-        let mut buf = ReorderBuffer::new();
-        buf.push(2, "c");
-        buf.push(0, "a");
-        assert_eq!(buf.pop_ready(), Some((0, "a")));
-        assert_eq!(buf.pop_ready(), None); // 1 missing
-        assert_eq!(buf.pending(), 1);
-        buf.push(1, "b");
-        assert_eq!(buf.pop_ready(), Some((1, "b")));
-        assert_eq!(buf.pop_ready(), Some((2, "c")));
-        assert_eq!(buf.pop_ready(), None);
+    fn claims_stay_within_the_window() {
+        let _guard = lock();
+        for threads in [2, 3, 8] {
+            crate::set_threads(threads);
+            let committed = AtomicUsize::new(0);
+            let max_ahead = AtomicUsize::new(0);
+            stream_map(
+                2_000,
+                |i| {
+                    let ahead = i - committed.load(Ordering::SeqCst);
+                    max_ahead.fetch_max(ahead, Ordering::SeqCst);
+                },
+                |_, ()| {
+                    committed.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            crate::set_threads(0);
+            let max = max_ahead.into_inner();
+            assert!(
+                max <= crate::CHUNKS_PER_WORKER * threads,
+                "threads={threads}: claimed {max} past the last commit"
+            );
+        }
     }
 
     #[test]
     fn commit_sees_sequential_mutable_state() {
         let _guard = lock();
         crate::set_threads(6);
-        set_stream_depth(3);
         // A running checksum is order-sensitive: any out-of-order commit
         // changes the result.
         let mut acc = 0u64;
         stream_map(
-            0..5_000u64,
-            |_, x| x.wrapping_mul(0x9E37_79B9),
+            5_000,
+            |i| (i as u64).wrapping_mul(0x9E37_79B9),
             |_, r| acc = acc.rotate_left(7) ^ r,
         );
         crate::set_threads(0);
-        set_stream_depth(0);
         let mut want = 0u64;
         for x in 0..5_000u64 {
             want = want.rotate_left(7) ^ x.wrapping_mul(0x9E37_79B9);
         }
         assert_eq!(acc, want);
+    }
+
+    /// Runs `stream_map` at 2 threads on a helper thread and reports
+    /// whether it panicked; a hang fails the test after 10 s instead of
+    /// stalling the suite.
+    fn panics_at_two_threads(f: fn(usize) -> usize, commit: fn(usize, usize)) -> bool {
+        let _guard = lock();
+        crate::set_threads(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| stream_map(100, f, commit)));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("stream_map hung instead of propagating the panic");
+        helper.join().expect("catch_unwind holds the panic");
+        crate::set_threads(0);
+        panicked
+    }
+
+    #[test]
+    fn a_panicking_worker_propagates() {
+        let f = |i: usize| {
+            assert_ne!(i, 5, "worker fails at item 5");
+            i
+        };
+        assert!(panics_at_two_threads(f, |_, _| {}));
+    }
+
+    #[test]
+    fn a_panicking_commit_propagates() {
+        let commit = |i: usize, _: usize| assert_ne!(i, 5, "commit fails at item 5");
+        assert!(panics_at_two_threads(|i| i, commit));
     }
 }

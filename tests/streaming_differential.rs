@@ -1,20 +1,20 @@
 //! Streaming-vs-batch differential suite.
 //!
 //! The streaming pipeline (`ets_collector::stream`) claims byte-identical
-//! output to the batch collect-then-classify oracle at any thread count,
-//! any channel depth, and any epoch grouping — plus bounded in-flight
-//! payload memory. This suite holds each claim against the oracle:
+//! output to the batch collect-then-classify oracle at any thread count
+//! and any epoch grouping — plus bounded in-flight payload memory. This
+//! suite holds each claim against the oracle:
 //!
-//! * full email + verdict equality across a thread {1, 2, 8} × channel
-//!   depth {1, 1024} sweep, and at 1 and 4 threads on exactly the
-//!   collection `repro --fast` runs;
+//! * full email + verdict equality across a thread {1, 2, 8} sweep, and
+//!   at 1 and 4 threads on exactly the collection `repro --fast` runs;
 //! * a proptest that absorbs the corpus in arbitrary epoch groupings and
 //!   demands the verdicts never move;
-//! * a peak-memory assertion: with a discarding sink, the in-flight
-//!   payload bound stays far below the materialized corpus size.
+//! * a peak-memory assertion: with a discarding sink, the payload in
+//!   `stream_map`'s claim window stays far below the materialized corpus
+//!   size.
 //!
-//! Thread count, channel depth, and the mem gauge are process-global, so
-//! every test serializes on one file-local lock and restores defaults.
+//! The thread count and the mem gauge are process-global, so every test
+//! serializes on one file-local lock and restores the default.
 
 use ets_collector::funnel::{Funnel, FunnelVerdict};
 use ets_collector::infra::{CollectedEmail, CollectionInfra};
@@ -23,17 +23,11 @@ use ets_collector::traffic::{GenEmail, TrafficConfig, TrafficGenerator};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes tests that touch the process-global thread count, channel
-/// depth, or mem gauge.
+/// Serializes tests that touch the process-global thread count or mem
+/// gauge.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Restores the global knobs this suite turns.
-fn restore_defaults() {
-    ets_parallel::set_threads(0);
-    ets_parallel::set_stream_depth(0);
 }
 
 /// The shared oracle: one batch run of the generator and funnel at test
@@ -56,30 +50,27 @@ fn oracle() -> &'static (CollectionInfra, Vec<CollectedEmail>, Vec<FunnelVerdict
 }
 
 #[test]
-fn stream_equals_batch_across_threads_and_depths() {
+fn stream_equals_batch_across_threads() {
     let _g = lock();
     let (infra, batch_emails, batch_verdicts) = oracle();
     for threads in [1usize, 2, 8] {
-        for depth in [1usize, 1024] {
-            ets_parallel::set_threads(threads);
-            ets_parallel::set_stream_depth(depth);
-            let gen = TrafficGenerator::new(infra, TrafficConfig::test_scale(77));
-            let funnel = Funnel::new(infra);
-            let mut streamed: Vec<CollectedEmail> = Vec::new();
-            let mut sink = |e: GenEmail| streamed.push(e.collected);
-            let state = stream_collect(&gen, &funnel, &mut sink);
-            let verdicts = state.finish();
-            assert_eq!(
-                &streamed, batch_emails,
-                "emails diverged at threads={threads} depth={depth}"
-            );
-            assert_eq!(
-                &verdicts, batch_verdicts,
-                "verdicts diverged at threads={threads} depth={depth}"
-            );
-        }
+        ets_parallel::set_threads(threads);
+        let gen = TrafficGenerator::new(infra, TrafficConfig::test_scale(77));
+        let funnel = Funnel::new(infra);
+        let mut streamed: Vec<CollectedEmail> = Vec::new();
+        let mut sink = |e: GenEmail| streamed.push(e.collected);
+        let state = stream_collect(&gen, &funnel, &mut sink);
+        let verdicts = state.finish();
+        assert_eq!(
+            &streamed, batch_emails,
+            "emails diverged at threads={threads}"
+        );
+        assert_eq!(
+            &verdicts, batch_verdicts,
+            "verdicts diverged at threads={threads}"
+        );
     }
-    restore_defaults();
+    ets_parallel::set_threads(0);
 }
 
 /// `repro --fast` collects `TrafficConfig::test_scale` at the default
@@ -89,7 +80,7 @@ fn stream_equals_batch_across_threads_and_depths() {
 #[test]
 fn repro_fast_collection_equals_batch_oracle() {
     let _g = lock();
-    restore_defaults();
+    ets_parallel::set_threads(0);
     let infra = CollectionInfra::build();
     let config = TrafficConfig::test_scale(20160604);
     let gen = TrafficGenerator::new(&infra, config);
@@ -107,7 +98,7 @@ fn repro_fast_collection_equals_batch_oracle() {
             "verdicts diverged at threads={threads}"
         );
     }
-    restore_defaults();
+    ets_parallel::set_threads(0);
 }
 
 #[test]
@@ -117,7 +108,6 @@ fn in_flight_memory_stays_bounded() {
     let corpus_bytes: u64 = batch_emails.iter().map(|e| e.approx_heap_bytes()).sum();
     assert!(corpus_bytes > 0);
     ets_parallel::set_threads(2);
-    ets_parallel::set_stream_depth(1);
     ets_obs::mem::reset();
     let gen = TrafficGenerator::new(infra, TrafficConfig::test_scale(77));
     let funnel = Funnel::new(infra);
@@ -133,7 +123,7 @@ fn in_flight_memory_stays_bounded() {
         "peak in-flight {peak} not bounded vs corpus {corpus_bytes}"
     );
     assert_eq!(ets_obs::mem::live(), 0, "commit leaked payload bytes");
-    restore_defaults();
+    ets_parallel::set_threads(0);
 }
 
 proptest! {
@@ -145,7 +135,7 @@ proptest! {
         raw_cuts in proptest::collection::vec(0..2000usize, 0..12),
     ) {
         let _g = lock();
-        restore_defaults();
+        ets_parallel::set_threads(0);
         let (infra, batch_emails, batch_verdicts) = oracle();
         let funnel = Funnel::new(infra);
         let n = batch_emails.len();
