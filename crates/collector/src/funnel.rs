@@ -25,6 +25,7 @@
 
 use crate::infra::{CollectedEmail, CollectionInfra};
 use crate::spamscore::SpamScorer;
+use crate::stream::StreamFunnel;
 use ets_mail::EmailAddress;
 use ets_parallel::par_map;
 use ets_scan::{PatternSet, TokenStream};
@@ -119,47 +120,23 @@ pub struct EmailFeatures {
     pub body_bytes: u64,
 }
 
-/// Mergeable cross-email state: the layer-5 frequency tables.
-///
-/// Counts accumulate by addition, which commutes — per-shard accumulators
-/// merged under any epoch grouping equal the tables one sequential pass
-/// would build, so sharding never changes a frequency verdict.
-#[derive(Debug, Clone, Default)]
-pub struct FunnelState {
+/// The layer-5 frequency tables: how often each recipient, sender and
+/// body key occurs over every email absorbed.
+#[derive(Debug, Default)]
+struct FunnelState {
     rcpt_freq: HashMap<u64, u32>,
     sender_freq: HashMap<u64, u32>,
     body_freq: HashMap<u64, u32>,
 }
 
 impl FunnelState {
-    /// Empty tables.
-    pub fn new() -> FunnelState {
-        FunnelState::default()
-    }
-
     /// Counts one email's keys.
-    pub fn absorb(&mut self, f: &EmailFeatures) {
+    fn absorb(&mut self, f: &EmailFeatures) {
         *self.rcpt_freq.entry(f.rcpt_key).or_insert(0) += 1;
         if let Some(s) = f.sender {
             *self.sender_freq.entry(s).or_insert(0) += 1;
         }
         *self.body_freq.entry(f.body_hash).or_insert(0) += 1;
-    }
-
-    /// Adds another shard's counts into this accumulator. Keyed integer
-    /// addition commutes, so iterating the source tables in hash order
-    /// is safe — ets-lint recognizes the entry-fold shape and exempts
-    /// these loops from `unordered-iteration`.
-    pub fn merge(&mut self, part: FunnelState) {
-        for (k, v) in part.rcpt_freq {
-            *self.rcpt_freq.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in part.sender_freq {
-            *self.sender_freq.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in part.body_freq {
-            *self.body_freq.entry(k).or_insert(0) += v;
-        }
     }
 
     /// Layer 5's verdict on a survivor that layers 3 and 4 left standing.
@@ -188,15 +165,12 @@ impl FunnelState {
     }
 }
 
-/// One epoch's worth of extracted evidence: per-email features in
-/// arrival order plus the epoch's frequency accumulator — the unit of
-/// work a streaming shard hands back for deterministic epoch-merge.
-#[derive(Debug, Default)]
+/// One epoch's extracted evidence, the unit of work a streaming worker
+/// hands to the commit side.
+#[derive(Debug)]
 pub struct FeatureBatch {
     /// Per-email features, in epoch order.
     pub feats: Vec<EmailFeatures>,
-    /// Frequency counts for exactly `feats`.
-    pub freq: FunnelState,
 }
 
 /// What layers 3–5 read of a layer-1/2 survivor: the fields of its
@@ -294,7 +268,7 @@ impl SpamKeys {
 /// Per email that is its layer-1/2 verdict, one byte. A layer-1/2 spam
 /// email adds its sender and bag to the layer-3 spam sets; a survivor
 /// adds a 40-byte [`Survivor`] record; and the layer-5 frequency tables
-/// count every email.
+/// count every email's keys, here and nowhere else.
 #[derive(Debug, Default)]
 pub(crate) struct Retained {
     /// Each email's layer-1/2 verdict in arrival order; `None` for a
@@ -312,8 +286,11 @@ pub(crate) struct Retained {
 impl Retained {
     /// Absorbs one epoch's features, which must arrive in stream order.
     pub(crate) fn absorb(&mut self, batch: FeatureBatch) {
-        for f in batch.feats.iter().filter(|f| f.verdict12.is_some()) {
-            self.spam.insert(f.sender, f.bag);
+        for f in &batch.feats {
+            self.freq.absorb(f);
+            if f.verdict12.is_some() {
+                self.spam.insert(f.sender, f.bag);
+            }
         }
         let verdicts = batch.feats.iter().map(|f| f.verdict12);
         let survivors = batch.feats.iter().filter_map(Survivor::of);
@@ -322,7 +299,6 @@ impl Retained {
         // The pragma on the first append covers its own line and the next.
         self.verdicts.extend(verdicts); // ets-lint: allow(non-commutative-merge): see above
         self.survivors.extend(survivors);
-        self.freq.merge(batch.freq);
     }
 
     /// Emails absorbed so far.
@@ -428,20 +404,15 @@ impl<'a> Funnel<'a> {
         }
     }
 
-    /// Extracts one epoch's features plus its shard-local frequency
-    /// accumulator — the streaming work unit. Emails must be passed in
-    /// epoch order.
+    /// Extracts one epoch's features — the streaming work unit. Emails
+    /// must be passed in epoch order.
     pub fn feature_batch<'e>(
         &self,
         emails: impl IntoIterator<Item = &'e CollectedEmail>,
     ) -> FeatureBatch {
-        let mut batch = FeatureBatch::default();
-        for email in emails {
-            let f = self.features(email);
-            batch.freq.absorb(&f);
-            batch.feats.push(f);
+        FeatureBatch {
+            feats: emails.into_iter().map(|e| self.features(e)).collect(),
         }
-        batch
     }
 
     /// Runs the corpus-level layers (3, 4, 5) over what `kept` retained.
@@ -525,31 +496,20 @@ impl<'a> Funnel<'a> {
 
     /// Classifies a whole collection: the batch oracle.
     ///
-    /// Features extract in one data-parallel pass and the frequency
-    /// tables count them in one sequential pass. The collection is then
-    /// absorbed as one epoch into the same retained state the stream
-    /// fills, and the same `finish` runs the corpus-level layers. Output
-    /// is identical for any thread count — and identical to the
+    /// Features extract in one data-parallel pass; the collection is
+    /// then absorbed as one epoch through the [`StreamFunnel`] the
+    /// stream fills, and the same `finish` runs the corpus-level layers.
+    /// Output is identical for any thread count — and identical to the
     /// streaming path, which extracts the same features epoch by epoch.
     pub fn classify_all(&self, emails: &[CollectedEmail]) -> Vec<FunnelVerdict> {
-        let n = emails.len();
         let mut funnel_span = ets_obs::span!("funnel.classify");
-        funnel_span.arg("emails", n as u64);
-        ets_obs::metrics::counter_add("funnel.emails", n as u64);
+        funnel_span.arg("emails", emails.len() as u64);
         let features_span = ets_obs::span!("funnel.features", ets_obs::Level::Debug);
         let feats: Vec<EmailFeatures> = par_map(emails, |_, e| self.features(e));
         drop(features_span);
-        // Bytes the single-pass scan layers (2 and 4) cover — a pure
-        // workload quantity, so it belongs in the commutative registry.
-        let scan_bytes: u64 = feats.iter().map(|f| f.body_bytes).sum();
-        ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
-        let mut freq = FunnelState::new();
-        for f in &feats {
-            freq.absorb(f);
-        }
-        let mut kept = Retained::default();
-        kept.absorb(FeatureBatch { feats, freq });
-        self.finish(kept)
+        let mut state = StreamFunnel::new(self);
+        state.absorb(FeatureBatch { feats });
+        state.finish()
     }
 }
 
@@ -843,13 +803,13 @@ mod tests {
         what: &str,
     ) -> (Vec<FunnelVerdict>, u64) {
         let feats: Vec<EmailFeatures> = emails.iter().map(|e| funnel.features(e)).collect();
-        let mut freq = FunnelState::new();
+        let mut freq = FunnelState::default();
         feats.iter().for_each(|f| freq.absorb(f));
         let (want, want_rounds) = finish_oracle(&feats, &freq);
         assert_eq!(funnel.classify_all(emails), want, "{what}: classify_all");
         assert_eq!(streamed, want, "{what}: StreamFunnel::finish");
         let mut kept = Retained::default();
-        kept.absorb(FeatureBatch { feats, freq });
+        kept.absorb(FeatureBatch { feats });
         let (_, rounds) = kept.spam.propagate(&kept.survivors);
         assert_eq!(rounds, want_rounds, "{what}: layer-3 rounds");
         (want, want_rounds)
@@ -924,7 +884,7 @@ mod tests {
         assert!(feats[1].bag.is_some() && feats[1].bag == feats[2].bag);
         let mut stream = StreamFunnel::new(&funnel);
         for e in &emails {
-            stream.push(e);
+            stream.absorb(funnel.feature_batch([e]));
         }
         let (verdicts, rounds) =
             assert_layers_match_oracle(&funnel, &emails, &stream.finish(), "three rounds");

@@ -147,8 +147,9 @@ pub struct CollectedEmail {
 
 impl CollectedEmail {
     /// Approximate heap bytes of this record's payload (envelope strings
-    /// plus the message) — what the streaming pipeline's `MemGauge`
-    /// accounts while the email is in flight.
+    /// plus the message): the payload a stream holds per email in
+    /// flight, which perfbench's `study` workload reports as
+    /// `traffic.bytes`.
     pub fn approx_heap_bytes(&self) -> u64 {
         let envelope = self.client_helo.len()
             + self.domain.as_str().len()

@@ -25,7 +25,7 @@
 //! * [`stream`] — the bounded-memory streaming driver: per-day traffic
 //!   generation and feature extraction fanned out through
 //!   `ets_parallel::stream_map`'s claim window, committed in calendar
-//!   order.
+//!   order to the funnel and to the caller's email closure.
 //! * [`analysis`] — yearly projections, per-domain concentration,
 //!   persistence, attachment and sensitive-info statistics.
 
@@ -47,6 +47,6 @@ pub mod traffic;
 
 pub use funnel::{Funnel, FunnelVerdict};
 pub use infra::{CollectedEmail, CollectionInfra};
-pub use stream::{stream_collect, EmailSink, StreamFunnel};
+pub use stream::{stream_collect, StreamFunnel};
 pub use time::SimDate;
 pub use traffic::{TrafficConfig, TrafficGenerator};

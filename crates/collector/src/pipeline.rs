@@ -122,14 +122,6 @@ impl Pipeline {
         }
     }
 
-    /// Processes one collected email — the per-email stage a streaming
-    /// commit drives. Envelope fields stay out of storage (the paper's
-    /// logs retained only message-level metadata), so this is the
-    /// message pipeline applied to the collected payload.
-    pub fn process_collected(&mut self, email: &crate::infra::CollectedEmail) -> StoredEmail {
-        self.process(&email.message)
-    }
-
     /// Decrypts a stored part with the offline key (analysis-time only).
     pub fn open(&self, sealed: &Sealed) -> Result<String, crypto::OpenError> {
         let bytes = crypto::open(&self.key, sealed)?;

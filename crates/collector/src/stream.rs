@@ -10,74 +10,33 @@
 //! [`ets_parallel::stream_map`] (a claim window, in-order commit), and
 //! the commit side — running strictly sequentially, in calendar order —
 //! absorbs the day's [`FeatureBatch`] into an incremental
-//! [`StreamFunnel`] and hands the day's emails to an [`EmailSink`].
+//! [`StreamFunnel`] and hands the day's emails to the caller's sink.
 //!
 //! Determinism argument, layer by layer: a day's emails are a pure
 //! function of `(config, day)` (per-day RNG streams); feature extraction
 //! is a pure per-email function; `stream_map` commits day batches in
 //! calendar order, so the sink and the feature sequence match the
-//! batch oracle exactly; and the funnel's cross-email state merges by
-//! commutative addition and set union, so epoch grouping cannot change a
-//! frequency count or a spam key. Layers 3–5 then see identical inputs —
+//! batch oracle exactly; and the funnel's cross-email state grows by
+//! counting and set union, so epoch grouping cannot change a frequency
+//! count or a spam key. Layers 3–5 then see identical inputs —
 //! identical verdicts, identical bytes downstream, at any thread count.
 //! `tests/streaming_differential.rs` holds this equivalence against the
 //! oracle, including at exactly the collection `repro --fast` runs.
 //!
 //! Peak payload memory is O(workers × day-batch): at most
-//! `stream_map`'s claim window of 8 days per worker is in flight —
-//! measured, not claimed: workers register each day's payload bytes with
-//! [`ets_obs::mem`] when generated and release them at commit. What the
-//! funnel keeps until [`StreamFunnel::finish`] still grows with the
-//! study: a verdict byte per email, a 40-byte record per survivor of
-//! layers 1–2, the layer-3 spam sender and bag sets, and the layer-5
-//! frequency tables. The largest of these is the recipient table: at the
-//! `study` benchmark's seed 1 (216,580 emails) it holds 169,466 keys,
-//! about 4.5 MB.
+//! `stream_map`'s claim window of 8 days per worker is in flight, and a
+//! committed day's emails go to the sink. What the funnel keeps until
+//! [`StreamFunnel::finish`] still grows with the study: a verdict byte
+//! per email, a 40-byte record per survivor of layers 1–2, the layer-3
+//! spam sender and bag sets, and the layer-5 frequency tables. The
+//! largest of these is the recipient table: at the `study` benchmark's
+//! seed 1 (216,580 emails) it holds 169,466 keys, about 4.5 MB.
+//! `tests/funnel_heap.rs` bounds the whole heap peak per email at 1 and
+//! 2 threads.
 
 use crate::funnel::{FeatureBatch, Funnel, FunnelVerdict, Retained};
-use crate::infra::CollectedEmail;
-use crate::pipeline::{Pipeline, StoredEmail};
 use crate::time::STUDY_DAYS;
 use crate::traffic::{GenEmail, TrafficGenerator, DAY_BATCH_BOUNDS};
-
-/// Where committed emails go once classified features are absorbed —
-/// storage, analysis buffers, or nothing at all.
-pub trait EmailSink {
-    /// Receives one email, in canonical (calendar) order.
-    fn accept(&mut self, email: GenEmail);
-}
-
-/// Any `FnMut(GenEmail)` closure is a sink.
-impl<F: FnMut(GenEmail)> EmailSink for F {
-    fn accept(&mut self, email: GenEmail) {
-        self(email)
-    }
-}
-
-/// A sink that seals every committed email into storage records through
-/// the Figure-2 pipeline — the shape the live SMTP ingest loop will use.
-pub struct StoreSink<'p> {
-    pipeline: &'p mut Pipeline,
-    /// Sealed records, in commit order.
-    pub stored: Vec<StoredEmail>,
-}
-
-impl<'p> StoreSink<'p> {
-    /// Wraps a storage pipeline.
-    pub fn new(pipeline: &'p mut Pipeline) -> StoreSink<'p> {
-        StoreSink {
-            pipeline,
-            stored: Vec::new(),
-        }
-    }
-}
-
-impl EmailSink for StoreSink<'_> {
-    fn accept(&mut self, email: GenEmail) {
-        self.stored
-            .push(self.pipeline.process_collected(&email.collected));
-    }
-}
 
 /// The incremental funnel: absorbs per-epoch [`FeatureBatch`]es in
 /// canonical order, keeping only what layers 3–5 can still read, and
@@ -102,14 +61,11 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
     /// Absorbs one epoch's features and counts, in stream order.
     pub fn absorb(&mut self, batch: FeatureBatch) {
         ets_obs::metrics::counter_add("funnel.emails", batch.feats.len() as u64);
+        // Bytes the single-pass scan layers (2 and 4) cover — a pure
+        // workload quantity, so it belongs in the commutative registry.
         let scan_bytes: u64 = batch.feats.iter().map(|f| f.body_bytes).sum();
         ets_obs::metrics::counter_add("funnel.scan.bytes", scan_bytes);
         self.kept.absorb(batch);
-    }
-
-    /// Absorbs a single email (epoch of one).
-    pub fn push(&mut self, email: &CollectedEmail) {
-        self.absorb(self.funnel.feature_batch(std::iter::once(email)));
     }
 
     /// Emails absorbed so far.
@@ -131,12 +87,11 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
 ///
 /// Byte-identical to `generate()` + `classify_all()` at any thread count.
 /// Peak payload memory is bounded by the claim window, not the study
-/// size (tracked via [`ets_obs::mem`]); the funnel's retained state is
-/// not (see the module docs).
+/// size; the funnel's retained state is not (see the module docs).
 pub fn stream_collect<'f, 'a>(
     gen: &TrafficGenerator<'a>,
     funnel: &'f Funnel<'a>,
-    sink: &mut impl EmailSink,
+    sink: &mut impl FnMut(GenEmail),
 ) -> StreamFunnel<'f, 'a> {
     let mut span = ets_obs::span!("stream.collect");
     let setup = gen.setup();
@@ -146,12 +101,10 @@ pub fn stream_collect<'f, 'a>(
         STUDY_DAYS as usize,
         |day| {
             let emails = gen.day(&setup, day);
-            let bytes: u64 = emails.iter().map(|e| e.collected.approx_heap_bytes()).sum();
-            ets_obs::mem::add(bytes);
             let batch = funnel.feature_batch(emails.iter().map(|e| &e.collected));
-            (emails, batch, bytes)
+            (emails, batch)
         },
-        |_, (emails, batch, bytes)| {
+        |_, (emails, batch)| {
             // Same workload metrics as `generate`, recorded at commit time
             // so they land in calendar order.
             ets_obs::metrics::histogram_record(
@@ -162,9 +115,8 @@ pub fn stream_collect<'f, 'a>(
             total += emails.len() as u64;
             state.absorb(batch);
             for email in emails {
-                sink.accept(email);
+                sink(email);
             }
-            ets_obs::mem::sub(bytes);
         },
     );
     ets_obs::metrics::counter_add("traffic.emails", total);
@@ -175,7 +127,7 @@ pub fn stream_collect<'f, 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infra::CollectionInfra;
+    use crate::infra::{CollectedEmail, CollectionInfra};
     use crate::traffic::TrafficConfig;
 
     #[test]
@@ -205,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_push_matches_classify_all() {
+    fn single_email_batches_match_classify_all() {
         let infra = CollectionInfra::build();
         let gen = TrafficGenerator::new(&infra, TrafficConfig::test_scale(22));
         let funnel = Funnel::new(&infra);
@@ -217,24 +169,8 @@ mod tests {
             .collect();
         let mut state = StreamFunnel::new(&funnel);
         for e in &collected {
-            state.push(e);
+            state.absorb(funnel.feature_batch([e]));
         }
         assert_eq!(state.finish(), funnel.classify_all(&collected));
-    }
-
-    #[test]
-    fn store_sink_seals_in_commit_order() {
-        let infra = CollectionInfra::build();
-        let gen = TrafficGenerator::new(&infra, TrafficConfig::test_scale(23));
-        let funnel = Funnel::new(&infra);
-        let mut pipeline = Pipeline::new([0x42; 32]);
-        let mut sink = StoreSink::new(&mut pipeline);
-        let state = stream_collect(&gen, &funnel, &mut sink);
-        assert_eq!(sink.stored.len(), state.emails());
-        assert!(sink
-            .stored
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.meta.record_id == i as u64 + 1));
     }
 }

@@ -337,10 +337,9 @@ impl World {
             let pending: Vec<Vec<PendingCtypo>> = par_map(&targets[start..end], |i, target| {
                 roll.target(start + i, target)
             });
-            // Account the band's transient payload before checking it:
-            // the budget histogram is a pure function of (seed, scale,
-            // budget), while the mem gauge feeds the wall-clock-side peak
-            // reports.
+            // The band's transient payload feeds the budget histogram, a
+            // pure function of (seed, scale, budget), and the band
+            // adaptation below.
             let band_bytes: u64 = pending
                 .iter()
                 .flat_map(|b| b.iter())
@@ -351,7 +350,6 @@ impl World {
                 &BAND_BYTES_BOUNDS,
                 band_bytes,
             );
-            ets_obs::mem::add(band_bytes);
             for batch in pending {
                 pending_total += batch.len() as u64;
                 winners.extend(
@@ -360,7 +358,6 @@ impl World {
                         .filter(|p| columns.row(p.name.as_str()).is_none()),
                 );
             }
-            ets_obs::mem::sub(band_bytes);
             ets_obs::metrics::counter_add("world.bands", 1);
             start = end;
             // Adapt the band to the budget: halve when over, grow when

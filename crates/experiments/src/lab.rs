@@ -99,17 +99,6 @@ impl Lab {
         out
     }
 
-    /// Records the peak in-flight payload bytes of the stage just run as
-    /// a `mem.stage_peak_bytes.<name>` gauge. Peaks depend on scheduling,
-    /// so they flow only into the trace log, never the deterministic
-    /// snapshot.
-    fn gauge_stage_peak(&self, name: &str) {
-        ets_obs::metrics::gauge_set(
-            &format!("mem.stage_peak_bytes.{name}"),
-            ets_obs::mem::peak() as f64,
-        );
-    }
-
     /// The ecosystem world (§5/§6/§7 substrate), built once — or loaded
     /// near-zero-copy from `--snapshot` when the file matches this exact
     /// `(seed, scale, format_version)` config, in which case the run
@@ -123,9 +112,7 @@ impl Lab {
                 Some(world) => world,
                 None => {
                     eprintln!("[lab] building world ({} targets)...", config.n_targets);
-                    ets_obs::mem::reset_peak();
                     let world = self.time_stage("world_build", || World::build(config));
-                    self.gauge_stage_peak("world_build");
                     self.save_world_snapshot(&world);
                     world
                 }
@@ -213,12 +200,10 @@ impl Lab {
             let gen = TrafficGenerator::new(&infra, config);
             let funnel = Funnel::new(&infra);
             let mut collected: Vec<CollectedEmail> = Vec::new();
-            ets_obs::mem::reset_peak();
             let state = self.time_stage("stream_collect", || {
                 let mut sink = |e: GenEmail| collected.push(e.collected);
                 stream_collect(&gen, &funnel, &mut sink)
             });
-            self.gauge_stage_peak("stream_collect");
             eprintln!(
                 "[lab] finishing the funnel over {} emails...",
                 collected.len()

@@ -67,8 +67,8 @@
 //! classified day by day, a bounded window of days in flight
 //! (`ets_collector::stream`).
 //! The run's timings live in the `--trace` JSONL log (`stage` lines, the
-//! `run.*` gauges that key them, `mem.*` gauges, `lab.*` counters),
-//! which `ets-bench --check` ratchets.
+//! `run.*` gauges that key them, `lab.*` counters), which `ets-bench
+//! --check` ratchets.
 
 #![forbid(unsafe_code)]
 

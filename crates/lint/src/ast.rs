@@ -135,25 +135,18 @@ pub enum Phase {
     /// race and a determinism hazard.
     Worker,
     /// Runs strictly sequentially on the calling thread, in canonical
-    /// order (`stream_map` commit, `par_fold` merge) — `&mut` state is
-    /// the sanctioned pattern.
+    /// order (`stream_map`'s commit) — `&mut` state is the sanctioned
+    /// pattern.
     Commit,
 }
 
 /// Fan-out entry points of `ets-parallel` and, per entry, whether the
-/// *last* closure-bearing argument is the sequential commit/merge
-/// phase. (`run_parallel` is the historical name some call sites and
-/// docs use for the scoped-pool entry; resolve it the same way.)
+/// *last* closure-bearing argument is the sequential commit phase.
 const FAN_OUT: &[(&str, bool)] = &[
     ("par_map", false),
-    ("par_flat_map", false),
     ("par_map_index", false),
-    ("run_parallel", false),
-    // par_fold(items, init, fold, merge): merge runs sequentially in
-    // chunk order on the caller's thread.
-    ("par_fold", true),
-    // stream_map(items, worker, commit): commit runs sequentially in
-    // input order on the caller's thread.
+    // stream_map(n, worker, commit): commit runs sequentially in index
+    // order on the caller's thread.
     ("stream_map", true),
 ];
 
@@ -172,8 +165,8 @@ pub struct FanoutClosure<'a> {
 /// bodies) of `ets-parallel` fan-out calls: for each call to a
 /// `FAN_OUT` entry, each top-level argument contributing a closure is
 /// classified by position — the last closure-bearing argument of
-/// `par_fold`/`stream_map` is the sequential commit phase, everything
-/// else runs on workers.
+/// `stream_map` is the sequential commit phase, everything else runs on
+/// workers.
 pub fn fanout_closures(ast: &Ast) -> Vec<FanoutClosure<'_>> {
     let mut out = Vec::new();
     for call in &ast.calls {

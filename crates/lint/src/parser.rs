@@ -679,8 +679,8 @@ mod tests {
         let ast = parsed(
             "fn f(xs: &[u32]) { \
                let v = par_map(xs, |i, x| x + i); \
-               stream_map(xs.iter(), |i, x| x * 2, |seq, r| { total += r; }); \
-               let a = par_fold(xs, || 0u64, |acc, i, x| { *acc += x; }, |acc, p| { *acc += p; }); \
+               stream_map(xs.len(), |i| xs[i] * 2, |seq, r| { total += r; }); \
+               let w = par_map_index(xs.len(), |i| xs[i] * 3); \
              }",
         );
         let fan = fanout_closures(&ast);
@@ -691,9 +691,7 @@ mod tests {
                 ("par_map", Phase::Worker),
                 ("stream_map", Phase::Worker),
                 ("stream_map", Phase::Commit),
-                ("par_fold", Phase::Worker),
-                ("par_fold", Phase::Worker),
-                ("par_fold", Phase::Commit),
+                ("par_map_index", Phase::Worker),
             ],
             "{fan:?}"
         );

@@ -7,10 +7,9 @@
 //! collection call on a captured receiver, a lock acquisition, atomic
 //! read-modify-write, or interior mutability — is at best a determinism
 //! hazard and at worst a data race the commit phase was designed to
-//! make impossible. Commit/merge closures (`stream_map`'s third
-//! argument, `par_fold`'s merge) run strictly sequentially on the
-//! calling thread and are exempt: `&mut` state there *is* the
-//! sanctioned pattern.
+//! make impossible. Commit closures (`stream_map`'s third argument) run
+//! strictly sequentially on the calling thread and are exempt: `&mut`
+//! state there *is* the sanctioned pattern.
 //!
 //! The rule leans on the [`crate::ast`] layer: closure bodies, the
 //! bindings each closure owns (params + `let`/`for`/`mut` pattern

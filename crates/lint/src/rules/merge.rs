@@ -1,14 +1,14 @@
 //! rule `non-commutative-merge` (deny): commutativity discipline for
 //! accumulator merges.
 //!
-//! PR 6's streaming contract is that `FunnelState::merge` /
-//! `StreamFunnel::absorb` fold partial accumulators into a total whose
-//! value is independent of chunking — workers may produce partials in
-//! any grouping, and the sequential commit folds them in canonical
-//! order. That only yields byte-identical results if the fold is
-//! order-insensitive (commutative + associative) *or* the call order is
-//! itself pinned. Inside any `fn merge(..)` / `fn absorb(..)` this rule
-//! flags the operations that break commutativity:
+//! The streaming contract (DESIGN §11) is that `StreamFunnel::absorb`
+//! folds each epoch into a total whose value is independent of how the
+//! stream was cut into epochs — the sequential commit absorbs epochs in
+//! canonical order, and any grouping must give the same result. That
+//! only yields byte-identical results if the fold is order-insensitive
+//! (commutative + associative) *or* the call order is itself pinned.
+//! Inside any `fn merge(..)` / `fn absorb(..)` this rule flags the
+//! operations that break commutativity:
 //!
 //! - subtraction / division on accumulator state (`-=`, `/=`) — not
 //!   commutative, a chunking change reorders operands;
@@ -20,9 +20,9 @@
 //!   merge fns themselves).
 //!
 //! A merge whose call order is pinned by construction (e.g. a commit
-//! phase draining a reorder buffer in canonical epoch order) documents
-//! that with an `// ets-lint: allow(non-commutative-merge): reason`
-//! pragma.
+//! phase that absorbs epochs in canonical order, as `stream_map`'s
+//! does) documents that with an
+//! `// ets-lint: allow(non-commutative-merge): reason` pragma.
 
 use crate::lexer::{Delim, TokKind};
 use crate::rules::{statement_has_float_hint, ORDERING_IDENTS};

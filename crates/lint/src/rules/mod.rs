@@ -461,7 +461,7 @@ pub fn nondeterministic_source(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// runs chunked, and *chunk boundaries depend on the worker count* —
 /// so any floating-point reduction crossing items inside them is
 /// thread-count-dependent even though results merge in order.
-const PAR_CALLS: &[&str] = &["par_map", "par_flat_map", "par_map_index", "par_fold"];
+const PAR_CALLS: &[&str] = &["par_map", "par_map_index"];
 
 /// rule `float-reduction-order` (deny): float accumulation (`+=`/`-=`/
 /// `*=` with a float hint, or `sum::<f64>()`/`product::<f64>()`) inside

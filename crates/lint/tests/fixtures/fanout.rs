@@ -20,43 +20,49 @@ pub fn bad_captured_push(items: &[u32]) -> Vec<u32> {
 }
 
 pub fn bad_lock_in_worker(items: &[u32], shared: &Mutex<Vec<u32>>) {
-    run_parallel(items, |x| {
-        shared.lock().unwrap().push(*x); //~ shared-mutation-in-fanout
+    par_map_index(items.len(), |i| {
+        shared.lock().unwrap().push(items[i]); //~ shared-mutation-in-fanout
     });
 }
 
 pub fn bad_atomic_rmw(items: &[u32], hits: &AtomicU64) {
-    par_flat_map(items, |x| {
-        hits.fetch_add(1, Ordering::Relaxed); //~ shared-mutation-in-fanout
-        vec![*x]
-    });
+    stream_map(
+        items.len(),
+        |i| {
+            hits.fetch_add(1, Ordering::Relaxed); //~ shared-mutation-in-fanout
+            items[i]
+        },
+        |_i, x| drop(x),
+    );
 }
 
-// Commit/merge closures run sequentially on the calling thread; `&mut`
+// Commit closures run sequentially on the calling thread; `&mut`
 // captures there are the sanctioned pattern, not a race.
 pub fn good_commit_phase_mutation(items: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     stream_map(
-        items,
-        |x| x * 2,
-        |v| {
+        items.len(),
+        |i| items[i] * 2,
+        |_i, v| {
             out.push(v);
         },
     );
     out
 }
 
-pub fn good_par_fold_merge(items: &[u32]) -> u32 {
-    let mut grand = 0;
-    par_fold(
-        items,
-        || 0u32,
-        |acc, x| acc + x,
-        |partial| {
-            grand += partial;
+// In one `stream_map` call the worker is checked and the commit is not.
+pub fn bad_stream_worker_beside_good_commit(items: &[u32]) -> u32 {
+    let mut seen = Vec::new();
+    let mut total = 0;
+    stream_map(
+        items.len(),
+        |i| {
+            seen.push(i); //~ shared-mutation-in-fanout
+            items[i]
         },
+        |_i, x| total += x,
     );
-    grand
+    total
 }
 
 // State the worker binds itself is private per-item scratch.

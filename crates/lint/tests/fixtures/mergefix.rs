@@ -54,7 +54,7 @@ pub struct Pinned {
 
 impl Pinned {
     pub fn absorb(&mut self, epoch: Vec<u32>) {
-        // ets-lint: allow(non-commutative-merge): caller drains the reorder buffer in epoch order
+        // ets-lint: allow(non-commutative-merge): the caller commits epochs in canonical order
         self.log.extend(epoch);
     }
 }

@@ -18,6 +18,7 @@
 //!   fault tail covering every Table 5 row), `delivery`, or `faults`.
 //! * `--connections` / `--requests` — concurrency slots × sessions each.
 //! * `--rps` — open-loop target rate across all slots; `0` = closed loop.
+//!   A negative or non-finite rate is a usage error.
 //! * `--read-timeout-ms` — the server's read timeout: set on the
 //!   in-process server, and with `--target` it must match the target's,
 //!   since slowloris requests stall just past it.
@@ -67,9 +68,9 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => requests = n,
                 _ => return usage("--requests needs a positive integer"),
             },
-            "--rps" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(x) => rps = x,
-                None => return usage("--rps needs a number"),
+            "--rps" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
+                Some(x) if x.is_finite() && x.is_sign_positive() => rps = x,
+                _ => return usage("--rps needs a finite number, 0 or more"),
             },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) => seed = n,

@@ -1,5 +1,6 @@
 //! The `ets-loadgen` binary writes its report only where `--out` says:
-//! a run without it leaves its working directory as it found it.
+//! a run without it leaves its working directory as it found it. A
+//! `--rps` it cannot run is a usage error.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -54,4 +55,25 @@ fn out_names_the_report() {
     );
     assert!(!dir.join("results").exists(), "the run created results/");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rps_rejects_negative_and_non_finite_rates() {
+    for rate in ["-5", "NaN", "inf"] {
+        let dir = scratch(&format!("rps{rate}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ets-loadgen"))
+            .current_dir(&dir)
+            .args(["--mix", "delivery", "--connections", "1", "--requests", "2"])
+            .args(["--rps", rate, "--out", "serve.json"])
+            .output()
+            .expect("ets-loadgen runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--rps {rate}:\n{stderr}");
+        assert!(stderr.contains("--rps"), "--rps {rate}:\n{stderr}");
+        assert!(
+            !dir.join("serve.json").exists(),
+            "--rps {rate} wrote a report"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -116,10 +116,11 @@ impl Message {
     }
 
     /// Approximate heap bytes this message holds: header names/values,
-    /// body text, attachment names and data. Used by the streaming
-    /// pipeline's `MemGauge` to account payload in flight; an estimate
-    /// (container overhead is ignored), but a faithful proxy for how the
-    /// payload scales.
+    /// body text, attachment names and data. The message's share of
+    /// `ets-collector`'s `CollectedEmail::approx_heap_bytes`, which
+    /// perfbench's `study` workload reports as `traffic.bytes`; an
+    /// estimate (container overhead is ignored), but a faithful proxy
+    /// for how the payload scales.
     pub fn approx_heap_bytes(&self) -> u64 {
         let headers: u64 = self
             .headers

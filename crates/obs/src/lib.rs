@@ -41,7 +41,6 @@ pub mod clock;
 pub mod filter;
 mod json;
 pub mod latency;
-pub mod mem;
 pub mod metrics;
 pub mod serve;
 mod sharded;

@@ -7,7 +7,8 @@
 //!   `ph: "X"` complete events), loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev);
 //! * `<base>.jsonl` — one JSON object per line: every span, then every
-//!   gauge, stage timing, counter, and histogram;
+//!   gauge, stage timing and counter (histograms are only in the
+//!   metrics snapshot below);
 //! * `<base>.metrics.json` — the deterministic counter/histogram
 //!   snapshot ([`crate::metrics::snapshot_json`]), byte-identical across
 //!   thread counts.
@@ -179,7 +180,8 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
 }
 
 /// Renders the JSONL structured log: spans first (by start time), then
-/// gauges, stage timings, counters, and histogram lines.
+/// gauges, stage timings and counters. Histograms are not logged here;
+/// `<base>.metrics.json` holds them.
 pub fn jsonl_log(events: &[SpanEvent]) -> String {
     let mut out = String::new();
     for e in events {

@@ -2,29 +2,33 @@
 //!
 //! The streaming pipeline (`ets_collector::stream`) claims byte-identical
 //! output to the batch collect-then-classify oracle at any thread count
-//! and any epoch grouping — plus bounded in-flight payload memory. This
-//! suite holds each claim against the oracle:
+//! and any epoch grouping. This suite holds each claim against the
+//! oracle:
 //!
 //! * full email + verdict equality across a thread {1, 2, 8} sweep, and
 //!   at 1 and 4 threads on exactly the collection `repro --fast` runs;
 //! * a proptest that absorbs the corpus in arbitrary epoch groupings and
 //!   demands the verdicts never move;
-//! * a peak-memory assertion: with a discarding sink, the payload in
-//!   `stream_map`'s claim window stays far below the materialized corpus
-//!   size.
+//! * equal workload metrics: both paths move the traffic and funnel
+//!   counters and the day-batch histogram by the same amounts.
 //!
-//! The thread count and the mem gauge are process-global, so every test
-//! serializes on one file-local lock and restores the default.
+//! The stream's heap bound is `tests/funnel_heap.rs`'s, whose counting
+//! allocator needs a test binary of its own.
+//!
+//! The thread count and the metrics registry are process-global, so
+//! every test serializes on one file-local lock and restores the
+//! default.
 
 use ets_collector::funnel::{Funnel, FunnelVerdict};
 use ets_collector::infra::{CollectedEmail, CollectionInfra};
 use ets_collector::stream::{stream_collect, StreamFunnel};
 use ets_collector::traffic::{GenEmail, TrafficConfig, TrafficGenerator};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes tests that touch the process-global thread count or mem
-/// gauge.
+/// Serializes tests that touch the process-global thread count or
+/// metrics registry.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
@@ -101,29 +105,71 @@ fn repro_fast_collection_equals_batch_oracle() {
     ets_parallel::set_threads(0);
 }
 
+/// The counters both collection paths record; `funnel.verdict.*` and
+/// the `traffic.day_batch` buckets come on top.
+const WORKLOAD_COUNTERS: [&str; 4] = [
+    "traffic.emails",
+    "funnel.emails",
+    "funnel.scan.bytes",
+    "funnel.layer3.rounds",
+];
+
+/// The workload metrics as they stand: [`WORKLOAD_COUNTERS`], every
+/// `funnel.verdict.*` counter, and each `traffic.day_batch` bucket.
+fn workload_metrics() -> BTreeMap<String, u64> {
+    let mut metrics: BTreeMap<String, u64> = ets_obs::metrics::counters()
+        .into_iter()
+        .filter(|(name, _)| {
+            WORKLOAD_COUNTERS.contains(&name.as_str()) || name.starts_with("funnel.verdict.")
+        })
+        .collect();
+    if let Some(h) = ets_obs::metrics::histogram("traffic.day_batch") {
+        for (bucket, count) in h.counts.into_iter().enumerate() {
+            metrics.insert(format!("traffic.day_batch[{bucket}]"), count);
+        }
+    }
+    metrics
+}
+
+/// What moved between two readings of [`workload_metrics`], and by how
+/// much.
+fn moved(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    after
+        .iter()
+        .map(|(name, v)| (name.clone(), v - before.get(name).copied().unwrap_or(0)))
+        .filter(|&(_, delta)| delta > 0)
+        .collect()
+}
+
+/// `generate()` + `classify_all` and `stream_collect` + `finish` record
+/// the same workload: a metric one path records in a different place, or
+/// twice, moves by a different amount.
 #[test]
-fn in_flight_memory_stays_bounded() {
+fn batch_and_stream_record_the_same_workload_metrics() {
     let _g = lock();
-    let (infra, batch_emails, _) = oracle();
-    let corpus_bytes: u64 = batch_emails.iter().map(|e| e.approx_heap_bytes()).sum();
-    assert!(corpus_bytes > 0);
     ets_parallel::set_threads(2);
-    ets_obs::mem::reset();
-    let gen = TrafficGenerator::new(infra, TrafficConfig::test_scale(77));
-    let funnel = Funnel::new(infra);
-    // Discarding sink: nothing downstream retains the emails, so the mem
-    // gauge sees only what the pipeline itself keeps in flight.
-    let mut sink = |_e: GenEmail| {};
-    let state = stream_collect(&gen, &funnel, &mut sink);
-    assert_eq!(state.emails(), batch_emails.len());
-    let peak = ets_obs::mem::peak();
-    assert!(peak > 0, "workers never registered payload bytes");
-    assert!(
-        peak < corpus_bytes / 4,
-        "peak in-flight {peak} not bounded vs corpus {corpus_bytes}"
-    );
-    assert_eq!(ets_obs::mem::live(), 0, "commit leaked payload bytes");
+    let infra = CollectionInfra::build();
+    let gen = TrafficGenerator::new(&infra, TrafficConfig::test_scale(77));
+    let funnel = Funnel::new(&infra);
+    let start = workload_metrics();
+    let batch: Vec<CollectedEmail> = gen.generate().into_iter().map(|e| e.collected).collect();
+    let batch_verdicts = funnel.classify_all(&batch);
+    let mid = workload_metrics();
+    let stream_verdicts = stream_collect(&gen, &funnel, &mut |_: GenEmail| {}).finish();
+    let end = workload_metrics();
     ets_parallel::set_threads(0);
+
+    assert_eq!(stream_verdicts, batch_verdicts);
+    let by_batch = moved(&start, &mid);
+    for name in WORKLOAD_COUNTERS {
+        assert!(
+            by_batch.contains_key(name),
+            "the batch path left {name} at rest"
+        );
+    }
+    assert!(by_batch.keys().any(|k| k.starts_with("funnel.verdict.")));
+    assert!(by_batch.keys().any(|k| k.starts_with("traffic.day_batch[")));
+    assert_eq!(moved(&mid, &end), by_batch);
 }
 
 proptest! {
