@@ -25,7 +25,8 @@
 //! * [`stream`] — the bounded-memory streaming driver: per-day traffic
 //!   generation and feature extraction fanned out through
 //!   `ets_parallel::stream_map`'s claim window, committed in calendar
-//!   order to the funnel and to the caller's email closure.
+//!   order to the funnel and to the caller's email closure, which is
+//!   `Send` because each day commits on the worker that generated it.
 //! * [`analysis`] — yearly projections, per-domain concentration,
 //!   persistence, attachment and sensitive-info statistics.
 

@@ -8,9 +8,11 @@
 //! oracle. This module runs the same computation as a stream over
 //! simulated days: each day is one work unit fanned out through
 //! [`ets_parallel::stream_map`] (a claim window, in-order commit), and
-//! the commit side — running strictly sequentially, in calendar order —
-//! absorbs the day's [`FeatureBatch`] into an incremental
-//! [`StreamFunnel`] and hands the day's emails to the caller's sink.
+//! the commit side — running strictly sequentially, in calendar order,
+//! on the worker that generated the day — absorbs the day's
+//! [`FeatureBatch`] into an incremental [`StreamFunnel`] and hands the
+//! day's emails to the caller's sink, so each email is freed on the
+//! thread that allocated it.
 //!
 //! Determinism argument, layer by layer: a day's emails are a pure
 //! function of `(config, day)` (per-day RNG streams); feature extraction
@@ -85,13 +87,17 @@ impl<'f, 'a> StreamFunnel<'f, 'a> {
 /// and handing emails to `sink`. Call [`StreamFunnel::finish`] on the
 /// result for the verdicts.
 ///
+/// `sink` is `Send` because it runs on the worker threads, one day at a
+/// time and in calendar order; a span it opens is parented under that
+/// worker's `parallel.worker` span.
+///
 /// Byte-identical to `generate()` + `classify_all()` at any thread count.
 /// Peak payload memory is bounded by the claim window, not the study
 /// size; the funnel's retained state is not (see the module docs).
 pub fn stream_collect<'f, 'a>(
     gen: &TrafficGenerator<'a>,
     funnel: &'f Funnel<'a>,
-    sink: &mut impl FnMut(GenEmail),
+    sink: &mut (impl FnMut(GenEmail) + Send),
 ) -> StreamFunnel<'f, 'a> {
     let mut span = ets_obs::span!("stream.collect");
     let setup = gen.setup();

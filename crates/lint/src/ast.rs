@@ -134,9 +134,9 @@ pub enum Phase {
     /// Runs concurrently on worker threads; shared mutation here is a
     /// race and a determinism hazard.
     Worker,
-    /// Runs strictly sequentially on the calling thread, in canonical
-    /// order (`stream_map`'s commit) — `&mut` state is the sanctioned
-    /// pattern.
+    /// Runs strictly one at a time, in canonical order (`stream_map`'s
+    /// commit: on the worker that computed the result, under the
+    /// stream's lock) — `&mut` state is the sanctioned pattern.
     Commit,
 }
 
@@ -145,8 +145,9 @@ pub enum Phase {
 const FAN_OUT: &[(&str, bool)] = &[
     ("par_map", false),
     ("par_map_index", false),
-    // stream_map(n, worker, commit): commit runs sequentially in index
-    // order on the caller's thread.
+    // stream_map(n, worker, commit): commits run one at a time, in
+    // index order, each on the worker that computed its result, under
+    // the stream's lock.
     ("stream_map", true),
 ];
 

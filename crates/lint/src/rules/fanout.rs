@@ -8,8 +8,9 @@
 //! read-modify-write, or interior mutability — is at best a determinism
 //! hazard and at worst a data race the commit phase was designed to
 //! make impossible. Commit closures (`stream_map`'s third argument) run
-//! strictly sequentially on the calling thread and are exempt: `&mut`
-//! state there *is* the sanctioned pattern.
+//! one at a time, in index order, on the worker that computed the
+//! result and under the stream's lock, so they are exempt: `&mut` state
+//! there *is* the sanctioned pattern.
 //!
 //! The rule leans on the [`crate::ast`] layer: closure bodies, the
 //! bindings each closure owns (params + `let`/`for`/`mut` pattern

@@ -36,8 +36,9 @@ pub fn bad_atomic_rmw(items: &[u32], hits: &AtomicU64) {
     );
 }
 
-// Commit closures run sequentially on the calling thread; `&mut`
-// captures there are the sanctioned pattern, not a race.
+// Commit closures run one at a time, in index order, on the worker
+// that computed the result, under the stream's lock; `&mut` captures
+// there are the sanctioned pattern, not a race.
 pub fn good_commit_phase_mutation(items: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     stream_map(

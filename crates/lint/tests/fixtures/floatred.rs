@@ -35,7 +35,8 @@ pub fn good_sequential_commit(xs: &[f64]) -> f64 {
 }
 
 pub fn good_stream_commit(xs: &[f64]) -> f64 {
-    // `stream_map` commits on the calling thread in index order, so a
+    // `stream_map` commits one at a time, in index order, under the
+    // stream's lock (each on the worker that computed the result), so a
     // float total there is reduced in one fixed order.
     let mut total = 0.0f64;
     stream_map(xs.len(), |i| xs[i] * 1.5, |_i, x| total += x);

@@ -23,6 +23,8 @@
 //!   in-process server, and with `--target` it must match the target's,
 //!   since slowloris requests stall just past it.
 //! * `--max-*` — stop rules; with `--check` any violation fails the run.
+//!   Each takes a finite number, 0 or more (0 disables the two latency
+//!   rules); anything else is a usage error.
 //! * `--out PATH` — write the JSON report there; without it the run
 //!   prints its summary and writes no file.
 
@@ -68,9 +70,9 @@ fn main() -> ExitCode {
                 Some(n) if n > 0 => requests = n,
                 _ => return usage("--requests needs a positive integer"),
             },
-            "--rps" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(x) if x.is_finite() && x.is_sign_positive() => rps = x,
-                _ => return usage("--rps needs a finite number, 0 or more"),
+            "--rps" => match non_negative(it.next()) {
+                Some(x) => rps = x,
+                None => return usage("--rps needs a finite number, 0 or more"),
             },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) => seed = n,
@@ -84,17 +86,17 @@ fn main() -> ExitCode {
                 Some(n) => client_timeout_ms = n,
                 None => return usage("--client-timeout-ms needs an integer"),
             },
-            "--max-failure-rate" => match it.next().and_then(|s| s.parse().ok()) {
+            "--max-failure-rate" => match non_negative(it.next()) {
                 Some(f) => rules.max_failure_rate = f,
-                None => return usage("--max-failure-rate needs a number"),
+                None => return usage("--max-failure-rate needs a finite number, 0 or more"),
             },
-            "--max-p50-ms" => match it.next().and_then(|s| s.parse().ok()) {
+            "--max-p50-ms" => match non_negative(it.next()) {
                 Some(f) => rules.max_p50_ms = f,
-                None => return usage("--max-p50-ms needs a number"),
+                None => return usage("--max-p50-ms needs a finite number, 0 or more"),
             },
-            "--max-p99-ms" => match it.next().and_then(|s| s.parse().ok()) {
+            "--max-p99-ms" => match non_negative(it.next()) {
                 Some(f) => rules.max_p99_ms = f,
-                None => return usage("--max-p99-ms needs a number"),
+                None => return usage("--max-p99-ms needs a finite number, 0 or more"),
             },
             "--out" => match it.next() {
                 Some(p) => out = Some(p.clone()),
@@ -172,6 +174,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// A finite number, 0 or more. Every comparison with NaN is false, so
+/// a NaN rate or stop-rule threshold would silently switch it off.
+fn non_negative(arg: Option<&String>) -> Option<f64> {
+    arg.and_then(|s| s.parse::<f64>().ok())
+        .filter(|x| x.is_finite() && x.is_sign_positive())
 }
 
 fn usage(err: &str) -> ExitCode {

@@ -1,6 +1,7 @@
 //! The `ets-loadgen` binary writes its report only where `--out` says:
 //! a run without it leaves its working directory as it found it. A
-//! `--rps` it cannot run is a usage error.
+//! `--rps` it cannot run, or a stop-rule threshold that is negative or
+//! not finite, is a usage error.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -57,23 +58,38 @@ fn out_names_the_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Asserts that `flag value` is a usage error that names the flag,
+/// exits 1 and writes no report.
+fn rejects(flag: &str, value: &str) {
+    let dir = scratch(&format!("{}{value}", flag.trim_start_matches('-')));
+    let out = Command::new(env!("CARGO_BIN_EXE_ets-loadgen"))
+        .current_dir(&dir)
+        .args(["--mix", "delivery", "--connections", "1", "--requests", "2"])
+        .args([flag, value, "--out", "serve.json"])
+        .output()
+        .expect("ets-loadgen runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{flag} {value}:\n{stderr}");
+    assert!(stderr.contains(flag), "{flag} {value}:\n{stderr}");
+    assert!(
+        !dir.join("serve.json").exists(),
+        "{flag} {value} wrote a report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn rps_rejects_negative_and_non_finite_rates() {
     for rate in ["-5", "NaN", "inf"] {
-        let dir = scratch(&format!("rps{rate}"));
-        let out = Command::new(env!("CARGO_BIN_EXE_ets-loadgen"))
-            .current_dir(&dir)
-            .args(["--mix", "delivery", "--connections", "1", "--requests", "2"])
-            .args(["--rps", rate, "--out", "serve.json"])
-            .output()
-            .expect("ets-loadgen runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--rps {rate}:\n{stderr}");
-        assert!(stderr.contains("--rps"), "--rps {rate}:\n{stderr}");
-        assert!(
-            !dir.join("serve.json").exists(),
-            "--rps {rate} wrote a report"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        rejects("--rps", rate);
+    }
+}
+
+#[test]
+fn thresholds_reject_negative_and_non_finite_values() {
+    for flag in ["--max-failure-rate", "--max-p50-ms", "--max-p99-ms"] {
+        for value in ["-1", "NaN", "inf"] {
+            rejects(flag, value);
+        }
     }
 }

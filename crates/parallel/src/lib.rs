@@ -21,10 +21,11 @@
 //!
 //! For results too large to hold all at once, [`stream_map`] is the
 //! streaming analogue: it maps the indices `0..n` on a worker pool that
-//! claims indices within a bounded window and hands each result to a
-//! sequential `commit` closure in index order, so `commit` observes
-//! exactly the order a single-threaded loop would produce — same bytes,
-//! bounded memory.
+//! claims indices within a bounded window, and the worker that computed
+//! each result hands it to a `commit` closure under the stream's lock,
+//! one at a time and in index order, so `commit` observes exactly the
+//! order a single-threaded loop would produce — same bytes, bounded
+//! memory, and each result freed on the thread that allocated it.
 //!
 //! The worker count is a process-wide setting ([`set_threads`]), wired to
 //! the `repro` driver's `--threads` flag. `threads() == 1` executes

@@ -10,90 +10,96 @@
 //! consumer (incremental funnel state, storage pipeline, metrics) relies
 //! on for byte-identical output at any thread count.
 //!
+//! The worker that computed a result also commits it. Each worker
+//! queues its results in claim order, and under the stream's one lock
+//! it commits its queue's front whenever that index is the next one
+//! due, so commits still run one at a time and in index order, and
+//! whatever a commit drops is freed on the thread that allocated it. A
+//! calling thread that committed everything would free every result
+//! across threads, which glibc's per-thread arenas and caches send down
+//! their slow path.
+//!
 //! Memory is bounded by a claim window: a worker never claims an index
-//! more than `CHUNKS_PER_WORKER × workers` past the next one to commit,
+//! `CHUNKS_PER_WORKER × workers` or more past the next one to commit,
 //! so at most that many results are claimed but not yet committed,
 //! however long the stream.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// What the workers and the committer share, under one lock.
-struct State<R> {
+/// What the workers share, under one lock.
+struct State<C> {
     /// The next index a worker claims.
     claimed: usize,
-    /// The next index the committer takes; claims stay below
-    /// `taken + window`.
-    taken: usize,
-    /// Finished results waiting for their turn, by index.
-    done: BTreeMap<usize, R>,
-    /// A worker or the committer unwound: everyone stops.
+    /// The next index to commit; claims stay below `next + window`.
+    next: usize,
+    /// A worker unwound: everyone stops.
     failed: bool,
+    /// The caller's commit, run only under the lock.
+    commit: C,
 }
 
-struct Shared<R> {
-    state: Mutex<State<R>>,
-    /// Signalled when `taken` advances or the stream fails.
-    room: Condvar,
-    /// Signalled when a result lands in `done` or the stream fails.
-    ready: Condvar,
+struct Shared<C> {
+    state: Mutex<State<C>>,
+    /// Signalled when `next` advances or the stream fails.
+    turn: Condvar,
 }
 
-impl<R> Shared<R> {
-    /// `f` and `commit` run unlocked and nothing under the lock can
-    /// panic, so every update leaves the state valid and a poisoned
-    /// guard is safe to recover; any panic propagates through the scope
-    /// join regardless.
-    fn lock(&self) -> MutexGuard<'_, State<R>> {
+impl<C> Shared<C> {
+    /// Only `commit` can panic under the lock. The index it was
+    /// committing unwinds with its worker, so no other worker can commit
+    /// before that worker's guard sets `failed`: a poisoned guard is
+    /// safe to recover, and the panic propagates through the scope join.
+    fn lock(&self) -> MutexGuard<'_, State<C>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The next index once it fits the window; `None` when every index
-    /// is claimed or the stream failed.
-    fn claim(&self, n: usize, window: usize) -> Option<usize> {
+    /// Runs one worker until every index is claimed and its own results
+    /// are committed, or the stream failed: commits its queue's front
+    /// while that index is due, else claims the next index once it fits
+    /// the window and computes it unlocked, else waits for `next` to
+    /// advance. Returns the number of indices it computed.
+    fn work<R>(&self, n: usize, window: usize, f: &impl Fn(usize) -> R) -> u64
+    where
+        C: FnMut(usize, R),
+    {
+        let mut queue: VecDeque<(usize, R)> = VecDeque::new();
+        let mut computed = 0u64;
         let mut s = self.lock();
-        loop {
-            if s.failed || s.claimed >= n {
-                return None;
-            }
-            if s.claimed < s.taken + window {
+        while !s.failed {
+            let due = s.next;
+            if queue.front().is_some_and(|&(i, _)| i == due) {
+                if let Some((i, result)) = queue.pop_front() {
+                    (s.commit)(i, result);
+                    s.next += 1;
+                    self.turn.notify_all();
+                }
+            } else if s.claimed < n.min(due + window) {
+                let i = s.claimed;
                 s.claimed += 1;
-                return Some(s.claimed - 1);
+                drop(s);
+                queue.push_back((i, f(i)));
+                computed += 1;
+                s = self.lock();
+            } else if queue.is_empty() && s.claimed == n {
+                break;
+            } else {
+                s = self.turn.wait(s).unwrap_or_else(|p| p.into_inner());
             }
-            s = self.room.wait(s).unwrap_or_else(|p| p.into_inner());
         }
-    }
-
-    /// Blocks until result `i` is done and takes it, opening one more
-    /// slot of the window; `None` once the stream failed.
-    fn take(&self, i: usize) -> Option<R> {
-        let mut s = self.lock();
-        let result = loop {
-            if s.failed {
-                return None;
-            }
-            if let Some(r) = s.done.remove(&i) {
-                break r;
-            }
-            s = self.ready.wait(s).unwrap_or_else(|p| p.into_inner());
-        };
-        s.taken = i + 1;
-        drop(s);
-        self.room.notify_all();
-        Some(result)
+        computed
     }
 }
 
-/// Fails the stream if its thread unwinds, waking every waiter so the
+/// Fails the stream if its worker unwinds, waking every waiter so the
 /// scope joins and re-raises the panic instead of hanging.
-struct FailOnUnwind<'s, R>(&'s Shared<R>);
+struct FailOnUnwind<'s, C>(&'s Shared<C>);
 
-impl<R> Drop for FailOnUnwind<'_, R> {
+impl<C> Drop for FailOnUnwind<'_, C> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.lock().failed = true;
-            self.0.room.notify_all();
-            self.0.ready.notify_all();
+            self.0.turn.notify_all();
         }
     }
 }
@@ -103,13 +109,16 @@ impl<R> Drop for FailOnUnwind<'_, R> {
 /// [`par_map_index`](crate::par_map_index).
 ///
 /// [`threads()`](crate::threads) workers claim indices in order and
-/// apply `f` (the index lets callers derive per-unit RNG streams); the
-/// calling thread hands each result to `commit` in index order. A worker
-/// waits rather than claim an index `CHUNKS_PER_WORKER × threads()` or
-/// more past the next one to commit, which bounds the results held at
-/// once. `commit` runs strictly sequentially on the caller's thread, so
-/// it may hold `&mut` state without synchronization. A panic in `f` or
-/// in `commit` stops the workers and propagates to the caller.
+/// apply `f` (the index lets callers derive per-unit RNG streams). Each
+/// result is handed to `commit` in index order by the worker that
+/// computed it, under the stream's lock, so commits run strictly one at
+/// a time and `commit` may hold `&mut` state without synchronization;
+/// it must be `Send` because it runs on the workers, while results
+/// never leave the thread that made them. A worker waits rather than
+/// claim an index `CHUNKS_PER_WORKER × threads()` or more past the next
+/// one to commit, which bounds the results held at once. The calling
+/// thread only spawns and joins the workers. A panic in `f` or in
+/// `commit` stops the workers and propagates to the caller.
 ///
 /// With `threads() <= 1` everything runs inline on the caller's thread,
 /// and the deterministic workload counters
@@ -117,9 +126,8 @@ impl<R> Drop for FailOnUnwind<'_, R> {
 /// metrics snapshots never depend on the thread count.
 pub fn stream_map<R, F, C>(n: usize, f: F, mut commit: C)
 where
-    R: Send,
     F: Fn(usize) -> R + Sync,
-    C: FnMut(usize, R),
+    C: FnMut(usize, R) + Send,
 {
     let workers = crate::threads();
     let window = crate::CHUNKS_PER_WORKER * workers;
@@ -134,12 +142,11 @@ where
     let shared = Shared {
         state: Mutex::new(State {
             claimed: 0,
-            taken: 0,
-            done: BTreeMap::new(),
+            next: 0,
             failed: false,
+            commit,
         }),
-        room: Condvar::new(),
-        ready: Condvar::new(),
+        turn: Condvar::new(),
     };
     std::thread::scope(|scope| {
         let (shared, f) = (&shared, &f);
@@ -147,24 +154,12 @@ where
             scope.spawn(move || {
                 let _fail = FailOnUnwind(shared);
                 let mut span = ets_obs::span::worker("parallel.worker", parent, w);
-                let mut items_done = 0u64;
-                while let Some(i) = shared.claim(n, window) {
-                    let result = f(i);
-                    items_done += 1;
-                    shared.lock().done.insert(i, result);
-                    shared.ready.notify_one();
-                }
-                span.arg("items", items_done);
-                // Fold this worker's metric shard before the scope
-                // joins (see par_map in lib.rs).
+                let computed = shared.work(n, window, f);
+                span.arg("items", computed);
+                // Fold this worker's metric shard, its commits' included,
+                // before the scope joins (see par_map in lib.rs).
                 ets_obs::metrics::retire_local();
             });
-        }
-        let _fail = FailOnUnwind(shared);
-        for i in 0..n {
-            // `None`: a worker panicked, and the scope join re-raises it.
-            let Some(result) = shared.take(i) else { return };
-            commit(i, result);
         }
     });
 }
@@ -174,6 +169,7 @@ mod tests {
     use super::*;
     use crate::tests::lock;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -265,6 +261,37 @@ mod tests {
             want = want.rotate_left(7) ^ x.wrapping_mul(0x9E37_79B9);
         }
         assert_eq!(acc, want);
+    }
+
+    #[test]
+    fn commits_run_on_the_computing_thread() {
+        let _guard = lock();
+        for threads in [2, 3, 8] {
+            crate::set_threads(threads);
+            let mut commits = 0;
+            stream_map(
+                1_000,
+                |_| std::thread::current().id(),
+                |i, computed_on| {
+                    let here = std::thread::current().id();
+                    assert_eq!(here, computed_on, "threads={threads}: index {i}");
+                    commits += 1;
+                },
+            );
+            crate::set_threads(0);
+            assert_eq!(commits, 1_000, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn results_need_not_be_send() {
+        let _guard = lock();
+        crate::set_threads(2);
+        let mut out = Vec::new();
+        stream_map(500, Rc::new, |i, r: Rc<usize>| out.push((i, *r)));
+        crate::set_threads(0);
+        assert!(out.iter().enumerate().all(|(k, &(i, r))| k == i && i == r));
+        assert_eq!(out.len(), 500);
     }
 
     /// Runs `stream_map` at 2 threads on a helper thread and reports

@@ -11,8 +11,10 @@
 //!
 //! At 2 threads the same stream also holds the days `stream_map`'s
 //! claim window has in flight, up to 16, each a day's emails and their
-//! features. A stream that kept each committed day's emails until it
-//! returned would hold the whole corpus, and fails the 2-thread bound.
+//! features, queued on the worker that generated them until that
+//! worker commits them in turn. A stream that kept each committed day's
+//! emails until it returned would hold the whole corpus, and fails the
+//! 2-thread bound.
 //!
 //! The counting allocator below sees every allocation of this test
 //! binary, so the two streams run one after the other in one test. With
@@ -33,9 +35,10 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// `finish`.
 const PEAK_BYTES_PER_EMAIL: usize = 84;
 
-/// The same at 2 threads. Measured at 73–136 B over 30 release runs,
-/// and at 887 B with every committed day's emails kept until
-/// `stream_collect` returns.
+/// The same at 2 threads. Measured at 70–93 B over 30 release runs
+/// with each day committed by the worker that generated it (73–136 B
+/// when the calling thread committed every day), and at 887 B with
+/// every committed day's emails kept until `stream_collect` returns.
 const PEAK_BYTES_PER_EMAIL_2_THREADS: usize = 200;
 
 /// Bytes currently allocated, and the most allocated at once since
